@@ -82,4 +82,7 @@ cargo run --release -q -p adassure-debug --bin addebug -- rerun target/ci_repro.
 echo "== cargo bench --no-run (benchmarks stay compilable) =="
 cargo bench --workspace --no-run
 
+echo "== perfbench build (its own workspace; BENCHMARK.json runs it) =="
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "CI OK"

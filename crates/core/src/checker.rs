@@ -8,12 +8,12 @@
 //! Two replay paths exist, with identical cycle boundaries:
 //!
 //! * [`for_each_cycle`] sweeps the trace's per-series cursors directly —
-//!   no flattening, no sort — and backs [`check`] and [`replay`];
+//!   no flattening, no sort — and backs every `check*` entry point and
+//!   [`replay`];
 //! * [`events`] + [`Cycles`] materialise a time-sorted event stream for
-//!   callers that need one (overhead harnesses, or [`check_events`] to
-//!   check one stream against many catalogs without re-sorting).
+//!   callers that need one (the overhead harnesses).
 
-use adassure_obs::{EventSink, MetricsSnapshot, NullSink, ObsConfig};
+use adassure_obs::{EventSink, MetricsSnapshot, ObsConfig};
 use adassure_trace::{SignalId, Trace};
 
 use crate::assertion::Assertion;
@@ -42,9 +42,9 @@ pub fn events(trace: &Trace) -> Vec<Event<'_>> {
 /// Iterator over the control cycles of a time-sorted event stream: yields
 /// `(time, samples)` for each distinct timestamp, in order.
 ///
-/// This is the single place the per-cycle grouping of a replay is decided;
-/// [`check`], [`replay`] and the overhead harnesses all consume it, so
-/// their cycle boundaries agree by construction.
+/// Its cycle boundaries and within-cycle order match [`for_each_cycle`]'s
+/// exactly (pinned by a test), so the overhead harnesses that consume it
+/// replay the same cycles [`check`] does.
 #[derive(Debug, Clone)]
 pub struct Cycles<'e, 't> {
     rest: &'e [Event<'t>],
@@ -114,6 +114,23 @@ pub fn for_each_cycle(trace: &Trace, mut f: impl FnMut(f64, &[(&SignalId, f64)])
     }
 }
 
+/// Drives `checker` through every cycle of `trace` and returns the trace's
+/// end time, the instant every `check*` entry point finishes at.
+fn drive(checker: &mut OnlineChecker, trace: &Trace) -> f64 {
+    for_each_cycle(trace, |t, cycle| {
+        // A Trace rejects non-monotone and non-finite times per series, and
+        // the sweep merges them in ascending order.
+        checker
+            .begin_cycle(t)
+            .expect("trace cycles are strictly time-ordered");
+        for &(id, value) in cycle {
+            checker.update(id.clone(), value);
+        }
+        checker.end_cycle();
+    });
+    trace.span().map_or(0.0, |(_, b)| b)
+}
+
 /// Replays `trace` through a fresh [`OnlineChecker`] over `catalog` and
 /// returns the report.
 ///
@@ -128,14 +145,7 @@ pub fn for_each_cycle(trace: &Trace, mut f: impl FnMut(f64, &[(&SignalId, f64)])
 /// assert!(report.is_clean());
 /// ```
 pub fn check(catalog: &[Assertion], trace: &Trace) -> CheckReport {
-    check_observed(
-        catalog,
-        trace,
-        0,
-        &ObsConfig::disabled(),
-        Box::new(NullSink),
-    )
-    .0
+    check_with_health(catalog, HealthConfig::default(), trace)
 }
 
 /// [`check`] with an explicit telemetry-health configuration, for callers
@@ -146,16 +156,8 @@ pub fn check_with_health(
     trace: &Trace,
 ) -> CheckReport {
     let mut checker = OnlineChecker::with_health(catalog.iter().cloned(), health);
-    for_each_cycle(trace, |t, cycle| {
-        checker
-            .begin_cycle(t)
-            .expect("trace cycles are strictly time-ordered");
-        for &(id, value) in cycle {
-            checker.update(id.clone(), value);
-        }
-        checker.end_cycle();
-    });
-    checker.finish(trace.span().map_or(0.0, |(_, b)| b))
+    let end = drive(&mut checker, trace);
+    checker.finish(end)
 }
 
 /// [`check`] with observability: replays `trace` through a checker whose
@@ -179,38 +181,8 @@ pub fn check_observed(
         sink,
     );
     checker.set_run_id(run);
-    for_each_cycle(trace, |t, cycle| {
-        // A Trace rejects non-monotone and non-finite times per series, and
-        // the sweep merges them in ascending order.
-        checker
-            .begin_cycle(t)
-            .expect("trace cycles are strictly time-ordered");
-        for &(id, value) in cycle {
-            checker.update(id.clone(), value);
-        }
-        checker.end_cycle();
-    });
-    let end = trace.span().map_or(0.0, |(_, b)| b);
+    let end = drive(&mut checker, trace);
     checker.finish_observed(end)
-}
-
-/// Checks an already-flattened event stream (from [`events`]) against
-/// `catalog`, finalising at `end_time`.
-///
-/// Splitting this from [`check`] lets callers that check one trace against
-/// several catalogs — the ablation studies do — pay the sort once.
-pub fn check_events(catalog: &[Assertion], events: &[Event<'_>], end_time: f64) -> CheckReport {
-    let mut checker = OnlineChecker::new(catalog.iter().cloned());
-    for (t, cycle) in Cycles::new(events) {
-        checker
-            .begin_cycle(t)
-            .expect("event stream cycles are strictly time-ordered");
-        for &(_, id, value) in cycle {
-            checker.update(id.clone(), value);
-        }
-        checker.end_cycle();
-    }
-    checker.finish(end_time)
 }
 
 /// Replays `trace` cycle by cycle, invoking `f(t, env)` after each cycle's
@@ -367,22 +339,6 @@ mod tests {
             })
             .collect();
         assert_eq!(swept, grouped);
-    }
-
-    #[test]
-    fn check_events_matches_check() {
-        let mut trace = Trace::new();
-        for i in 0..100 {
-            let t = f64::from(i) * 0.01;
-            trace.record("x", t, if t < 0.5 { 0.0 } else { 5.0 });
-        }
-        let catalog = [bound(1.0)];
-        let stream = events(&trace);
-        let end = trace.span().unwrap().1;
-        assert_eq!(
-            check_events(&catalog, &stream, end),
-            check(&catalog, &trace)
-        );
     }
 
     #[test]

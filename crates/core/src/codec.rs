@@ -1,23 +1,21 @@
-//! Shared binary codec helpers for versioned checkpoint formats.
+//! Checker-state encoding shared by the versioned checkpoint formats.
 //!
 //! Both the fleet checkpoints (`adassure-fleet`, `ADCKPT`) and the sim
 //! debug checkpoints (`adassure-debug`, `ADSIM`) serialize checker state
-//! into little-endian binary images with explicit magic/version markers.
-//! The primitives live here so the two formats share one bounds-checked
-//! cursor, one [`CheckerState`] encoding, and one typed error surface —
-//! a checkpoint written by either side decodes checker state with the
-//! exact same bit-for-bit semantics.
+//! into little-endian binary images. This module holds the one
+//! [`CheckerState`] encoding and the typed [`CodecError`] surface they
+//! share, so a checkpoint written by either side decodes checker state
+//! with the exact same bit-for-bit semantics.
 //!
-//! Conventions (mirroring `.adt`/ADWIRE):
-//!
-//! - every integer and float is little-endian; floats are stored as raw
-//!   IEEE-754 bits so NaNs round-trip exactly,
-//! - variable-length strings are `u16` length + UTF-8 bytes,
-//! - repeated sections carry a `u32` count validated against the bytes
-//!   remaining, so corrupt counts cannot drive huge allocations,
-//! - decoding returns a typed [`CodecError`] instead of panicking.
+//! Decoding reads through the workspace's one bounds-checked reader,
+//! [`adassure_trace::binary::Cur`], which also owns the container header
+//! and the conventions every binary format follows (little-endian, raw
+//! float bits, `u16`-prefixed strings, counts capped by the bytes
+//! remaining, typed errors — DESIGN.md, "Binary container conventions").
+//! Its [`DecodeError`] converts into [`CodecError::Malformed`].
 
 use adassure_obs::{AssertionStats, Histogram, Verdict, VerdictCounts};
+use adassure_trace::binary::{Cur, DecodeError};
 
 use crate::assertion::{AssertionId, Eval, Severity};
 use crate::online::{CheckerState, HealthState, MonitorSnapshot, SignalSnapshot};
@@ -98,6 +96,12 @@ impl std::error::Error for CodecError {
 impl From<std::io::Error> for CodecError {
     fn from(e: std::io::Error) -> Self {
         CodecError::Io(e)
+    }
+}
+
+impl From<DecodeError> for CodecError {
+    fn from(e: DecodeError) -> Self {
+        CodecError::malformed(e.to_string())
     }
 }
 
@@ -275,220 +279,44 @@ pub fn put_checker(out: &mut Vec<u8>, c: &CheckerState) {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// A bounds-checked little-endian cursor over checkpoint bytes.
-#[derive(Debug)]
-pub struct Cur<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Reads a bounded-memory histogram (inverse of [`put_histogram`]).
+///
+/// # Errors
+///
+/// [`CodecError::Malformed`] on truncation or an invalid layout.
+pub fn read_histogram(c: &mut Cur<'_>, what: &str) -> Result<Histogram, CodecError> {
+    let lo = c.f64(what)?;
+    if !(lo.is_finite() && lo > 0.0) {
+        return Err(c.bad(format!("{what}: invalid histogram lo {lo}")).into());
+    }
+    let buckets = c.count(what)?;
+    let mut h = Histogram::new(lo, buckets.max(1));
+    h.buckets.clear();
+    for _ in 0..buckets {
+        h.buckets.push(c.u64(what)?);
+    }
+    h.underflow = c.u64(what)?;
+    h.overflow = c.u64(what)?;
+    h.rejected = c.u64(what)?;
+    h.count = c.u64(what)?;
+    h.sum = c.f64(what)?;
+    h.max = c.f64(what)?;
+    Ok(h)
 }
 
-impl<'a> Cur<'a> {
-    /// Starts a cursor at the beginning of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Cur { bytes, pos: 0 }
-    }
-
-    /// A [`CodecError::Malformed`] (convenience for decode sites).
-    pub fn bad(message: impl Into<String>) -> CodecError {
-        CodecError::malformed(message)
-    }
-
-    /// Current byte offset.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// Errors unless the cursor consumed the input exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Malformed`] when trailing bytes remain.
-    pub fn expect_end(&self) -> Result<(), CodecError> {
-        if self.pos != self.bytes.len() {
-            return Err(Cur::bad(format!(
-                "{} trailing bytes after checkpoint",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-
-    /// Consumes `n` raw bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Malformed`] on truncation.
-    pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CodecError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| Cur::bad(format!("truncated: {what} needs {n} bytes")))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Reads one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Malformed`] on truncation.
-    pub fn u8(&mut self, what: &str) -> Result<u8, CodecError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    /// Reads a strict boolean byte (0 or 1).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Malformed`] on truncation or any other byte value.
-    pub fn bool(&mut self, what: &str) -> Result<bool, CodecError> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(Cur::bad(format!("{what}: invalid bool byte {other}"))),
+/// Reads a 3x3 transition grid (inverse of [`put_grid`]).
+///
+/// # Errors
+///
+/// [`CodecError::Malformed`] on truncation.
+pub fn read_grid(c: &mut Cur<'_>, what: &str) -> Result<[[u64; 3]; 3], CodecError> {
+    let mut grid = [[0u64; 3]; 3];
+    for row in &mut grid {
+        for cell in row.iter_mut() {
+            *cell = c.u64(what)?;
         }
     }
-
-    /// Reads a little-endian `u16`.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Malformed`] on truncation.
-    pub fn u16(&mut self, what: &str) -> Result<u16, CodecError> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Malformed`] on truncation.
-    pub fn u32(&mut self, what: &str) -> Result<u32, CodecError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Malformed`] on truncation.
-    pub fn u64(&mut self, what: &str) -> Result<u64, CodecError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Reads a little-endian `usize` stored as `u64`.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Malformed`] on truncation or a value exceeding the
-    /// platform's pointer width.
-    pub fn usize64(&mut self, what: &str) -> Result<usize, CodecError> {
-        usize::try_from(self.u64(what)?)
-            .map_err(|_| Cur::bad(format!("{what}: value exceeds usize")))
-    }
-
-    /// Reads an `f64` from raw IEEE-754 bits.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Malformed`] on truncation.
-    pub fn f64(&mut self, what: &str) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// Reads an optional `f64` (presence byte + bits).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Malformed`] on truncation or an invalid presence
-    /// byte.
-    pub fn opt_f64(&mut self, what: &str) -> Result<Option<f64>, CodecError> {
-        Ok(if self.bool(what)? {
-            Some(self.f64(what)?)
-        } else {
-            None
-        })
-    }
-
-    /// Reads a `u16` length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Malformed`] on truncation or invalid UTF-8.
-    pub fn str16(&mut self, what: &str) -> Result<String, CodecError> {
-        let len = self.u16(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| Cur::bad(format!("{what}: invalid UTF-8")))
-    }
-
-    /// Length prefix for a repeated section; capped so corrupt counts
-    /// cannot drive huge allocations before the bytes run out.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Malformed`] on truncation or an impossible count.
-    pub fn count(&mut self, what: &str) -> Result<usize, CodecError> {
-        let n = self.u32(what)? as usize;
-        if n > self.bytes.len().saturating_sub(self.pos) {
-            return Err(Cur::bad(format!(
-                "{what}: count {n} exceeds the remaining {} bytes",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(n)
-    }
-
-    /// Reads a bounded-memory histogram.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Malformed`] on truncation or an invalid layout.
-    pub fn histogram(&mut self, what: &str) -> Result<Histogram, CodecError> {
-        let lo = self.f64(what)?;
-        if !(lo.is_finite() && lo > 0.0) {
-            return Err(Cur::bad(format!("{what}: invalid histogram lo {lo}")));
-        }
-        let buckets = self.count(what)?;
-        let mut h = Histogram::new(lo, buckets.max(1));
-        h.buckets.clear();
-        for _ in 0..buckets {
-            h.buckets.push(self.u64(what)?);
-        }
-        h.underflow = self.u64(what)?;
-        h.overflow = self.u64(what)?;
-        h.rejected = self.u64(what)?;
-        h.count = self.u64(what)?;
-        h.sum = self.f64(what)?;
-        h.max = self.f64(what)?;
-        Ok(h)
-    }
-
-    /// Reads a 3x3 transition grid.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Malformed`] on truncation.
-    pub fn grid(&mut self, what: &str) -> Result<[[u64; 3]; 3], CodecError> {
-        let mut grid = [[0u64; 3]; 3];
-        for row in &mut grid {
-            for cell in row.iter_mut() {
-                *cell = self.u64(what)?;
-            }
-        }
-        Ok(grid)
-    }
+    Ok(grid)
 }
 
 /// Decodes a [`Severity`] wire byte.
@@ -501,7 +329,11 @@ pub fn severity_from(b: u8) -> Result<Severity, CodecError> {
         0 => Severity::Info,
         1 => Severity::Warning,
         2 => Severity::Critical,
-        other => return Err(Cur::bad(format!("invalid severity byte {other}"))),
+        other => {
+            return Err(CodecError::malformed(format!(
+                "invalid severity byte {other}"
+            )))
+        }
     })
 }
 
@@ -516,7 +348,11 @@ pub fn verdict_from(b: u8) -> Result<Verdict, CodecError> {
         1 => Verdict::Pass,
         2 => Verdict::Inconclusive,
         3 => Verdict::Violated,
-        other => return Err(Cur::bad(format!("invalid verdict byte {other}"))),
+        other => {
+            return Err(CodecError::malformed(format!(
+                "invalid verdict byte {other}"
+            )))
+        }
     })
 }
 
@@ -577,7 +413,7 @@ pub fn read_checker(c: &mut Cur<'_>) -> Result<CheckerState, CodecError> {
             0 => HealthState::Active,
             1 => HealthState::Degraded(c.u32("degraded count")?),
             2 => HealthState::Suspended,
-            other => return Err(Cur::bad(format!("invalid health tag {other}"))),
+            other => return Err(c.bad(format!("invalid health tag {other}")).into()),
         };
         let degraded_streak = c.u32("degraded streak")?;
         let clean_streak = c.u32("clean streak")?;
@@ -587,7 +423,7 @@ pub fn read_checker(c: &mut Cur<'_>) -> Result<CheckerState, CodecError> {
             2 => Some(Eval::Violated(c.f64("cached violated value")?)),
             3 => Some(Eval::Unknown),
             4 => Some(Eval::Inconclusive),
-            other => return Err(Cur::bad(format!("invalid cached verdict tag {other}"))),
+            other => return Err(c.bad(format!("invalid cached verdict tag {other}")).into()),
         };
         let episode_start = c.opt_f64("episode start")?;
         let alarmed_this_episode = c.bool("alarmed flag")?;
@@ -642,8 +478,8 @@ pub fn read_checker(c: &mut Cur<'_>) -> Result<CheckerState, CodecError> {
         stat.episodes = episodes;
         stats.push(stat);
     }
-    let health_grid = c.grid("health grid")?;
-    let eval_ns = c.histogram("eval histogram")?;
+    let health_grid = read_grid(c, "health grid")?;
+    let eval_ns = read_histogram(c, "eval histogram")?;
     let cycles = c.u64("checker cycles")?;
     let events_emitted = c.u64("events emitted")?;
     let run_id = c.u64("run id")?;
@@ -685,7 +521,7 @@ mod tests {
         put_violation(&mut bytes, &v);
         let mut c = Cur::new(&bytes);
         let back = read_violation(&mut c).expect("decodes");
-        c.expect_end().expect("fully consumed");
+        c.expect_end("violation").expect("fully consumed");
         assert_eq!(back.assertion, v.assertion);
         assert_eq!(back.cycle, 1280);
         assert_eq!(back.value.to_bits(), v.value.to_bits(), "NaN bits survive");
@@ -716,16 +552,5 @@ mod tests {
         flipped[4] = 99; // severity byte (after u16 len + "A1")
         let mut c = Cur::new(&flipped);
         assert!(read_violation(&mut c).is_err());
-    }
-
-    #[test]
-    fn counts_are_capped_by_remaining_bytes() {
-        let mut bytes = Vec::new();
-        put_count(&mut bytes, 1000);
-        let mut c = Cur::new(&bytes);
-        assert!(matches!(
-            c.count("huge section"),
-            Err(CodecError::Malformed { .. })
-        ));
     }
 }

@@ -4,11 +4,13 @@
 //! touch the allocator at all.
 //!
 //! Lives in its own integration-test binary because it installs a
-//! process-wide counting `#[global_allocator]` and the counter is only
-//! meaningful while a single test runs.
+//! process-wide counting `#[global_allocator]`. The count is kept per
+//! thread, so tests running in parallel (and the test harness's own
+//! reporting) never charge their allocations to each other's counted
+//! phase; each checker runs entirely on its test's thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use adassure_core::catalog::{self, CatalogConfig};
 use adassure_core::OnlineChecker;
@@ -17,21 +19,32 @@ use adassure_trace::SignalId;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made so far on the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -72,7 +85,7 @@ fn steady_state_cycles_do_not_allocate() {
     );
 
     // Steady state: same traffic, counted.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 50..1050u32 {
         let t = 12.0 + f64::from(i) * 0.01;
         checker.begin_cycle(t).unwrap();
@@ -81,7 +94,7 @@ fn steady_state_cycles_do_not_allocate() {
         }
         checker.end_cycle();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -122,7 +135,7 @@ fn fault_path_does_not_allocate() {
     // exercising staleness degradation and the hysteretic recovery in the
     // twenty live cycles that follow) interleaved with NaN poisoning of
     // half the catalog every third live cycle.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 50..1050u32 {
         let t = 12.0 + f64::from(i) * 0.01;
         checker.begin_cycle(t).unwrap();
@@ -138,7 +151,7 @@ fn fault_path_does_not_allocate() {
         }
         checker.end_cycle();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert_eq!(after - before, 0, "fault-path cycles allocated");
     assert_eq!(
@@ -189,7 +202,7 @@ fn observed_cycles_do_not_allocate() {
     // Counted phase: the same fault schedule as `fault_path_does_not_
     // allocate`, so verdict flips and health transitions stream through
     // the sink while the allocator is watched.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 50..1050u32 {
         let t = 12.0 + f64::from(i) * 0.01;
         checker.begin_cycle(t).unwrap();
@@ -205,7 +218,7 @@ fn observed_cycles_do_not_allocate() {
         }
         checker.end_cycle();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert_eq!(after - before, 0, "observed cycles allocated");
     assert!(

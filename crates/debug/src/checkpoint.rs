@@ -6,12 +6,11 @@
 //! and (for guardian-driven runs) the guardian's mode machine — so a
 //! restored run continues bit-identically to the uninterrupted one.
 //!
-//! The encoding reuses the workspace's shared codec helpers
-//! ([`adassure_core::codec`]): little-endian integers, raw IEEE-754 float
-//! bits (NaN sentinels like the LQR gain cache survive exactly),
-//! `u16`-prefixed strings, count-validated sections and a typed
-//! [`CodecError`] surface. The checker section is the *same* encoding the
-//! fleet `ADCKPT` format uses, via [`codec::put_checker`] /
+//! The image is a binary container in the shared conventions of
+//! [`adassure_trace::binary`] (raw float bits, so NaN sentinels like the
+//! LQR gain cache survive exactly) and decodes into a typed
+//! [`CodecError`]. The checker section is the *same* encoding the fleet
+//! `ADCKPT` format uses, via [`codec::put_checker`] /
 //! [`codec::read_checker`].
 
 use adassure::guardian::{GuardState, GuardianState};
@@ -22,17 +21,19 @@ use adassure_control::lqr::LqrState;
 use adassure_control::mpc::MpcState;
 use adassure_control::pid::PidState;
 use adassure_control::pipeline::{AnyEstimatorState, LateralState, StackState};
-use adassure_core::codec::{self, CodecError, Cur};
+use adassure_core::codec::{self, CodecError};
 use adassure_core::CheckerState;
 use adassure_sim::engine::SimSnapshot;
 use adassure_sim::geometry::Vec2;
 use adassure_sim::vehicle::VehicleState;
+use adassure_trace::binary::{put_header, Cur};
 use adassure_trace::ColumnarTrace;
 
 /// File magic of a sim debug checkpoint.
 pub const MAGIC: &[u8; 5] = b"ADSIM";
-/// Current format version.
-pub const VERSION: u16 = 1;
+/// Current format version (2: the shared container header replaced
+/// version 1's `u16` version field).
+pub const VERSION: u8 = 2;
 
 /// The driver half of a checkpoint: whichever control loop was producing
 /// commands when the snapshot was taken.
@@ -64,8 +65,7 @@ impl SimCheckpoint {
     /// Serializes the checkpoint as a versioned `ADSIM` binary image.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(4096);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
+        put_header(&mut out, MAGIC, VERSION);
         out.extend_from_slice(&self.cycle.to_le_bytes());
         put_sim(&mut out, &self.sim);
         codec::put_count(&mut out, self.injectors.len());
@@ -94,10 +94,7 @@ impl SimCheckpoint {
     /// tags; [`CodecError::Incompatible`] for an unknown version.
     pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut c = Cur::new(bytes);
-        if c.take(MAGIC.len(), "magic")? != MAGIC {
-            return Err(Cur::bad("not an ADSIM checkpoint (bad magic)"));
-        }
-        let version = c.u16("version")?;
+        let version = c.header(MAGIC)?;
         if version != VERSION {
             return Err(CodecError::incompatible(format!(
                 "ADSIM version {version} (this build reads {VERSION})"
@@ -114,9 +111,9 @@ impl SimCheckpoint {
         let driver = match c.u8("driver tag")? {
             0 => DriverState::Stack(Box::new(read_stack(&mut c)?)),
             1 => DriverState::Guardian(Box::new(read_guardian(&mut c)?)),
-            other => return Err(Cur::bad(format!("invalid driver tag {other}"))),
+            other => return Err(c.bad(format!("invalid driver tag {other}")).into()),
         };
-        c.expect_end()?;
+        c.expect_end("checkpoint")?;
         Ok(SimCheckpoint {
             cycle,
             sim,
@@ -249,7 +246,7 @@ fn read_sim(c: &mut Cur<'_>) -> Result<SimSnapshot, CodecError> {
     let trace_len = c.count("trace length")?;
     let trace_bytes = c.take(trace_len, "trace image")?;
     let trace = ColumnarTrace::decode(trace_bytes)
-        .map_err(|e| Cur::bad(format!("embedded trace: {e}")))?
+        .map_err(|e| c.bad(format!("embedded trace: {e}")))?
         .to_trace();
     Ok(SimSnapshot {
         rng,
@@ -389,7 +386,7 @@ fn read_stack(c: &mut Cur<'_>) -> Result<StackState, CodecError> {
                 rejected_fixes: c.u64("ekf rejected fixes")?,
             })
         }
-        other => return Err(Cur::bad(format!("invalid estimator tag {other}"))),
+        other => return Err(c.bad(format!("invalid estimator tag {other}")).into()),
     };
     let lateral = match c.u8("lateral tag")? {
         0 => LateralState::Stateless,
@@ -413,7 +410,7 @@ fn read_stack(c: &mut Cur<'_>) -> Result<StackState, CodecError> {
                 last_command: c.f64("mpc last command")?,
             })
         }
-        other => return Err(Cur::bad(format!("invalid lateral tag {other}"))),
+        other => return Err(c.bad(format!("invalid lateral tag {other}")).into()),
     };
     let pid = PidState {
         integral: c.f64("pid integral")?,
@@ -483,7 +480,7 @@ fn read_guardian(c: &mut Cur<'_>) -> Result<GuardianState, CodecError> {
             since: c.f64("safe stop since")?,
             held_steer: c.f64("held steer")?,
         },
-        other => return Err(Cur::bad(format!("invalid guard state tag {other}"))),
+        other => return Err(c.bad(format!("invalid guard state tag {other}")).into()),
     };
     let trigger = if c.bool("trigger flag")? {
         Some(codec::read_violation(c)?)
@@ -497,7 +494,7 @@ fn read_guardian(c: &mut Cur<'_>) -> Result<GuardianState, CodecError> {
     } else {
         None
     };
-    let guard_grid = c.grid("guard grid")?;
+    let guard_grid = codec::read_grid(c, "guard grid")?;
     let events_emitted = c.u64("guardian events")?;
     Ok(GuardianState {
         stack,
@@ -698,13 +695,26 @@ mod tests {
     #[test]
     fn truncation_bad_magic_and_bad_version_are_typed() {
         let bytes = sample_checkpoint().encode();
-        for cut in [0, 4, 7, bytes.len() / 2, bytes.len() - 1] {
+        for cut in 0..bytes.len() {
             assert!(
                 matches!(
                     SimCheckpoint::decode(&bytes[..cut]),
                     Err(CodecError::Malformed { .. })
                 ),
                 "truncation at {cut} must be malformed"
+            );
+        }
+        // A flipped byte anywhere either still decodes or fails typed.
+        let stride = if bytes.len() > 64 << 10 { 7 } else { 1 };
+        for pos in (0..bytes.len()).step_by(stride) {
+            let mut flipped = bytes.clone();
+            flipped[pos] ^= 0xFF;
+            assert!(
+                matches!(
+                    SimCheckpoint::decode(&flipped),
+                    Ok(_) | Err(CodecError::Malformed { .. } | CodecError::Incompatible { .. })
+                ),
+                "byte flip at {pos}"
             );
         }
         let mut wrong_magic = bytes.clone();

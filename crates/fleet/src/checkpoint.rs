@@ -13,13 +13,14 @@
 //!
 //! # Format
 //!
-//! The encoding mirrors the `.adt`/ADWIRE conventions: explicit magic,
-//! version and endianness markers, every integer and float little-endian,
-//! and a bounds-checked decoder that returns typed [`CheckpointError`]s
-//! instead of panicking on corrupt input.
+//! The image is a binary container in the workspace's shared conventions
+//! (DESIGN.md, "Binary container conventions"): the common header, every
+//! integer and float little-endian, and decoding through the one
+//! bounds-checked reader ([`adassure_trace::binary::Cur`]) that returns
+//! typed [`CheckpointError`]s instead of panicking on corrupt input.
 //!
 //! ```text
-//! checkpoint := magic b"ADCKPT", version u8 (=1), endianness u8 (=1),
+//! checkpoint := magic b"ADCKPT", version u8 (=2), endianness u8 (=1),
 //!               fleet-section, session-section
 //! ```
 //!
@@ -37,9 +38,10 @@
 
 use std::sync::Arc;
 
-use adassure_core::codec::{self, Cur};
+use adassure_core::codec::{self, read_grid, read_histogram};
 use adassure_core::{Assertion, CheckerPlan, HealthConfig};
 use adassure_obs::Guard;
+use adassure_trace::binary::{put_header, Cur};
 
 use crate::fleet::{Fleet, FleetConfig, FleetState};
 use crate::guard::{GuardConfig, GuardState};
@@ -50,7 +52,6 @@ pub const CKPT_MAGIC: &[u8; 6] = b"ADCKPT";
 /// Current checkpoint format version. Version 2 added the violation
 /// cycle index to the shared checker encoding.
 pub const CKPT_VERSION: u8 = 2;
-const CKPT_LITTLE_ENDIAN: u8 = 1;
 
 /// Typed checkpoint encode/decode/restore failures.
 ///
@@ -93,7 +94,7 @@ impl SessionSeed {
 // Encoding
 // ---------------------------------------------------------------------------
 
-use codec::{put_grid, put_histogram, put_u16_str};
+use codec::{put_count, put_grid, put_histogram, put_u16_str};
 
 fn put_drain_stats(out: &mut Vec<u8>, s: &DrainStats) {
     for v in [
@@ -121,11 +122,8 @@ fn put_guard(out: &mut Vec<u8>, g: &GuardState) {
 /// bytes.
 pub(crate) fn encode(state: &FleetState, sessions: &[SessionSeedEntry]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4096);
-    out.extend_from_slice(CKPT_MAGIC);
-    out.push(CKPT_VERSION);
-    out.push(CKPT_LITTLE_ENDIAN);
-    #[allow(clippy::cast_possible_truncation)]
-    out.extend_from_slice(&(state.assertion_ids.len() as u32).to_le_bytes());
+    put_header(&mut out, CKPT_MAGIC, CKPT_VERSION);
+    put_count(&mut out, state.assertion_ids.len());
     for id in &state.assertion_ids {
         put_u16_str(&mut out, id);
     }
@@ -135,11 +133,9 @@ pub(crate) fn encode(state: &FleetState, sessions: &[SessionSeedEntry]) -> Vec<u
     out.extend_from_slice(&state.next_seq.to_le_bytes());
     out.extend_from_slice(&state.closed_streams.to_le_bytes());
     let retired = serde_json::to_vec(&state.retired).expect("metrics snapshot serializes");
-    #[allow(clippy::cast_possible_truncation)]
-    out.extend_from_slice(&(retired.len() as u32).to_le_bytes());
+    put_count(&mut out, retired.len());
     out.extend_from_slice(&retired);
-    #[allow(clippy::cast_possible_truncation)]
-    out.extend_from_slice(&(state.shards.len() as u32).to_le_bytes());
+    put_count(&mut out, state.shards.len());
     for (shard, &rejected) in state.shards.iter().zip(
         state
             .rejected
@@ -151,8 +147,7 @@ pub(crate) fn encode(state: &FleetState, sessions: &[SessionSeedEntry]) -> Vec<u
         put_drain_stats(&mut out, &shard.totals);
         out.extend_from_slice(&shard.cycle_counter.to_le_bytes());
         put_histogram(&mut out, &shard.cycle_ns);
-        #[allow(clippy::cast_possible_truncation)]
-        out.extend_from_slice(&(shard.slots.len() as u32).to_le_bytes());
+        put_count(&mut out, shard.slots.len());
         for slot in &shard.slots {
             out.extend_from_slice(&slot.gen.to_le_bytes());
             match &slot.stream {
@@ -172,23 +167,19 @@ pub(crate) fn encode(state: &FleetState, sessions: &[SessionSeedEntry]) -> Vec<u
                 }
             }
         }
-        #[allow(clippy::cast_possible_truncation)]
-        out.extend_from_slice(&(shard.free.len() as u32).to_le_bytes());
+        put_count(&mut out, shard.free.len());
         for &f in &shard.free {
             out.extend_from_slice(&f.to_le_bytes());
         }
     }
-    #[allow(clippy::cast_possible_truncation)]
-    out.extend_from_slice(&(sessions.len() as u32).to_le_bytes());
+    put_count(&mut out, sessions.len());
     for session in sessions {
         out.extend_from_slice(&session.token.to_le_bytes());
         out.extend_from_slice(&session.expected_seq.to_le_bytes());
-        #[allow(clippy::cast_possible_truncation)]
-        out.extend_from_slice(&(session.acks.len() as u32).to_le_bytes());
+        put_count(&mut out, session.acks.len());
         for (seq, bytes) in &session.acks {
             out.extend_from_slice(&seq.to_le_bytes());
-            #[allow(clippy::cast_possible_truncation)]
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            put_count(&mut out, bytes.len());
             out.extend_from_slice(bytes);
         }
     }
@@ -218,10 +209,10 @@ fn read_guard(c: &mut Cur<'_>) -> Result<GuardState, CheckpointError> {
     let state_idx = c.u8("guard state")? as usize;
     let state = *Guard::ALL
         .get(state_idx)
-        .ok_or_else(|| Cur::bad(format!("invalid guard state index {state_idx}")))?;
+        .ok_or_else(|| c.bad(format!("invalid guard state index {state_idx}")))?;
     let alarm_streak = c.u32("guard alarm streak")?;
     let clean_streak = c.u32("guard clean streak")?;
-    let grid = c.grid("guard grid")?;
+    let grid = read_grid(c, "guard grid")?;
     Ok(GuardState {
         config,
         state,
@@ -235,21 +226,11 @@ fn read_guard(c: &mut Cur<'_>) -> Result<GuardState, CheckpointError> {
 /// producer sessions.
 pub(crate) fn decode(bytes: &[u8]) -> Result<(FleetState, Vec<SessionSeedEntry>), CheckpointError> {
     let mut c = Cur::new(bytes);
-    let magic = c.take(6, "magic")?;
-    if magic != CKPT_MAGIC {
-        return Err(Cur::bad("bad magic (not an ADCKPT checkpoint)"));
-    }
-    let version = c.u8("version")?;
+    let version = c.header(CKPT_MAGIC)?;
     if version != CKPT_VERSION {
-        return Err(CheckpointError::Incompatible {
-            message: format!("checkpoint version {version}, this build speaks {CKPT_VERSION}"),
-        });
-    }
-    let endian = c.u8("endianness")?;
-    if endian != CKPT_LITTLE_ENDIAN {
-        return Err(CheckpointError::Incompatible {
-            message: format!("unsupported endianness marker {endian}"),
-        });
+        return Err(CheckpointError::incompatible(format!(
+            "checkpoint version {version}, this build speaks {CKPT_VERSION}"
+        )));
     }
     let id_count = c.count("assertion count")?;
     let mut assertion_ids = Vec::with_capacity(id_count);
@@ -266,7 +247,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FleetState, Vec<SessionSeedEntry>)
     let retired_len = c.count("retired metrics length")?;
     let retired_bytes = c.take(retired_len, "retired metrics")?;
     let retired = serde_json::from_slice(retired_bytes)
-        .map_err(|e| Cur::bad(format!("retired metrics JSON: {e}")))?;
+        .map_err(|e| c.bad(format!("retired metrics JSON: {e}")))?;
     let shard_count = c.count("shard count")?;
     let mut shards = Vec::with_capacity(shard_count);
     let mut rejected = Vec::with_capacity(shard_count);
@@ -274,7 +255,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FleetState, Vec<SessionSeedEntry>)
         rejected.push(c.u64("rejected batches")?);
         let totals = read_drain_stats(&mut c)?;
         let cycle_counter = c.u64("cycle counter")?;
-        let cycle_ns = c.histogram("cycle histogram")?;
+        let cycle_ns = read_histogram(&mut c, "cycle histogram")?;
         let slot_count = c.count("slot count")?;
         let mut slots = Vec::with_capacity(slot_count);
         for _ in 0..slot_count {
@@ -330,7 +311,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FleetState, Vec<SessionSeedEntry>)
             acks,
         });
     }
-    c.expect_end()?;
+    c.expect_end("checkpoint")?;
     Ok((
         FleetState {
             assertion_ids,
@@ -529,16 +510,40 @@ mod tests {
     #[test]
     fn corrupt_bytes_are_typed_not_panics() {
         let mut fleet = Fleet::new(catalog(), config());
-        let _ = fleet.open_stream();
+        let id = fleet.open_stream();
+        for k in 0..8u32 {
+            let mut batch = SampleBatch::new(id);
+            batch.push(0.1 * f64::from(k), "x", f64::from(k % 3));
+            fleet.submit(batch).unwrap();
+        }
+        fleet.poll();
         let bytes = fleet.checkpoint().unwrap();
         assert!(matches!(
             decode(b"NOTACKPT"),
             Err(CheckpointError::Malformed { .. })
         ));
-        for cut in [0, 7, bytes.len() / 2, bytes.len() - 1] {
+        for cut in 0..bytes.len() {
             assert!(
-                decode(&bytes[..cut]).is_err(),
-                "truncation at {cut} must fail"
+                matches!(
+                    decode(&bytes[..cut]),
+                    Err(CheckpointError::Malformed { .. })
+                ),
+                "truncation at {cut} must be malformed"
+            );
+        }
+        // A flipped byte anywhere either still decodes or fails typed.
+        let stride = if bytes.len() > 64 << 10 { 7 } else { 1 };
+        for pos in (0..bytes.len()).step_by(stride) {
+            let mut flipped = bytes.clone();
+            flipped[pos] ^= 0xFF;
+            assert!(
+                matches!(
+                    decode(&flipped),
+                    Ok(_)
+                        | Err(CheckpointError::Malformed { .. }
+                            | CheckpointError::Incompatible { .. })
+                ),
+                "byte flip at {pos}"
             );
         }
         let mut flipped = bytes.clone();

@@ -2,9 +2,11 @@
 //! length-prefixed frames carrying sample batches from producers to the
 //! fleet monitor.
 //!
-//! The format reuses the `.adt` encoding conventions from
-//! `adassure-trace` — explicit magic/version/endianness markers, all
-//! integers and floats little-endian, and a validating decoder that
+//! The format follows the workspace's binary container conventions
+//! (DESIGN.md, "Binary container conventions"): the `Hello` payload is
+//! the shared `magic | version | endian` header, all integers and floats
+//! are little-endian, and frame bodies are parsed with the one
+//! bounds-checked reader, [`adassure_trace::binary::Cur`], so the decoder
 //! returns typed [`WireError`]s instead of panicking on corrupt,
 //! truncated or oversized input (see DESIGN.md §12 for the normative
 //! spec).
@@ -47,12 +49,13 @@
 //! v1 encoding, so old producers keep working unchanged.
 //!
 //! Sample batches are columnar inside the frame (index run, then time
-//! run, then value run) so the decoder reads each section with one
-//! `chunks_exact` pass. Times and values are *not* semantically
+//! run, then value run) so the decoder reads each section with one bulk
+//! pass. Times and values are *not* semantically
 //! validated here: the shard applies the same monotonicity and
 //! finiteness rules to wire batches as to in-process ones, so the two
 //! paths stay bit-identical.
 
+use adassure_trace::binary::{put_header, Cur, DecodeError};
 use adassure_trace::SignalId;
 
 use crate::stream::{Sample, SampleBatch, StreamId};
@@ -62,7 +65,7 @@ pub const MAGIC: &[u8; 6] = b"ADWIRE";
 /// Current protocol version.
 pub const VERSION: u8 = 1;
 /// Endianness marker: 1 = little-endian (the only defined value).
-pub const LITTLE_ENDIAN: u8 = 1;
+pub use adassure_trace::binary::LITTLE_ENDIAN;
 /// Default cap on a frame body. A declared length above the decoder's
 /// cap is rejected before any buffering, so a corrupt length prefix
 /// cannot make the server allocate gigabytes.
@@ -115,6 +118,14 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        WireError::Malformed {
+            message: e.to_string(),
+        }
+    }
+}
 
 /// Why the server refused a frame. Submission reasons mirror
 /// [`crate::SubmitError`]; stream reasons mirror [`crate::StreamError`].
@@ -355,9 +366,7 @@ fn put_stream(out: &mut Vec<u8>, stream: StreamId) {
 pub fn encode_hello(out: &mut Vec<u8>) {
     with_frame(out, |out| {
         out.push(TYPE_HELLO);
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION);
-        out.push(LITTLE_ENDIAN);
+        put_header(out, MAGIC, VERSION);
     });
 }
 
@@ -366,9 +375,7 @@ pub fn encode_hello(out: &mut Vec<u8>) {
 pub fn encode_hello_session(out: &mut Vec<u8>, session: u64) {
     with_frame(out, |out| {
         out.push(TYPE_HELLO);
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION);
-        out.push(LITTLE_ENDIAN);
+        put_header(out, MAGIC, VERSION);
         out.extend_from_slice(&session.to_le_bytes());
     });
 }
@@ -525,89 +532,22 @@ pub fn encode_nack(out: &mut Vec<u8>, seq: u64, reason: NackReason, retry_after_
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked little-endian cursor over one frame body.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn bad(message: impl Into<String>) -> WireError {
-        WireError::Malformed {
-            message: message.into(),
-        }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| Cursor::bad(format!("truncated payload: {what} needs {n} bytes")))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, WireError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, WireError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, WireError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn stream(&mut self) -> Result<StreamId, WireError> {
-        let shard = self.u32("stream shard")?;
-        let slot = self.u32("stream slot")?;
-        let gen = self.u32("stream generation")?;
-        Ok(StreamId::from_raw(shard, slot, gen))
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn done(&self, what: &str) -> Result<(), WireError> {
-        if self.pos != self.bytes.len() {
-            return Err(Cursor::bad(format!(
-                "{} trailing bytes after {what}",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+fn read_stream(c: &mut Cur<'_>) -> Result<StreamId, DecodeError> {
+    let shard = c.u32("stream shard")?;
+    let slot = c.u32("stream slot")?;
+    let gen = c.u32("stream generation")?;
+    Ok(StreamId::from_raw(shard, slot, gen))
 }
 
 /// Parses one complete frame body (type byte + payload).
 fn parse_body(body: &[u8]) -> Result<Frame, WireError> {
-    let mut c = Cursor::new(body);
+    let mut c = Cur::new(body);
     let frame_type = c.u8("frame type")?;
     match frame_type {
         TYPE_HELLO => {
-            let magic = c.take(6, "hello magic")?;
-            if magic != MAGIC {
-                return Err(Cursor::bad("bad hello magic (not an ADWIRE stream)"));
-            }
-            let version = c.u8("hello version")?;
-            let endian = c.u8("hello endianness")?;
-            if endian != LITTLE_ENDIAN {
-                return Err(Cursor::bad(format!(
-                    "unsupported endianness marker {endian}"
-                )));
-            }
+            // Any version decodes: judging it is the server's job (it
+            // nacks `Unsupported`).
+            let version = c.header(MAGIC)?;
             // The session token is an optional trailing field: bare v1
             // hellos decode as "request a new session".
             let session = if c.remaining() == 0 {
@@ -615,61 +555,41 @@ fn parse_body(body: &[u8]) -> Result<Frame, WireError> {
             } else {
                 c.u64("hello session")?
             };
-            c.done("hello")?;
+            c.expect_end("hello")?;
             Ok(Frame::Hello { version, session })
         }
         TYPE_OPEN_STREAM => {
             let seq = c.u64("open seq")?;
             let flags = c.u32("open flags")?;
-            c.done("open-stream")?;
+            c.expect_end("open-stream")?;
             Ok(Frame::OpenStream { seq, flags })
         }
         TYPE_SAMPLE_BATCH => {
             let seq = c.u64("batch seq")?;
-            let stream = c.stream()?;
+            let stream = read_stream(&mut c)?;
             let channel_count = c.u32("channel count")? as usize;
             let sample_count = c.u32("sample count")? as usize;
             let table_len = c.u32("name table length")? as usize;
-            let table = c.take(table_len, "name table")?;
-            let text = std::str::from_utf8(table)
-                .map_err(|_| Cursor::bad("name table is not valid UTF-8"))?;
-            let names: Vec<&str> = if text.is_empty() {
-                Vec::new()
-            } else {
-                text.split('\n').collect()
-            };
-            if names.len() != channel_count {
-                return Err(Cursor::bad(format!(
-                    "name table holds {} names, header says {channel_count}",
-                    names.len()
-                )));
-            }
-            if names.iter().any(|n| n.is_empty()) {
-                return Err(Cursor::bad("empty channel name in name table"));
-            }
-            let channels: Vec<SignalId> = names.into_iter().map(SignalId::new).collect();
-            let idx_bytes = c.take(4 * sample_count, "channel indices")?;
-            let time_bytes = c.take(8 * sample_count, "sample times")?;
-            let value_bytes = c.take(8 * sample_count, "sample values")?;
-            c.done("sample batch")?;
+            let channels: Vec<SignalId> = c
+                .names(table_len, channel_count, "name table")?
+                .into_iter()
+                .map(SignalId::new)
+                .collect();
+            let indices = c.u32s(sample_count, "channel indices")?;
+            let times = c.f64s(sample_count, "sample times")?;
+            let values = c.f64s(sample_count, "sample values")?;
+            c.expect_end("sample batch")?;
             let mut samples = Vec::with_capacity(sample_count);
-            for ((ib, tb), vb) in idx_bytes
-                .chunks_exact(4)
-                .zip(time_bytes.chunks_exact(8))
-                .zip(value_bytes.chunks_exact(8))
-            {
-                let idx = u32::from_le_bytes([ib[0], ib[1], ib[2], ib[3]]) as usize;
-                let channel = channels.get(idx).ok_or_else(|| {
-                    Cursor::bad(format!(
-                        "channel index {idx} out of range ({channel_count})"
-                    ))
-                })?;
+            for ((idx, t), value) in indices.zip(times).zip(values) {
+                let channel = channels
+                    .get(idx as usize)
+                    .ok_or_else(|| WireError::Malformed {
+                        message: format!("channel index {idx} out of range ({channel_count})"),
+                    })?;
                 samples.push(Sample {
-                    t: f64::from_le_bytes([tb[0], tb[1], tb[2], tb[3], tb[4], tb[5], tb[6], tb[7]]),
+                    t,
                     channel: channel.clone(),
-                    value: f64::from_le_bytes([
-                        vb[0], vb[1], vb[2], vb[3], vb[4], vb[5], vb[6], vb[7],
-                    ]),
+                    value,
                 });
             }
             Ok(Frame::SampleBatch {
@@ -679,19 +599,19 @@ fn parse_body(body: &[u8]) -> Result<Frame, WireError> {
         }
         TYPE_CLOSE_STREAM => {
             let seq = c.u64("close seq")?;
-            let stream = c.stream()?;
-            c.done("close-stream")?;
+            let stream = read_stream(&mut c)?;
+            c.expect_end("close-stream")?;
             Ok(Frame::CloseStream { seq, stream })
         }
         TYPE_GET_METRICS => {
             let seq = c.u64("metrics seq")?;
-            c.done("get-metrics")?;
+            c.expect_end("get-metrics")?;
             Ok(Frame::GetMetrics { seq })
         }
         TYPE_RESUME => {
             let session = c.u64("resume session")?;
             let last_acked = c.u64("resume last-acked")?;
-            c.done("resume")?;
+            c.expect_end("resume")?;
             Ok(Frame::Resume {
                 session,
                 last_acked,
@@ -706,7 +626,7 @@ fn parse_body(body: &[u8]) -> Result<Frame, WireError> {
                     session: c.u64("server session")?,
                 },
                 ACK_STREAM_OPENED => AckBody::StreamOpened {
-                    stream: c.stream()?,
+                    stream: read_stream(&mut c)?,
                 },
                 ACK_BATCH_APPLIED => AckBody::BatchApplied {
                     durable_seq: c.u64("durable seq")?,
@@ -726,23 +646,23 @@ fn parse_body(body: &[u8]) -> Result<Frame, WireError> {
                 ACK_RESUMED => AckBody::Resumed {
                     next_seq: c.u64("resume next seq")?,
                 },
-                other => return Err(Cursor::bad(format!("unknown ack kind {other}"))),
+                other => return Err(c.bad(format!("unknown ack kind {other}")).into()),
             };
-            c.done("ack")?;
+            c.expect_end("ack")?;
             Ok(Frame::Ack { seq, body })
         }
         TYPE_NACK => {
             let seq = c.u64("nack seq")?;
             let reason = NackReason::from_byte(c.u8("nack reason")?)?;
             let retry_after_us = c.u32("nack retry-after")?;
-            c.done("nack")?;
+            c.expect_end("nack")?;
             Ok(Frame::Nack {
                 seq,
                 reason,
                 retry_after_us,
             })
         }
-        other => Err(Cursor::bad(format!("unknown frame type {other:#04x}"))),
+        other => Err(c.bad(format!("unknown frame type {other:#04x}")).into()),
     }
 }
 

@@ -33,20 +33,22 @@
 //! The *cycle times* array is the merged grid of every distinct timestamp
 //! across all signals — exactly the cycle boundaries the offline checker
 //! replays — and each sample's cycle index points at the grid entry whose
-//! time equals the sample's own. Decoding validates every invariant
-//! (monotone finite times, index/time agreement, exact section lengths) and
-//! returns a typed [`TraceError`] rather than panicking on corrupt input.
+//! time equals the sample's own. Decoding reads through the workspace's
+//! shared bounds-checked reader ([`crate::binary::Cur`], which also owns the
+//! `magic | version | endian` header), validates every invariant (monotone
+//! finite times, index/time agreement, exact section lengths, counts capped
+//! by the bytes remaining) and returns a typed [`TraceError`] rather than
+//! panicking on corrupt input.
 
 use std::path::Path;
 
+use crate::binary::{pad8, put_header, Cur, DecodeError};
 use crate::{SignalId, Trace, TraceError};
 
 /// `.adt` magic bytes.
 const MAGIC: &[u8; 6] = b"ADTRAC";
 /// Current format version.
 const VERSION: u8 = 1;
-/// Endianness marker: 1 = little-endian (the only defined value).
-const LITTLE_ENDIAN: u8 = 1;
 /// Fixed-size header length in bytes (through `name_table_len`).
 const HEADER_LEN: usize = 40;
 
@@ -245,9 +247,7 @@ impl ColumnarTrace {
                 + 16 * self.times.len()
                 + pad8(4 * self.cycle_idx.len()),
         );
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION);
-        out.push(LITTLE_ENDIAN);
+        put_header(&mut out, MAGIC, VERSION);
         #[allow(clippy::cast_possible_truncation)] // signal count bounded by u32 slots
         out.extend_from_slice(&(self.signals.len() as u32).to_le_bytes());
         out.extend_from_slice(&0u32.to_le_bytes()); // reserved
@@ -289,103 +289,93 @@ impl ColumnarTrace {
     /// sections, trailing garbage, unsorted names, non-monotone or
     /// non-finite times, or cycle indices that disagree with the grid.
     pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
-        let mut r = Reader::new(bytes);
-        let magic = r.take(6, "magic")?;
-        if magic != MAGIC {
-            return Err(r.bad(0, "not an .adt file (bad magic)"));
-        }
-        let version = r.take(1, "version byte")?[0];
+        let mut r = Cur::new(bytes);
+        let version = r.header(MAGIC)?;
         if version != VERSION {
-            return Err(r.bad(6, format!("unsupported format version {version}")));
-        }
-        let endian = r.take(1, "endianness byte")?[0];
-        if endian != LITTLE_ENDIAN {
-            return Err(r.bad(7, format!("unsupported endianness marker {endian}")));
+            return Err(bad(6, format!("unsupported format version {version}")));
         }
         let signal_count = r.u32("signal count")? as usize;
-        let reserved = r.u32("reserved field")?;
-        if reserved != 0 {
-            return Err(r.bad(12, "reserved field must be zero"));
+        if r.u32("reserved field")? != 0 {
+            return Err(bad(12, "reserved field must be zero"));
         }
+        // Cap each count by the bytes it needs before anything is sized
+        // from it: 8 per cycle time, 20 per sample (time, value, index).
         let cycle_count = r.usize64("cycle count")?;
+        let cycle_count = r.fits(cycle_count, 8, "cycle count")?;
         let total_samples = r.usize64("total sample count")?;
+        let total_samples = r.fits(total_samples, 20, "total sample count")?;
         let name_table_len = r.usize64("name table length")?;
 
-        let name_bytes = r.take(name_table_len, "name table")?.to_vec();
+        let names = r.names(name_table_len, signal_count, "name table")?;
+        if names.windows(2).any(|w| w[1] <= w[0]) {
+            return Err(bad(HEADER_LEN, "signal names are not sorted and unique"));
+        }
         r.align8("name table padding")?;
-        let names = parse_names(&name_bytes, signal_count, &r)?;
 
         let mut counts = Vec::with_capacity(signal_count);
-        for i in 0..signal_count {
-            counts.push(r.usize64(&format!("sample count of signal {i}"))?);
+        for _ in 0..signal_count {
+            counts.push(r.usize64("per-signal sample count")?);
         }
         let declared: usize = counts.iter().try_fold(0usize, |acc, &n| {
             acc.checked_add(n)
                 .filter(|&s| s <= total_samples)
-                .ok_or_else(|| r.bad(24, "per-signal sample counts overflow the total"))
+                .ok_or_else(|| bad(24, "per-signal sample counts overflow the total"))
         })?;
         if declared != total_samples {
-            return Err(r.bad(
+            return Err(bad(
                 24,
                 format!("per-signal counts sum to {declared}, header says {total_samples}"),
             ));
         }
 
-        let cycle_times = r.f64s(cycle_count, "cycle times")?;
+        let cycle_times: Vec<f64> = r.f64s(cycle_count, "cycle times")?.collect();
         #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(b > a)` also rejects NaN
-        for w in cycle_times.windows(2) {
-            if !(w[1] > w[0]) {
-                return Err(r.bad(r.pos, "cycle times are not strictly increasing"));
-            }
+        if cycle_times.windows(2).any(|w| !(w[1] > w[0])) {
+            return Err(r.bad("cycle times are not strictly increasing").into());
         }
         if cycle_times.iter().any(|t| !t.is_finite()) {
-            return Err(r.bad(r.pos, "non-finite cycle time"));
+            return Err(r.bad("non-finite cycle time").into());
         }
 
         let mut times = Vec::with_capacity(total_samples);
         let mut values = Vec::with_capacity(total_samples);
         let mut ranges = Vec::with_capacity(signal_count);
-        for (i, &n) in counts.iter().enumerate() {
+        for (&n, name) in counts.iter().zip(&names) {
             let start = times.len();
-            let t = r.f64s(n, &format!("times of signal {i}"))?;
-            let v = r.f64s(n, &format!("values of signal {i}"))?;
+            times.extend(r.f64s(n, "signal times")?);
+            values.extend(r.f64s(n, "signal values")?);
+            let (t, v) = (&times[start..], &values[start..]);
             #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(b > a)` also rejects NaN
-            for w in t.windows(2) {
-                if !(w[1] > w[0]) {
-                    return Err(r.bad(
-                        r.pos,
-                        format!(
-                            "timestamps of signal `{}` are not strictly increasing",
-                            names[i]
-                        ),
-                    ));
-                }
+            if t.windows(2).any(|w| !(w[1] > w[0])) {
+                return Err(r
+                    .bad(format!(
+                        "timestamps of signal `{name}` are not strictly increasing"
+                    ))
+                    .into());
             }
-            if t.iter().any(|x| !x.is_finite()) || v.iter().any(|x| !x.is_finite()) {
-                return Err(r.bad(r.pos, format!("non-finite sample on signal `{}`", names[i])));
+            if t.iter().chain(v).any(|x| !x.is_finite()) {
+                return Err(r
+                    .bad(format!("non-finite sample on signal `{name}`"))
+                    .into());
             }
-            times.extend_from_slice(&t);
-            values.extend_from_slice(&v);
             ranges.push((start, n));
         }
 
-        let mut cycle_idx = Vec::with_capacity(total_samples);
-        for i in 0..total_samples {
-            cycle_idx.push(r.u32(&format!("cycle index of sample {i}"))?);
-        }
+        let cycle_idx: Vec<u32> = r.u32s(total_samples, "cycle indices")?.collect();
         r.align8("cycle index padding")?;
-        if r.pos != bytes.len() {
-            return Err(r.bad(r.pos, "trailing bytes after the cycle index section"));
-        }
+        r.expect_end("the cycle index section")?;
         for (j, &c) in cycle_idx.iter().enumerate() {
             let Some(&grid_time) = cycle_times.get(c as usize) else {
-                return Err(r.bad(r.pos, format!("cycle index {c} out of range (sample {j})")));
+                return Err(r
+                    .bad(format!("cycle index {c} out of range (sample {j})"))
+                    .into());
             };
             if grid_time.to_bits() != times[j].to_bits() {
-                return Err(r.bad(
-                    r.pos,
-                    format!("cycle index of sample {j} points at a different timestamp"),
-                ));
+                return Err(r
+                    .bad(format!(
+                        "cycle index of sample {j} points at a different timestamp"
+                    ))
+                    .into());
             }
         }
 
@@ -424,104 +414,9 @@ impl ColumnarTrace {
     }
 }
 
-/// Rounds `n` up to the next multiple of 8.
-fn pad8(n: usize) -> usize {
-    n.div_ceil(8) * 8
-}
-
-/// Splits and validates the decoded name table: exactly `signal_count`
-/// non-empty names, strictly ascending (the sorted-by-name invariant).
-fn parse_names(
-    bytes: &[u8],
-    signal_count: usize,
-    r: &Reader<'_>,
-) -> Result<Vec<String>, TraceError> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| r.bad(HEADER_LEN, "name table is not valid UTF-8"))?;
-    let names: Vec<&str> = if text.is_empty() {
-        Vec::new()
-    } else {
-        text.split('\n').collect()
-    };
-    if names.len() != signal_count {
-        return Err(r.bad(
-            HEADER_LEN,
-            format!(
-                "name table holds {} names, header says {signal_count}",
-                names.len()
-            ),
-        ));
-    }
-    if names.iter().any(|n| n.is_empty()) {
-        return Err(r.bad(HEADER_LEN, "empty signal name in name table"));
-    }
-    for w in names.windows(2) {
-        if w[1] <= w[0] {
-            return Err(r.bad(HEADER_LEN, "signal names are not sorted and unique"));
-        }
-    }
-    Ok(names.into_iter().map(str::to_owned).collect())
-}
-
-/// Bounds-checked little-endian cursor over the input bytes.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn bad(&self, offset: usize, message: impl Into<String>) -> TraceError {
-        TraceError::BadBinary {
-            offset,
-            message: message.into(),
-        }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], TraceError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| self.bad(self.pos, format!("truncated: {what} needs {n} bytes")))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, TraceError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn usize64(&mut self, what: &str) -> Result<usize, TraceError> {
-        let b = self.take(8, what)?;
-        let v = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
-        usize::try_from(v).map_err(|_| self.bad(self.pos - 8, format!("{what} {v} exceeds usize")))
-    }
-
-    fn f64s(&mut self, n: usize, what: &str) -> Result<Vec<f64>, TraceError> {
-        let needed = n
-            .checked_mul(8)
-            .ok_or_else(|| self.bad(self.pos, format!("{what} length overflows")))?;
-        let b = self.take(needed, what)?;
-        Ok(b.chunks_exact(8)
-            .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect())
-    }
-
-    /// Skips padding up to the next 8-byte boundary, requiring zero bytes.
-    fn align8(&mut self, what: &str) -> Result<(), TraceError> {
-        let target = pad8(self.pos);
-        let pad = self.take(target - self.pos, what)?;
-        if pad.iter().any(|&b| b != 0) {
-            return Err(self.bad(self.pos - pad.len(), format!("non-zero {what}")));
-        }
-        Ok(())
-    }
+/// A [`TraceError::BadBinary`] at a fixed header offset.
+fn bad(offset: usize, message: impl Into<String>) -> TraceError {
+    DecodeError::at(offset, message).into()
 }
 
 #[cfg(test)]
@@ -591,7 +486,7 @@ mod tests {
         assert_eq!(bytes.len() % 8, 0);
         assert_eq!(&bytes[..6], MAGIC);
         assert_eq!(bytes[6], VERSION);
-        assert_eq!(bytes[7], LITTLE_ENDIAN);
+        assert_eq!(bytes[7], crate::binary::LITTLE_ENDIAN);
     }
 
     #[test]
@@ -619,6 +514,28 @@ mod tests {
                 other => panic!("truncation at {len} gave {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn header_counts_beyond_the_file_are_rejected_before_allocating() {
+        // 64 bytes, internally consistent: one signal `x` whose sample
+        // count equals the header's total of 2^40, one cycle at t = 0.
+        // Sizing buffers from those counts would try to allocate 8 TiB.
+        let mut bytes = Vec::new();
+        put_header(&mut bytes, MAGIC, VERSION);
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // signal count
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // reserved
+        bytes.extend_from_slice(&1u64.to_le_bytes()); // cycle count
+        bytes.extend_from_slice(&(1u64 << 40).to_le_bytes()); // total samples
+        bytes.extend_from_slice(&1u64.to_le_bytes()); // name table length
+        bytes.extend_from_slice(b"x\0\0\0\0\0\0\0"); // name table + padding
+        bytes.extend_from_slice(&(1u64 << 40).to_le_bytes()); // count of `x`
+        bytes.extend_from_slice(&0.0f64.to_le_bytes()); // cycle time
+        assert_eq!(bytes.len(), 64);
+        assert!(matches!(
+            ColumnarTrace::decode(&bytes),
+            Err(TraceError::BadBinary { .. })
+        ));
     }
 
     #[test]

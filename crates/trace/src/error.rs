@@ -110,6 +110,15 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
+impl From<crate::binary::DecodeError> for TraceError {
+    fn from(e: crate::binary::DecodeError) -> Self {
+        TraceError::BadBinary {
+            offset: e.offset,
+            message: e.message,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

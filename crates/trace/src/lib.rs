@@ -18,7 +18,9 @@
 //! * [`csv`] — flat-file import frontend so externally authored traces can
 //!   be ingested (and traces inspected outside Rust);
 //! * [`columnar`] — the `.adt` binary trace store ([`ColumnarTrace`]), the
-//!   shape the batch checker consumes.
+//!   shape the batch checker consumes;
+//! * [`binary`] — the bounds-checked reader and container header shared by
+//!   every binary format in the workspace.
 //!
 //! # Example
 //!
@@ -39,6 +41,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod binary;
 pub mod columnar;
 pub mod csv;
 mod error;
