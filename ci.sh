@@ -82,7 +82,8 @@ cargo run --release -q -p adassure-debug --bin addebug -- rerun target/ci_repro.
 echo "== cargo bench --no-run (benchmarks stay compilable) =="
 cargo bench --workspace --no-run
 
-echo "== perfbench build (its own workspace; BENCHMARK.json runs it) =="
+echo "== perfbench build and unit tests (its own workspace; BENCHMARK.json runs it) =="
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "CI OK"

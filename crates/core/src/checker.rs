@@ -7,14 +7,15 @@
 //!
 //! Two replay paths exist, with identical cycle boundaries:
 //!
-//! * [`for_each_cycle`] sweeps the trace's per-series cursors directly —
-//!   no flattening, no sort — and backs every `check*` entry point and
-//!   [`replay`];
+//! * one cursor sweep over the trace's per-series samples — no
+//!   flattening, no sort — backs every `check*` entry point (which
+//!   resolves each series to its checker slot once, up front),
+//!   [`for_each_cycle`] and [`replay`];
 //! * [`events`] + [`Cycles`] materialise a time-sorted event stream for
 //!   callers that need one (the overhead harnesses).
 
 use adassure_obs::{EventSink, MetricsSnapshot, ObsConfig};
-use adassure_trace::{SignalId, Trace};
+use adassure_trace::{Sample, SignalId, Trace};
 
 use crate::assertion::Assertion;
 use crate::online::{HealthConfig, OnlineChecker};
@@ -80,33 +81,45 @@ impl<'e, 't> Iterator for Cycles<'e, 't> {
 /// replays through this sweep and through a sorted event stream are
 /// byte-identical.
 ///
-/// Both [`check`] and [`replay`] are thin wrappers over this sweep, so
-/// their cycle boundaries agree by construction.
-pub fn for_each_cycle(trace: &Trace, mut f: impl FnMut(f64, &[(&SignalId, f64)])) {
-    let mut cursors: Vec<(&SignalId, &[adassure_trace::Sample])> =
-        trace.iter().map(|s| (s.id(), s.samples())).collect();
-    cursors.retain(|(_, samples)| !samples.is_empty());
-    let mut cycle: Vec<(&SignalId, f64)> = Vec::with_capacity(cursors.len());
-    loop {
-        let mut t = f64::INFINITY;
-        let mut any = false;
-        for (_, samples) in &cursors {
-            if let Some(s) = samples.first() {
-                any = true;
-                if s.time < t {
-                    t = s.time;
-                }
-            }
-        }
-        if !any {
-            break;
-        }
+/// Both [`check`] and [`replay`] run on the same sweep, so their cycle
+/// boundaries agree by construction.
+pub fn for_each_cycle(trace: &Trace, f: impl FnMut(f64, &[(&SignalId, f64)])) {
+    sweep(
+        trace.iter().map(|s| (Some(s.id()), s.samples())).collect(),
+        f,
+    );
+}
+
+/// The cursor merge behind every replay: calls `f` once per distinct
+/// timestamp with that cycle's samples in cursor order. A cursor keyed
+/// `None` still sets cycle boundaries, but its samples are left out.
+///
+/// One pass per cycle both takes the samples at `t` and finds the next
+/// timestamp, so a cycle costs one visit per cursor.
+fn sweep<K: Copy>(mut cursors: Vec<(Option<K>, &[Sample])>, mut f: impl FnMut(f64, &[(K, f64)])) {
+    let mut cycle: Vec<(K, f64)> = Vec::with_capacity(cursors.len());
+    // Trace times are finite, so infinity means every cursor is spent.
+    let mut next = cursors
+        .iter()
+        .filter_map(|(_, samples)| samples.first())
+        .fold(f64::INFINITY, |next, s| next.min(s.time));
+    while next < f64::INFINITY {
+        let t = next;
+        next = f64::INFINITY;
         cycle.clear();
-        for (id, samples) in &mut cursors {
-            if let Some(s) = samples.first() {
-                if s.time == t {
-                    cycle.push((*id, s.value));
-                    *samples = &samples[1..];
+        for (key, samples) in &mut cursors {
+            let Some(head) = samples.first() else {
+                continue;
+            };
+            if head.time == t {
+                if let Some(key) = *key {
+                    cycle.push((key, head.value));
+                }
+                *samples = &samples[1..];
+            }
+            if let Some(head) = samples.first() {
+                if head.time < next {
+                    next = head.time;
                 }
             }
         }
@@ -116,15 +129,22 @@ pub fn for_each_cycle(trace: &Trace, mut f: impl FnMut(f64, &[(&SignalId, f64)])
 
 /// Drives `checker` through every cycle of `trace` and returns the trace's
 /// end time, the instant every `check*` entry point finishes at.
+///
+/// Each series is resolved to its checker slot once; series no assertion
+/// reads still mark cycle boundaries but their samples are never applied.
 fn drive(checker: &mut OnlineChecker, trace: &Trace) -> f64 {
-    for_each_cycle(trace, |t, cycle| {
+    let cursors = trace
+        .iter()
+        .map(|s| (checker.slot(s.id()), s.samples()))
+        .collect();
+    sweep(cursors, |t, cycle| {
         // A Trace rejects non-monotone and non-finite times per series, and
         // the sweep merges them in ascending order.
         checker
             .begin_cycle(t)
             .expect("trace cycles are strictly time-ordered");
-        for &(id, value) in cycle {
-            checker.update(id.clone(), value);
+        for &(slot, value) in cycle {
+            checker.update_slot(slot, value);
         }
         checker.end_cycle();
     });

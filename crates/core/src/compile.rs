@@ -127,8 +127,15 @@ impl SignalTable {
                 let slot = self.wk_slots[i];
                 (slot != NO_SLOT).then_some(slot)
             }
-            None => self.by_name.get(signal).copied(),
+            None => self.slot_by_name(signal),
         }
+    }
+
+    /// The dynamic-name half of [`SignalTable::slot`], kept out of line so
+    /// the inlined well-known path stays small.
+    #[cold]
+    fn slot_by_name(&self, signal: &SignalId) -> Option<u32> {
+        self.by_name.get(signal).copied()
     }
 
     /// The id interned at `slot`.

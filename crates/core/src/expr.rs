@@ -83,6 +83,7 @@ impl Env {
     }
 
     /// The slot of `signal`, if it has been interned.
+    #[inline]
     pub fn slot(&self, signal: &SignalId) -> Option<u32> {
         self.table.slot(signal)
     }

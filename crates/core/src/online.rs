@@ -17,6 +17,10 @@
 //! otherwise. All other conditions are pure functions of stored signal
 //! state, so the cache preserves verdicts bit-for-bit.
 //!
+//! Samples of signals no assertion reads are ignored on arrival: the
+//! signal table is fixed when the plan is compiled, so an unknown channel
+//! name costs one lookup and leaves no trace in the checker's state.
+//!
 //! The offline checker ([`crate::checker`]) replays recorded traces through
 //! this same type, so online and offline verdicts agree by construction.
 //!
@@ -135,7 +139,7 @@ pub struct MonitorPlan {
     condition: CompiledCondition,
     /// Slots the condition reads; intersected with the cycle's dirty mask.
     inputs: SlotMask,
-    /// The same input slots as a dense list, for the per-cycle health scan.
+    /// The same input slots as a dense list, for the health scan.
     input_slots: Box<[u32]>,
     /// `Fresh` conditions monitor staleness themselves; the health layer's
     /// staleness rule would shadow them, so they are exempt from it.
@@ -396,6 +400,12 @@ pub struct OnlineChecker {
     /// non-finite (the sample-and-hold value in `env` stays the last good
     /// one).
     poisoned: Box<[bool]>,
+    /// Number of `true` entries in `poisoned`.
+    poisoned_count: usize,
+    /// A lower bound on the update time of every seen slot. While
+    /// `now - stale_bound <= stale_after` no input can be stale, so
+    /// `end_cycle` skips the health scan (see [`OnlineChecker::end_cycle`]).
+    stale_bound: f64,
     health_config: HealthConfig,
     /// Monitor-cycles that produced [`Eval::Inconclusive`].
     inconclusive_cycles: u64,
@@ -471,6 +481,10 @@ impl OnlineChecker {
             monitors,
             dirty: SlotMask::with_capacity(width),
             poisoned: vec![false; width].into_boxed_slice(),
+            poisoned_count: 0,
+            // Unknown until the first tightening pass; every later update
+            // time is above it.
+            stale_bound: f64::NEG_INFINITY,
             health_config,
             inconclusive_cycles: 0,
             last_cycle: None,
@@ -571,28 +585,53 @@ impl OnlineChecker {
     /// A non-finite value never enters the sample-and-hold state: the slot
     /// keeps its last good value and is *poisoned* — every monitor reading
     /// it reports [`Eval::Inconclusive`] — until a finite sample arrives.
-    #[inline]
+    ///
+    /// A sample of a signal that no assertion reads is ignored: it is not
+    /// stored, so unknown channel names cannot grow the checker.
+    // Forced: the fleet's shard loop calls this once per sample, and an
+    // out-of-line call there measurably slowed fleet ingest.
+    #[inline(always)]
     pub fn update(&mut self, signal: impl Into<SignalId>, value: f64) {
+        if let Some(slot) = self.slot(&signal.into()) {
+            self.update_slot(slot, value);
+        }
+    }
+
+    /// The slot of `signal` if some assertion reads it: the plan's table
+    /// holds exactly the catalog's signals and is never written after
+    /// compilation. It is shared by every checker built from the plan, so
+    /// the lookup stays in cache across a fleet's streams. Resolving once
+    /// and updating by slot skips the per-sample name lookup.
+    #[inline]
+    pub(crate) fn slot(&self, signal: &SignalId) -> Option<u32> {
+        self.plan.env_proto.slot(signal)
+    }
+
+    /// [`OnlineChecker::update`] for a slot returned by
+    /// [`OnlineChecker::slot`].
+    #[inline]
+    pub(crate) fn update_slot(&mut self, slot: u32, value: f64) {
         debug_assert!(self.cycle_open, "update outside begin_cycle/end_cycle");
-        let signal = signal.into();
-        let slot = self.env.resolve(&signal);
+        let poisoned = &mut self.poisoned[slot as usize];
         if value.is_finite() {
             self.env.update_slot(slot, value);
-            if let Some(p) = self.poisoned.get_mut(slot as usize) {
-                *p = false;
+            if *poisoned {
+                *poisoned = false;
+                self.poisoned_count -= 1;
             }
-        } else if let Some(p) = self.poisoned.get_mut(slot as usize) {
-            // Slots beyond the poison table were first seen after
-            // compilation; no assertion reads them, same as the mask rule.
-            *p = true;
+        } else if !*poisoned {
+            *poisoned = true;
+            self.poisoned_count += 1;
         }
-        // Slots beyond the mask were first seen after compilation, so no
-        // assertion can read them; `set` ignores them.
         self.dirty.set(slot);
     }
 
     /// Closes the cycle: evaluates every assertion and advances temporal
     /// state. Returns the number of *new* violations raised this cycle.
+    ///
+    /// The per-slot health scan runs only when some slot is poisoned or
+    /// the cached stale bound is past the horizon; otherwise every monitor
+    /// is known to have no dark input.
     pub fn end_cycle(&mut self) -> usize {
         let t0 = (self.cycles & self.timing_mask == 0).then(Instant::now);
         // Destructure for disjoint field borrows: the monitor loop mutates
@@ -603,6 +642,8 @@ impl OnlineChecker {
             monitors,
             dirty,
             poisoned,
+            poisoned_count,
+            stale_bound,
             health_config,
             inconclusive_cycles,
             stack,
@@ -619,6 +660,14 @@ impl OnlineChecker {
         let plan = &**plan;
         let t = env.now();
         let before = violations.len();
+        // Float subtraction rounds monotonically, so every seen slot (time
+        // >= bound) has age <= t - bound: while that is within the horizon
+        // no input is stale. Re-tighten the bound before deciding.
+        let mut scan = *poisoned_count > 0;
+        if !scan && t - *stale_bound > health_config.stale_after {
+            *stale_bound = oldest_update(env, plan.width);
+            scan = t - *stale_bound > health_config.stale_after;
+        }
         for ((mp, monitor), stat) in plan
             .monitors
             .iter()
@@ -634,14 +683,15 @@ impl OnlineChecker {
             // Slots never seen stay neutral — that is the existing Unknown
             // start-up semantics, not a telemetry fault.
             let mut missing = 0u32;
-            for &slot in mp.input_slots.iter() {
-                let is_poisoned = poisoned.get(slot as usize).copied().unwrap_or(false);
-                let stale = !mp.staleness_exempt
-                    && env
-                        .age_at(slot)
-                        .is_some_and(|age| age > health_config.stale_after);
-                if is_poisoned || stale {
-                    missing += 1;
+            if scan {
+                for &slot in mp.input_slots.iter() {
+                    let stale = !mp.staleness_exempt
+                        && env
+                            .age_at(slot)
+                            .is_some_and(|age| age > health_config.stale_after);
+                    if poisoned[slot as usize] || stale {
+                        missing += 1;
+                    }
                 }
             }
             let eval = if missing > 0 {
@@ -889,8 +939,9 @@ impl OnlineChecker {
     /// Must be called *between* cycles (after `end_cycle`, before the next
     /// `begin_cycle`): the dirty mask is clear and no cycle is open, so the
     /// snapshot together with the plan fully determines all future
-    /// verdicts. Signal slots interned after compilation (unknown to every
-    /// assertion) are not captured — no condition can read them.
+    /// verdicts. The poisoned count and stale bound `end_cycle` uses are
+    /// derived from this state, so [`OnlineChecker::restore`] rebuilds them
+    /// rather than storing them.
     pub fn save_state(&self) -> CheckerState {
         debug_assert!(!self.cycle_open, "save_state inside an open cycle");
         let width = self.plan.width;
@@ -1026,7 +1077,9 @@ impl OnlineChecker {
                 last_verdict: m.last_verdict,
             };
         }
+        checker.poisoned_count = state.poisoned.iter().filter(|&&p| p).count();
         checker.poisoned = state.poisoned.into_boxed_slice();
+        checker.stale_bound = oldest_update(&checker.env, checker.plan.width);
         checker.inconclusive_cycles = state.inconclusive_cycles;
         checker.last_cycle = state.last_cycle;
         checker.violations = state.violations;
@@ -1039,6 +1092,16 @@ impl OnlineChecker {
         checker.started = state.started;
         Ok(checker)
     }
+}
+
+/// The oldest update time among the first `width` slots of `env`, or the
+/// current clock if none has been seen: a lower bound on every update time
+/// present now or to come.
+fn oldest_update(env: &Env, width: usize) -> f64 {
+    (0..width as u32)
+        .filter_map(|slot| env.slot_state(slot))
+        .filter(|&(seen, ..)| seen)
+        .fold(env.now(), |bound, (_, time, ..)| bound.min(time))
 }
 
 /// Forwards `ev` to the sink if one is attached and the filter accepts it.
@@ -1358,6 +1421,63 @@ mod tests {
             c.end_cycle();
         }
         assert_eq!(c.health(0), Some(HealthState::Active));
+    }
+
+    #[test]
+    fn input_aged_exactly_to_the_horizon_is_not_stale() {
+        // Every time is a multiple of 1/8, so every age below is exact.
+        let cfg = HealthConfig {
+            stale_after: 0.25,
+            quarantine_after: 100,
+            recover_after: 2,
+        };
+        let y_bound = Assertion::new(
+            "A2",
+            "bounded y",
+            Severity::Warning,
+            Condition::AtMost {
+                expr: SignalExpr::signal("y").abs(),
+                limit: 1.0,
+            },
+        );
+        let step = |c: &mut OnlineChecker, t: f64, with_x: bool| {
+            c.begin_cycle(t).unwrap();
+            if with_x {
+                c.update("x", 0.0);
+            }
+            c.update("y", 0.0);
+            c.end_cycle();
+        };
+        // `x_last` is x's last update before it goes dark. With 0.0 the
+        // stale bound cached at the first cycle is x's own update time, so
+        // the boundary cycle is decided without a scan. With 0.125 the
+        // cached bound (0.0) is older than every input, so the boundary
+        // cycle must re-tighten it before deciding.
+        for x_last in [0.0, 0.125] {
+            let mut c = OnlineChecker::with_health([bound_assertion(1.0), y_bound.clone()], cfg);
+            step(&mut c, 0.0, true);
+            if x_last > 0.0 {
+                step(&mut c, x_last, true);
+            }
+            step(&mut c, x_last + 0.125, false);
+            step(&mut c, x_last + 0.25, false);
+            assert!(
+                c.all_active(),
+                "age == stale_after is fresh (x_last {x_last})"
+            );
+            step(&mut c, x_last + 0.375, false);
+            assert_eq!(c.health(0), Some(HealthState::Degraded(1)));
+            assert_eq!(c.health(1), Some(HealthState::Active));
+            step(&mut c, x_last + 0.5, true);
+            assert_eq!(
+                c.health(0),
+                Some(HealthState::Degraded(1)),
+                "one clean cycle is short of recover_after"
+            );
+            step(&mut c, x_last + 0.625, true);
+            assert!(c.all_active(), "recovered after recover_after clean cycles");
+            assert_eq!(c.inconclusive_cycles(), 2);
+        }
     }
 
     #[test]

@@ -235,3 +235,70 @@ fn observed_cycles_do_not_allocate() {
         "health transitions were exercised"
     );
 }
+
+/// Drives a warmed-up checker for 1000 cycles in which every cycle also
+/// carries channel names the checker has never seen and no assertion
+/// reads, and returns the allocations made while doing so. Those samples
+/// must be dropped on arrival: a checker that kept them would grow with
+/// every new name a producer sends.
+fn allocations_with_unseen_unread_names(health: adassure_core::HealthConfig) -> u64 {
+    const NEW_NAMES_PER_CYCLE: usize = 4;
+    let cat = catalog::build(&CatalogConfig::default());
+    let signals: Vec<SignalId> = catalog::signals(&cat);
+    let mut checker = OnlineChecker::with_health(cat.iter().cloned(), health);
+
+    for i in 0..50u32 {
+        let t = 12.0 + f64::from(i) * 0.01;
+        checker.begin_cycle(t).unwrap();
+        for id in &signals {
+            checker.update(id.clone(), 0.0);
+        }
+        checker.end_cycle();
+    }
+    assert_eq!(checker.violations().len(), 0);
+
+    // The names are built before counting; cloning one is a refcount bump.
+    let unread: Vec<SignalId> = (0..1000 * NEW_NAMES_PER_CYCLE)
+        .map(|i| SignalId::new(format!("junk_{i}")))
+        .collect();
+    let before = allocations();
+    for (i, names) in (50..1050u32).zip(unread.chunks(NEW_NAMES_PER_CYCLE)) {
+        let t = 12.0 + f64::from(i) * 0.01;
+        checker.begin_cycle(t).unwrap();
+        for id in &signals {
+            checker.update(id.clone(), 0.0);
+        }
+        for id in names {
+            checker.update(id.clone(), 1.0e9);
+        }
+        checker.end_cycle();
+    }
+    let after = allocations();
+    assert!(checker.violations().is_empty());
+    after - before
+}
+
+#[test]
+fn unseen_unread_names_do_not_allocate() {
+    let health = adassure_core::HealthConfig {
+        stale_after: 0.05,
+        quarantine_after: 10,
+        recover_after: 5,
+    };
+    assert_eq!(
+        allocations_with_unseen_unread_names(health),
+        0,
+        "unread channel names grew the checker"
+    );
+}
+
+#[test]
+fn unseen_unread_names_do_not_allocate_without_horizon() {
+    // The default infinite horizon, where `end_cycle` skips the health
+    // scan entirely while no slot is poisoned.
+    assert_eq!(
+        allocations_with_unseen_unread_names(adassure_core::HealthConfig::default()),
+        0,
+        "unread channel names grew the checker"
+    );
+}
