@@ -1,6 +1,6 @@
 //! Network ingest soak: drives synthetic vehicle streams through the
 //! binary wire protocol over loopback TCP — real frames, real sockets,
-//! real go-back-N backpressure — and records the sustained numbers to
+//! real backpressure — and records the sustained numbers to
 //! `BENCH_ingest.json`.
 //!
 //! The harness spawns an [`adassure_fleet::IngestServer`] on an ephemeral
@@ -11,9 +11,11 @@
 //! `BENCH_fleet.json` and `BENCH_ingest.json` *is* the wire tax
 //! (encode + syscalls + decode + acks).
 //!
-//! Nothing is allowed to be lost: after the soak the fleet's cycle count
-//! must equal `streams x cycles` exactly — saturation nacks and rewinds
-//! included — or the run aborts.
+//! Nothing is allowed to be lost or re-sent: after the soak the fleet's
+//! cycle count must equal `streams x cycles` exactly, and the server must
+//! have decoded each frame the producers sent exactly once — a full shard
+//! queue stalls its connection, it never makes a producer re-send — or
+//! the run exits non-zero.
 //!
 //! ```text
 //! net_soak [--streams N] [--cycles N] [--shards N] [--batch N]
@@ -55,11 +57,11 @@ struct Report {
     samples_per_sec: f64,
     cycles_per_sec: f64,
     mib_per_sec: f64,
-    /// `Saturated` nacks the server issued (each batch later re-sent).
-    saturated_nacks: u64,
-    /// `Superseded` nacks issued during go-back-N rewinds.
-    superseded_nacks: u64,
-    /// Frames producers re-sent while rewinding.
+    /// Submits that found their shard queue full and stalled the
+    /// connection until it had room (the fleet's `rejected_batches`).
+    queue_stalls: u64,
+    /// Frames producers re-sent on a live connection; the run fails
+    /// unless this is 0.
     resent_frames: u64,
     /// Sampled wire-frame decode latency (log₂ buckets: quantiles are
     /// upper bounds with one-octave relative error).
@@ -223,7 +225,7 @@ fn main() {
 
     let per_producer = args.streams / args.producers;
     let start = Instant::now();
-    let producer_stats: Vec<adassure_fleet::ProducerStats> = std::thread::scope(|scope| {
+    let producers: Vec<(adassure_fleet::ProducerStats, u64)> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for p in 0..args.producers {
             let args = &args;
@@ -244,16 +246,18 @@ fn main() {
                         for _ in 0..cycles_this_wave {
                             synth.cycle_into(&mut batch);
                         }
-                        // Saturation retry is inside the producer: a
-                        // Saturated nack rewinds and re-sends the window.
+                        // A full shard queue stalls the connection; the
+                        // producer just waits longer for its acks.
                         producer.submit(&batch).expect("submit batch");
                     }
                 }
                 for id in &ids {
                     producer.close_stream(*id).expect("close stream");
                 }
+                // The hello plus one frame per sequence number.
+                let frames = producer.next_seq();
                 let (_, stats) = producer.into_parts();
-                stats
+                (stats, frames)
             }));
         }
         handles
@@ -278,7 +282,16 @@ fn main() {
     assert_eq!(ingest.truncated, 0);
     assert_eq!(ingest.malformed, 0);
 
-    let resent_frames: u64 = producer_stats.iter().map(|s| s.resent_frames).sum();
+    let resent_frames: u64 = producers.iter().map(|(s, _)| s.resent_frames).sum();
+    let frames_sent: u64 = producers.iter().map(|(_, frames)| frames).sum();
+    if resent_frames != 0 || ingest.frames != frames_sent {
+        eprintln!(
+            "re-sent frames: producers re-sent {resent_frames}; \
+             the server decoded {} frames of the {frames_sent} sent",
+            ingest.frames
+        );
+        std::process::exit(1);
+    }
     let latency = fleet.cycle_latency();
     let report = Report {
         benchmark: "net_soak",
@@ -297,8 +310,7 @@ fn main() {
         samples_per_sec: stats.samples as f64 / wall_s,
         cycles_per_sec: stats.cycles as f64 / wall_s,
         mib_per_sec: ingest.bytes_rx as f64 / wall_s / (1024.0 * 1024.0),
-        saturated_nacks: ingest.saturated_nacks,
-        superseded_nacks: ingest.superseded_nacks,
+        queue_stalls: stats.rejected_batches,
         resent_frames,
         decode_p50_ns: ingest.decode_ns.p50().unwrap_or(0.0),
         decode_p99_ns: ingest.decode_ns.p99().unwrap_or(0.0),
@@ -315,8 +327,8 @@ fn main() {
         report.samples_per_sec, report.cycles_per_sec, report.mib_per_sec
     );
     println!(
-        "nacks  : {} saturated, {} superseded, {} frames re-sent (zero lost)",
-        report.saturated_nacks, report.superseded_nacks, report.resent_frames
+        "flow   : {} queue stalls, {} frames re-sent (zero lost)",
+        report.queue_stalls, report.resent_frames
     );
     println!(
         "latency: decode p50 <= {:.0} ns / p99 <= {:.0} ns; cycle p50 <= {:.0} ns / p99 <= {:.0} ns",

@@ -275,7 +275,7 @@ fn metrics_page(fleet: &Fleet, ingest: Option<&IngestStatsSnapshot>) -> String {
             ),
             (
                 "adassure_ingest_rejected_connections",
-                "Connections refused at the connection cap",
+                "Connections refused at the connection or session cap",
                 ingest.rejected_connections,
             ),
             (
@@ -312,16 +312,6 @@ fn metrics_page(fleet: &Fleet, ingest: Option<&IngestStatsSnapshot>) -> String {
                 "adassure_ingest_streams_closed_total",
                 "Streams closed over the wire",
                 ingest.closes,
-            ),
-            (
-                "adassure_ingest_saturated_nacks_total",
-                "Batches nacked Saturated (retried by producers)",
-                ingest.saturated_nacks,
-            ),
-            (
-                "adassure_ingest_superseded_nacks_total",
-                "Frames nacked Superseded during go-back-N rewinds",
-                ingest.superseded_nacks,
             ),
             (
                 "adassure_ingest_rejected_unknown_shard_total",

@@ -122,18 +122,28 @@ impl FleetHandle {
     /// is returned; the rejection is counted), [`SubmitError::UnknownShard`]
     /// for a foreign [`StreamId`].
     pub fn submit(&self, batch: SampleBatch) -> Result<(), SubmitError> {
-        let shard = batch.stream.shard();
-        let Some(tx) = self.txs.get(shard) else {
-            return Err(SubmitError::UnknownShard { batch });
-        };
-        match tx.try_send(batch) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(batch)) => {
-                self.rejected[shard].fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::Saturated { shard, batch })
-            }
-            Err(TrySendError::Disconnected(batch)) => Err(SubmitError::Disconnected { batch }),
+        submit(&self.txs, &self.rejected, batch)
+    }
+}
+
+/// The one submit path behind [`Fleet::submit`] and
+/// [`FleetHandle::submit`].
+fn submit(
+    txs: &[SyncSender<SampleBatch>],
+    rejected: &[Arc<AtomicU64>],
+    batch: SampleBatch,
+) -> Result<(), SubmitError> {
+    let shard = batch.stream.shard();
+    let Some(tx) = txs.get(shard) else {
+        return Err(SubmitError::UnknownShard { batch });
+    };
+    match tx.try_send(batch) {
+        Ok(()) => Ok(()),
+        Err(TrySendError::Full(batch)) => {
+            rejected[shard].fetch_add(1, Ordering::Relaxed);
+            Err(SubmitError::Saturated { shard, batch })
         }
+        Err(TrySendError::Disconnected(batch)) => Err(SubmitError::Disconnected { batch }),
     }
 }
 
@@ -274,18 +284,7 @@ impl Fleet {
 
     /// Queues `batch` on its stream's shard — see [`FleetHandle::submit`].
     pub fn submit(&self, batch: SampleBatch) -> Result<(), SubmitError> {
-        let shard = batch.stream.shard();
-        let Some(tx) = self.txs.get(shard) else {
-            return Err(SubmitError::UnknownShard { batch });
-        };
-        match tx.try_send(batch) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(batch)) => {
-                self.rejected[shard].fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::Saturated { shard, batch })
-            }
-            Err(TrySendError::Disconnected(batch)) => Err(SubmitError::Disconnected { batch }),
-        }
+        submit(&self.txs, &self.rejected, batch)
     }
 
     /// Drains every shard's queue on the worker pool and returns this

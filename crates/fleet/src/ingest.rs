@@ -5,23 +5,25 @@
 //! [`crate::wire`] protocol on each (one thread per producer — plain
 //! `std::net`, no async runtime), decodes frames into the fleet's
 //! bounded shard queues through a lock-free [`crate::FleetHandle`], and
-//! drains the shards on a dedicated thread. Backpressure is end-to-end
-//! and typed: a saturated shard queue surfaces to the producer as a
-//! [`NackReason::Saturated`] with a retry-after hint — nothing is
-//! silently dropped, and every rejection is counted in [`IngestStats`].
+//! drains the shards on a dedicated thread. Nothing is silently
+//! dropped: every refused frame is a typed [`NackReason`] and is counted
+//! in [`IngestStats`].
 //!
-//! # Ordering under backpressure (go-back-N)
+//! # Ordering under backpressure (stall, never refuse)
 //!
 //! Per-stream batch order is what the checker's determinism rests on, so
 //! the connection enforces a sequence discipline: every post-handshake
-//! frame carries a `u64` sequence number and the server only applies the
-//! next expected one. When a batch is refused as `Saturated`, the
-//! expected sequence *stays put*; frames already in flight behind it are
-//! answered `Superseded` (counted, never applied) and the producer
-//! rewinds — re-sending its unacknowledged window from the refused
-//! sequence on. The result is exactly-once, in-order application of
-//! every batch, which is what makes wire-path output bit-identical to
-//! in-process submission (pinned by `tests/ingest_differential.rs`).
+//! frame carries a `u64` sequence number, and the server applies frames
+//! strictly in that order. A frame out of sequence can only come from a
+//! broken client: it is answered [`NackReason::Malformed`] and the
+//! connection closes. A full shard queue is *not* refused. The
+//! connection thread stalls on it, draining the fleet itself until the
+//! batch fits, and only then advances the expected sequence. The frames
+//! behind the stalled one wait in the socket, so TCP's own window is the
+//! flow control and nothing is ever re-sent. The result is exactly-once,
+//! in-order application of every batch, which is what makes wire-path
+//! output bit-identical to in-process submission (pinned by
+//! `tests/ingest_differential.rs`).
 //!
 //! # Sessions and crash recovery
 //!
@@ -31,12 +33,12 @@
 //! responses after the connection drops. A producer that reconnects with
 //! `Hello{session}` + `Resume{last_acked}` learns the server's next
 //! expected sequence, receives replayed responses for frames it sent but
-//! never saw answered, and rewinds its retained window — exactly-once
-//! application survives the cut. Periodic [`Checkpointer`] snapshots
-//! (see [`crate::checkpoint`]) extend the same guarantee across a server
-//! crash: a restored server nacks nothing, it simply answers `Resume`
-//! with the checkpointed sequence and producers replay the gap from
-//! their retained frames. `BatchApplied` acks carry the session's
+//! never saw answered, and re-sends its retained frames from there —
+//! exactly-once application survives the cut. Periodic [`Checkpointer`]
+//! snapshots (see [`crate::checkpoint`]) extend the same guarantee across
+//! a server crash: a restored server nacks nothing, it simply answers
+//! `Resume` with the checkpointed sequence and producers replay the gap
+//! from their retained frames. `BatchApplied` acks carry the session's
 //! durable (checkpoint-covered) sequence so producers can trim that
 //! retention.
 
@@ -67,21 +69,18 @@ use crate::wire::{
 /// frames — the same stride philosophy as the shard's cycle timing.
 const DECODE_TIMING_MASK: u64 = 7;
 
+/// Retry hint (µs) carried by [`NackReason::ConnectionLimit`] nacks.
+const RETRY_AFTER_US: u32 = 100;
+
 /// Ingest server tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestConfig {
     /// Cap on a frame body; a declared length beyond it closes the
     /// connection with a typed error before any buffering.
     pub max_frame_len: usize,
-    /// Retry hint (µs) carried by `Saturated` nacks.
-    pub retry_after_us: u32,
-    /// Drain-thread cadence: 0 polls eagerly (parking briefly when
-    /// idle); a positive value sleeps that many µs between polls —
-    /// useful in tests to force queue saturation.
-    pub poll_interval_us: u64,
     /// Cap on concurrently served connections; an accept beyond it is
-    /// answered with a [`NackReason::ConnectionLimit`] nack (carrying
-    /// the retry hint) and closed, counted in
+    /// answered with a [`NackReason::ConnectionLimit`] nack (carrying a
+    /// 100 µs retry hint) and closed, counted in
     /// [`IngestStats::rejected_connections`]. 0 = unlimited.
     pub max_connections: usize,
     /// Per-session ring of recent encoded responses retained for resume
@@ -89,7 +88,8 @@ pub struct IngestConfig {
     /// of the ring is refused with [`NackReason::ResumeGap`].
     pub session_ack_ring: usize,
     /// Cap on retained sessions; at the cap a new `Hello` evicts the
-    /// oldest detached session, or is refused when every session is
+    /// oldest detached session, or is refused like an over-cap
+    /// connection ([`NackReason::ConnectionLimit`]) when every session is
     /// live. 0 = unlimited.
     pub max_sessions: usize,
 }
@@ -98,8 +98,6 @@ impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            retry_after_us: 100,
-            poll_interval_us: 0,
             max_connections: 0,
             session_ack_ring: 256,
             max_sessions: 4096,
@@ -122,7 +120,8 @@ pub enum IngestListener {
 pub struct IngestStats {
     /// Connections accepted.
     pub connections: AtomicU64,
-    /// Connections refused at [`IngestConfig::max_connections`].
+    /// Connections refused at [`IngestConfig::max_connections`], and
+    /// new-session hellos refused at [`IngestConfig::max_sessions`].
     pub rejected_connections: AtomicU64,
     /// Successful session resumptions.
     pub resumes: AtomicU64,
@@ -138,18 +137,14 @@ pub struct IngestStats {
     pub opens: AtomicU64,
     /// Streams closed over the wire.
     pub closes: AtomicU64,
-    /// Batches refused with `Saturated` (each later re-sent by its
-    /// producer).
-    pub saturated_nacks: AtomicU64,
-    /// Frames refused as `Superseded` during a rewind.
-    pub superseded_nacks: AtomicU64,
     /// Batches addressed to a shard the fleet does not have.
     pub rejected_unknown_shard: AtomicU64,
     /// Close requests for stale or unknown streams, unknown-session
     /// hellos, and resume attempts past the ack ring.
     pub rejected_stale: AtomicU64,
     /// Protocol-level rejections: malformed or oversized frames, bad
-    /// magic, unsupported versions, pre-handshake traffic.
+    /// magic, unsupported versions, pre-handshake traffic, frames out of
+    /// sequence.
     pub malformed: AtomicU64,
     /// Connections that disconnected mid-frame.
     pub truncated: AtomicU64,
@@ -171,8 +166,6 @@ impl Default for IngestStats {
             samples: AtomicU64::new(0),
             opens: AtomicU64::new(0),
             closes: AtomicU64::new(0),
-            saturated_nacks: AtomicU64::new(0),
-            superseded_nacks: AtomicU64::new(0),
             rejected_unknown_shard: AtomicU64::new(0),
             rejected_stale: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
@@ -188,7 +181,7 @@ impl Default for IngestStats {
 pub struct IngestStatsSnapshot {
     /// Connections accepted.
     pub connections: u64,
-    /// Connections refused at the connection cap.
+    /// Connections refused at the connection or session cap.
     pub rejected_connections: u64,
     /// Successful session resumptions.
     pub resumes: u64,
@@ -204,16 +197,13 @@ pub struct IngestStatsSnapshot {
     pub opens: u64,
     /// Streams closed over the wire.
     pub closes: u64,
-    /// `Saturated` nacks sent.
-    pub saturated_nacks: u64,
-    /// `Superseded` nacks sent.
-    pub superseded_nacks: u64,
     /// Unknown-shard rejections.
     pub rejected_unknown_shard: u64,
     /// Stale/unknown-stream and stale-session rejections.
     pub rejected_stale: u64,
     /// Protocol-level rejections (malformed frames, bad magic,
-    /// unsupported version, pre-handshake traffic).
+    /// unsupported version, pre-handshake traffic, out-of-sequence
+    /// frames).
     pub malformed: u64,
     /// Mid-frame disconnects.
     pub truncated: u64,
@@ -236,8 +226,6 @@ impl IngestStats {
             samples: self.samples.load(Ordering::Relaxed),
             opens: self.opens.load(Ordering::Relaxed),
             closes: self.closes.load(Ordering::Relaxed),
-            saturated_nacks: self.saturated_nacks.load(Ordering::Relaxed),
-            superseded_nacks: self.superseded_nacks.load(Ordering::Relaxed),
             rejected_unknown_shard: self.rejected_unknown_shard.load(Ordering::Relaxed),
             rejected_stale: self.rejected_stale.load(Ordering::Relaxed),
             malformed: self.malformed.load(Ordering::Relaxed),
@@ -252,10 +240,10 @@ impl IngestStats {
 // Sessions
 // ---------------------------------------------------------------------------
 
-/// One producer session's server-side state: the go-back-N high-water
-/// mark, the durable (checkpoint-covered) sequence, whether a connection
-/// currently owns it, and the bounded ring of recent encoded responses
-/// for resume replay.
+/// One producer session's server-side state: the next expected
+/// sequence, the durable (checkpoint-covered) sequence, whether a
+/// connection currently owns it, and the bounded ring of recent encoded
+/// responses for resume replay.
 #[derive(Debug)]
 struct SessionEntry {
     expected_seq: u64,
@@ -590,9 +578,7 @@ impl IngestServer {
         {
             let fleet = Arc::clone(&fleet);
             let stop = Arc::clone(&stop);
-            threads.push(std::thread::spawn(move || {
-                drain_loop(&fleet, &stop, config)
-            }));
+            threads.push(std::thread::spawn(move || drain_loop(&fleet, &stop)));
         }
 
         Ok(IngestServer {
@@ -713,12 +699,7 @@ fn reject_over_limit<C: Read + Write>(mut conn: C, shared: &ConnShared) {
         .rejected_connections
         .fetch_add(1, Ordering::Relaxed);
     let mut out = Vec::with_capacity(32);
-    encode_nack(
-        &mut out,
-        0,
-        NackReason::ConnectionLimit,
-        shared.config.retry_after_us,
-    );
+    encode_nack(&mut out, 0, NackReason::ConnectionLimit, RETRY_AFTER_US);
     let _ = conn.write_all(&out);
     let _ = conn.flush();
 }
@@ -796,15 +777,13 @@ fn spawn_conn<C: Read + Write + Send + 'static>(
         .push(handle);
 }
 
-fn drain_loop(fleet: &Arc<Mutex<Fleet>>, stop: &Arc<AtomicBool>, config: IngestConfig) {
+fn drain_loop(fleet: &Arc<Mutex<Fleet>>, stop: &Arc<AtomicBool>) {
     loop {
         let polled = fleet.lock().expect("fleet lock").poll();
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        if config.poll_interval_us > 0 {
-            std::thread::sleep(Duration::from_micros(config.poll_interval_us));
-        } else if polled.batches == 0 {
+        if polled.batches == 0 {
             std::thread::sleep(Duration::from_micros(100));
         }
     }
@@ -939,8 +918,8 @@ fn handle_frame(
             }
             if session == 0 {
                 let Some((token, entry)) = shared.sessions.create() else {
-                    stats.rejected_stale.fetch_add(1, Ordering::Relaxed);
-                    encode_nack(out, 0, NackReason::Saturated, shared.config.retry_after_us);
+                    stats.rejected_connections.fetch_add(1, Ordering::Relaxed);
+                    encode_nack(out, 0, NackReason::ConnectionLimit, RETRY_AFTER_US);
                     return Step::Close;
                 };
                 state.token = token;
@@ -1035,8 +1014,9 @@ fn handle_frame(
 }
 
 /// Handles one sequence-disciplined frame under the session lock (and
-/// the checkpoint gate, held shared by the caller). Every response that
-/// advances the expected sequence is also stored in the session's ack
+/// the checkpoint gate, held shared by the caller). A frame out of
+/// sequence closes the connection. Every response that does not close it
+/// advances the expected sequence and is stored in the session's ack
 /// ring for resume replay.
 fn handle_windowed(
     frame: Frame,
@@ -1046,39 +1026,50 @@ fn handle_windowed(
     out: &mut Vec<u8>,
 ) -> Step {
     let stats = &shared.stats;
-    let config = shared.config;
+    let seq = match &frame {
+        Frame::OpenStream { seq, .. }
+        | Frame::SampleBatch { seq, .. }
+        | Frame::CloseStream { seq, .. }
+        | Frame::GetMetrics { seq } => *seq,
+        Frame::Hello { .. } | Frame::Resume { .. } | Frame::Ack { .. } | Frame::Nack { .. } => {
+            unreachable!("routed by handle_frame")
+        }
+    };
+    if seq != e.expected_seq {
+        stats.malformed.fetch_add(1, Ordering::Relaxed);
+        encode_nack(out, seq, NackReason::Malformed, 0);
+        return Step::Close;
+    }
     let mark = out.len();
-    let mut advanced: Option<u64> = None;
-    let step = match frame {
-        Frame::OpenStream { seq, flags } => {
-            if seq != e.expected_seq {
-                stats.superseded_nacks.fetch_add(1, Ordering::Relaxed);
-                encode_nack(out, seq, NackReason::Superseded, 0);
-                return Step::Continue;
-            }
+    match frame {
+        Frame::OpenStream { flags, .. } => {
             if flags != 0 {
                 stats.malformed.fetch_add(1, Ordering::Relaxed);
                 encode_nack(out, seq, NackReason::Unsupported, 0);
                 return Step::Close;
             }
-            e.expected_seq += 1;
-            advanced = Some(seq);
             let stream = shared.fleet.lock().expect("fleet lock").open_stream();
             stats.opens.fetch_add(1, Ordering::Relaxed);
             encode_ack(out, seq, &AckBody::StreamOpened { stream });
-            Step::Continue
         }
-        Frame::SampleBatch { seq, batch } => {
-            if seq != e.expected_seq {
-                stats.superseded_nacks.fetch_add(1, Ordering::Relaxed);
-                encode_nack(out, seq, NackReason::Superseded, 0);
-                return Step::Continue;
-            }
+        Frame::SampleBatch { mut batch, .. } => {
             let samples = batch.samples.len() as u64;
-            match handle.submit(batch) {
+            let submitted = loop {
+                match handle.submit(batch) {
+                    // Stall, never refuse: drain the fleet from this
+                    // thread and retry. Gate → session → fleet is the lock
+                    // order opens, closes and metrics already use, and
+                    // draining here means the stall ends even after the
+                    // drain thread has stopped.
+                    Err(SubmitError::Saturated { batch: back, .. }) => {
+                        shared.fleet.lock().expect("fleet lock").poll();
+                        batch = back;
+                    }
+                    other => break other,
+                }
+            };
+            match submitted {
                 Ok(()) => {
-                    e.expected_seq += 1;
-                    advanced = Some(seq);
                     stats.batches.fetch_add(1, Ordering::Relaxed);
                     stats.samples.fetch_add(samples, Ordering::Relaxed);
                     encode_ack(
@@ -1088,36 +1079,19 @@ fn handle_windowed(
                             durable_seq: e.durable_seq,
                         },
                     );
-                    Step::Continue
-                }
-                Err(SubmitError::Saturated { .. }) => {
-                    // Expected sequence stays put: the producer rewinds to
-                    // this batch, so order is preserved end to end.
-                    stats.saturated_nacks.fetch_add(1, Ordering::Relaxed);
-                    encode_nack(out, seq, NackReason::Saturated, config.retry_after_us);
-                    Step::Continue
                 }
                 Err(SubmitError::UnknownShard { .. }) => {
-                    e.expected_seq += 1;
-                    advanced = Some(seq);
                     stats.rejected_unknown_shard.fetch_add(1, Ordering::Relaxed);
                     encode_nack(out, seq, NackReason::UnknownShard, 0);
-                    Step::Continue
                 }
-                Err(SubmitError::Disconnected { .. }) => {
+                // `Disconnected`: the fleet is gone.
+                Err(_) => {
                     encode_nack(out, seq, NackReason::ShuttingDown, 0);
-                    Step::Close
+                    return Step::Close;
                 }
             }
         }
-        Frame::CloseStream { seq, stream } => {
-            if seq != e.expected_seq {
-                stats.superseded_nacks.fetch_add(1, Ordering::Relaxed);
-                encode_nack(out, seq, NackReason::Superseded, 0);
-                return Step::Continue;
-            }
-            e.expected_seq += 1;
-            advanced = Some(seq);
+        Frame::CloseStream { stream, .. } => {
             let closed = shared
                 .fleet
                 .lock()
@@ -1138,29 +1112,17 @@ fn handle_windowed(
                     encode_nack(out, seq, NackReason::UnknownSlot, 0);
                 }
             }
-            Step::Continue
         }
-        Frame::GetMetrics { seq } => {
-            if seq != e.expected_seq {
-                stats.superseded_nacks.fetch_add(1, Ordering::Relaxed);
-                encode_nack(out, seq, NackReason::Superseded, 0);
-                return Step::Continue;
-            }
-            e.expected_seq += 1;
-            advanced = Some(seq);
+        Frame::GetMetrics { .. } => {
             let summary = shared.fleet.lock().expect("fleet lock").metrics().summary();
             let summary_json = serde_json::to_vec(&summary).expect("summary serializes");
             encode_ack(out, seq, &AckBody::Metrics { summary_json });
-            Step::Continue
         }
-        Frame::Hello { .. } | Frame::Resume { .. } | Frame::Ack { .. } | Frame::Nack { .. } => {
-            unreachable!("routed by handle_frame")
-        }
-    };
-    if let Some(seq) = advanced {
-        e.push_ack(seq, out[mark..].to_vec(), config.session_ack_ring);
+        _ => unreachable!("sequence extracted above"),
     }
-    step
+    e.expected_seq += 1;
+    e.push_ack(seq, out[mark..].to_vec(), shared.config.session_ack_ring);
+    Step::Continue
 }
 
 // ---------------------------------------------------------------------------
@@ -1232,16 +1194,17 @@ impl From<WireError> for ProducerError {
 #[derive(Debug, Clone, Copy)]
 pub struct ProducerConfig {
     /// Maximum unacknowledged frames in flight before
-    /// [`IngestProducer::submit`] blocks on acks. Also bounds rewind
-    /// memory: the producer retains every unacked frame for re-send.
+    /// [`IngestProducer::submit`] blocks on acks. Also bounds resume
+    /// memory: the producer retains every unacked frame for re-send
+    /// after a reconnect.
     pub window: usize,
     /// Decoder cap for server responses.
     pub max_frame_len: usize,
     /// Acknowledged frames retained for crash-resume replay, beyond the
     /// unacked window. 0 disables retention (a resume can then only
-    /// rewind to the first unacknowledged frame). Frames at or below the
-    /// server's durable sequence are trimmed eagerly regardless of the
-    /// cap.
+    /// re-send from the first unacknowledged frame on). Frames at or
+    /// below the server's durable sequence are trimmed eagerly regardless
+    /// of the cap.
     pub retain_for_replay: usize,
 }
 
@@ -1261,12 +1224,15 @@ impl Default for ProducerConfig {
 pub struct ProducerStats {
     /// Batches acknowledged as applied.
     pub acked_batches: u64,
-    /// `Saturated` nacks received (each triggered a rewind).
+    /// Always 0: the server stalls a full queue instead of refusing it.
+    /// Kept because the benchmark reports it.
     pub saturated_nacks: u64,
-    /// `Superseded` nacks received (in-flight frames the rewind already
-    /// covered).
+    /// Always 0: an out-of-sequence frame closes the connection. Kept
+    /// because the benchmark reports it.
     pub superseded_nacks: u64,
-    /// Frames re-sent during saturation rewinds.
+    /// Always 0: nothing is re-sent on a live connection (resume
+    /// re-sends count in `replayed_frames`). Kept because the benchmark
+    /// reports it.
     pub resent_frames: u64,
     /// Successful session resumptions onto a fresh transport.
     pub reconnects: u64,
@@ -1275,7 +1241,7 @@ pub struct ProducerStats {
     pub replayed_frames: u64,
 }
 
-/// One in-flight (sent, unacknowledged) frame, retained for rewinds.
+/// One sent frame, retained for re-send after a reconnect.
 #[derive(Debug)]
 struct InFlight {
     seq: u64,
@@ -1306,8 +1272,9 @@ impl RecoveryState {
 }
 
 /// The client side of the ingest protocol: frame encoding with buffer
-/// reuse, a bounded in-flight window, and transparent retry on
-/// saturation.
+/// reuse and a bounded in-flight window. A saturated server simply
+/// answers later, so the window fills and [`IngestProducer::submit`]
+/// blocks.
 ///
 /// Works over any `Read + Write` transport — `TcpStream`, `UnixStream`,
 /// or an in-memory pipe in tests. The transport must be in blocking
@@ -1388,10 +1355,9 @@ impl<C: Read + Write> IngestProducer<C> {
 
     /// Resumes a session on a fresh transport: handshakes with the
     /// retained session token, asks the server for its next expected
-    /// sequence, and rewinds — re-sending retained frames the server
-    /// lost and awaiting replayed responses for frames it already
-    /// applied. On failure the recovery state comes back for another
-    /// attempt.
+    /// sequence, re-sends the retained frames the server lost and awaits
+    /// replayed responses for frames it already applied. On failure the
+    /// recovery state comes back for another attempt.
     ///
     /// # Errors
     ///
@@ -1544,8 +1510,8 @@ impl<C: Read + Write> IngestProducer<C> {
     }
 
     /// Queues `batch` for transmission. Blocks only when the in-flight
-    /// window is full (reading acks until space frees up); saturation
-    /// rewinds happen transparently inside that wait.
+    /// window is full, reading acks until space frees up; a saturated
+    /// server makes that wait longer, never makes it re-send.
     ///
     /// # Errors
     ///
@@ -1712,35 +1678,6 @@ impl<C: Read + Write> IngestProducer<C> {
                     self.settle(seq);
                     self.captured.push((seq, body));
                 }
-                Ok(())
-            }
-            Frame::Nack {
-                seq,
-                reason: NackReason::Saturated,
-                retry_after_us,
-            } => {
-                self.stats.saturated_nacks += 1;
-                if retry_after_us > 0 {
-                    std::thread::sleep(Duration::from_micros(u64::from(retry_after_us)));
-                }
-                // Go-back-N rewind: re-send every unacknowledged frame
-                // from the refused one on, in order. Frames before `seq`
-                // were already acknowledged, so the window starts at it.
-                for inflight in &self.window {
-                    debug_assert!(inflight.seq >= seq);
-                    self.obuf.extend_from_slice(&inflight.bytes);
-                    self.stats.resent_frames += 1;
-                }
-                self.flush_obuf()?;
-                Ok(())
-            }
-            Frame::Nack {
-                reason: NackReason::Superseded,
-                ..
-            } => {
-                // In-flight across a rewind; already re-sent. Count and
-                // move on.
-                self.stats.superseded_nacks += 1;
                 Ok(())
             }
             Frame::Nack { seq, reason, .. } => {

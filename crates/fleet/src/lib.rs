@@ -20,8 +20,9 @@
 //! - [`wire`] is the versioned, little-endian, length-prefixed binary
 //!   ingest protocol (validating streaming decoder, typed nack reasons);
 //! - [`ingest`] runs that protocol: a connection-per-producer TCP/UDS
-//!   server feeding the shard queues, and the windowed client-side
-//!   [`IngestProducer`] with go-back-N retry on saturation;
+//!   server feeding the shard queues (a full queue stalls its
+//!   connection, it is never refused), and the windowed client-side
+//!   [`IngestProducer`];
 //! - [`checkpoint`] snapshots the whole fleet — per-stream checker
 //!   state, guardians, health, session sequences — into a versioned
 //!   binary image a restarted server restores bit-identically;

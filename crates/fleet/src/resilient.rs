@@ -123,7 +123,7 @@ fn transient(e: &ProducerError) -> bool {
             | ProducerError::Disconnected
             | ProducerError::Wire(_)
             | ProducerError::Rejected {
-                reason: NackReason::ConnectionLimit | NackReason::Saturated,
+                reason: NackReason::ConnectionLimit,
                 ..
             }
     )

@@ -20,7 +20,8 @@
 //!
 //! Client → server frames (every one after [`Frame::Hello`] carries a
 //! `u64` sequence number; the server requires the next expected sequence
-//! and answers each with one [`Frame::Ack`] or [`Frame::Nack`]):
+//! — any other is a protocol violation that closes the connection — and
+//! answers each with one [`Frame::Ack`] or [`Frame::Nack`]):
 //!
 //! | type | frame | payload |
 //! |------|-------|---------|
@@ -43,8 +44,9 @@
 //! presents its previous session token in `Hello`, then sends `Resume`
 //! carrying the highest sequence it has a response for; the server
 //! answers with [`AckBody::Resumed`] (its next expected sequence),
-//! replays the stored responses in between, and the producer rewinds its
-//! go-back-N window to the server's high-water mark instead of dying.
+//! replays the stored responses in between, and the producer re-sends
+//! its retained frames from the server's high-water mark on instead of
+//! dying.
 //! A bare `Hello` without the trailing token is exactly the pre-resume
 //! v1 encoding, so old producers keep working unchanged.
 //!
@@ -127,14 +129,12 @@ impl From<DecodeError> for WireError {
     }
 }
 
-/// Why the server refused a frame. Submission reasons mirror
-/// [`crate::SubmitError`]; stream reasons mirror [`crate::StreamError`].
+/// Why the server refused a frame. Stream reasons mirror
+/// [`crate::StreamError`]. A full shard queue is never a reason: the
+/// connection stalls until the queue has room (see [`crate::ingest`]).
+/// Reason bytes 0 and 4 are unassigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NackReason {
-    /// The target shard's queue is full ([`crate::SubmitError::Saturated`]).
-    /// The batch was not applied; re-send it after the frame's
-    /// retry-after hint.
-    Saturated,
     /// The stream id names a shard the fleet does not have
     /// ([`crate::SubmitError::UnknownShard`]). The frame is dropped and
     /// counted; the sequence advances.
@@ -143,12 +143,9 @@ pub enum NackReason {
     StaleGeneration,
     /// The stream slot does not exist ([`crate::StreamError::UnknownSlot`]).
     UnknownSlot,
-    /// The frame's sequence number is not the next expected one — it was
-    /// in flight across a [`NackReason::Saturated`] rewind and will be
-    /// re-sent by the producer. Informational; not applied, not fatal.
-    Superseded,
-    /// The frame (or the byte stream) is structurally invalid. The server
-    /// closes the connection after sending this.
+    /// The frame (or the byte stream) is structurally invalid, or its
+    /// sequence number is not the next expected one. The server closes
+    /// the connection after sending this.
     Malformed,
     /// Valid frame, unsupported content (unknown protocol version,
     /// non-zero reserved flags). The connection closes.
@@ -164,19 +161,18 @@ pub enum NackReason {
     /// ring has already evicted. The connection closes.
     ResumeGap,
     /// The server is at its configured connection cap
-    /// ([`crate::IngestConfig::max_connections`]); reconnect after the
-    /// retry-after hint.
+    /// ([`crate::IngestConfig::max_connections`]) or every retained
+    /// session is live ([`crate::IngestConfig::max_sessions`]); reconnect
+    /// after the retry-after hint.
     ConnectionLimit,
 }
 
 impl NackReason {
     fn to_byte(self) -> u8 {
         match self {
-            NackReason::Saturated => 0,
             NackReason::UnknownShard => 1,
             NackReason::StaleGeneration => 2,
             NackReason::UnknownSlot => 3,
-            NackReason::Superseded => 4,
             NackReason::Malformed => 5,
             NackReason::Unsupported => 6,
             NackReason::ShuttingDown => 7,
@@ -188,11 +184,9 @@ impl NackReason {
 
     fn from_byte(b: u8) -> Result<Self, WireError> {
         Ok(match b {
-            0 => NackReason::Saturated,
             1 => NackReason::UnknownShard,
             2 => NackReason::StaleGeneration,
             3 => NackReason::UnknownSlot,
-            4 => NackReason::Superseded,
             5 => NackReason::Malformed,
             6 => NackReason::Unsupported,
             7 => NackReason::ShuttingDown,
@@ -211,11 +205,9 @@ impl NackReason {
 impl std::fmt::Display for NackReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
-            NackReason::Saturated => "saturated",
             NackReason::UnknownShard => "unknown-shard",
             NackReason::StaleGeneration => "stale-generation",
             NackReason::UnknownSlot => "unknown-slot",
-            NackReason::Superseded => "superseded",
             NackReason::Malformed => "malformed",
             NackReason::Unsupported => "unsupported",
             NackReason::ShuttingDown => "shutting-down",
@@ -335,7 +327,7 @@ pub enum Frame {
         /// Typed reason.
         reason: NackReason,
         /// Suggested retry delay in microseconds (meaningful for
-        /// [`NackReason::Saturated`], zero otherwise).
+        /// [`NackReason::ConnectionLimit`], zero otherwise).
         retry_after_us: u32,
     },
 }
@@ -822,7 +814,7 @@ mod tests {
                 summary_json: b"{}".to_vec(),
             },
         );
-        encode_nack(&mut out, 9, NackReason::Saturated, 150);
+        encode_nack(&mut out, 9, NackReason::ConnectionLimit, 150);
 
         let frames = decode_all(&out);
         assert_eq!(frames.len(), 11);
@@ -859,7 +851,7 @@ mod tests {
             frames[10],
             Frame::Nack {
                 seq: 9,
-                reason: NackReason::Saturated,
+                reason: NackReason::ConnectionLimit,
                 retry_after_us: 150
             }
         );
@@ -1019,6 +1011,23 @@ mod tests {
         let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME_LEN);
         dec.feed(&out);
         assert!(matches!(dec.next_frame(), Err(WireError::Malformed { .. })));
+    }
+
+    #[test]
+    fn unassigned_nack_reason_bytes_are_malformed() {
+        // 0 and 4 lie between assigned bytes; they are refused like the
+        // bytes past the last reason.
+        for byte in [0u8, 4, 11, 0xFF] {
+            let mut out = Vec::new();
+            encode_nack(&mut out, 3, NackReason::Malformed, 0);
+            out[4 + 1 + 8] = byte;
+            let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME_LEN);
+            dec.feed(&out);
+            assert!(
+                matches!(dec.next_frame(), Err(WireError::Malformed { .. })),
+                "reason byte {byte}"
+            );
+        }
     }
 
     #[test]

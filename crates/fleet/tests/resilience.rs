@@ -318,3 +318,37 @@ fn connection_limit_is_a_typed_nack() {
     assert!(stats.rejected_connections >= 1);
     assert_eq!(stats.resumes, 0);
 }
+
+/// A fresh `Hello` while every retained session is live is refused like
+/// an over-cap connection: a typed `ConnectionLimit` nack, counted in
+/// `rejected_connections`.
+#[test]
+fn session_limit_is_a_typed_connection_limit_nack() {
+    let fleet = Arc::new(Mutex::new(Fleet::new(catalog(), fleet_config())));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let server = IngestServer::spawn(
+        Arc::clone(&fleet),
+        IngestListener::Tcp(listener),
+        IngestConfig {
+            max_sessions: 1,
+            ..IngestConfig::default()
+        },
+    )
+    .expect("spawn");
+    let addr = server.local_addr().expect("tcp addr");
+
+    let _first = adassure_fleet::ingest::connect_tcp(addr, ProducerConfig::default())
+        .expect("first session fits");
+    let conn = TcpStream::connect(addr).expect("tcp connect");
+    match IngestProducer::connect(conn, ProducerConfig::default()) {
+        Err(ProducerError::Rejected {
+            seq: 0,
+            reason: NackReason::ConnectionLimit,
+        }) => {}
+        other => panic!("expected a ConnectionLimit nack, got {other:?}"),
+    }
+
+    let stats = server.shutdown();
+    assert_eq!(stats.rejected_connections, 1);
+    assert_eq!(stats.rejected_stale, 0);
+}

@@ -33,11 +33,9 @@ fn batch_strategy() -> impl Strategy<Value = SampleBatch> {
 
 fn frame_strategy() -> impl Strategy<Value = Frame> {
     let nack_reasons = [
-        NackReason::Saturated,
         NackReason::UnknownShard,
         NackReason::StaleGeneration,
         NackReason::UnknownSlot,
-        NackReason::Superseded,
         NackReason::Malformed,
         NackReason::Unsupported,
         NackReason::ShuttingDown,
@@ -78,13 +76,15 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
                 body: AckBody::StreamClosed { report_json },
             }
         ),
-        (0u64..1_000_000, 0usize..11, 0u32..5000).prop_map(move |(seq, reason, retry)| {
-            Frame::Nack {
-                seq,
-                reason: nack_reasons[reason],
-                retry_after_us: retry,
+        (0u64..1_000_000, 0..nack_reasons.len(), 0u32..5000).prop_map(
+            move |(seq, reason, retry)| {
+                Frame::Nack {
+                    seq,
+                    reason: nack_reasons[reason],
+                    retry_after_us: retry,
+                }
             }
-        }),
+        ),
     ]
 }
 

@@ -302,6 +302,47 @@ fn bad_magic_and_bad_version_are_refused() {
     server.shutdown();
 }
 
+/// A frame whose sequence number is not the next expected one can only
+/// come from a broken client: it draws a `Malformed` nack, the server
+/// closes the connection, counts it, and applies nothing.
+#[test]
+fn out_of_sequence_frame_is_a_protocol_violation() {
+    let server = spawn_server();
+
+    let mut bytes = Vec::new();
+    wire::encode_hello(&mut bytes);
+    wire::encode_open_stream(&mut bytes, 2);
+    wire::encode_open_stream(&mut bytes, 1);
+    let mut conn = connect(&server);
+    conn.write_all(&bytes).expect("write");
+    let response = read_to_close(&mut conn);
+    assert!(
+        matches!(conn.read(&mut [0u8; 1]), Ok(0)),
+        "the server closed the connection"
+    );
+
+    let mut decoder = FrameDecoder::new(wire::DEFAULT_MAX_FRAME_LEN);
+    decoder.feed(&response);
+    assert!(matches!(
+        decoder.next_frame(),
+        Ok(Some(wire::Frame::Ack { seq: 0, .. }))
+    ));
+    assert_eq!(
+        decoder.next_frame().expect("valid response"),
+        Some(wire::Frame::Nack {
+            seq: 2,
+            reason: adassure_fleet::NackReason::Malformed,
+            retry_after_us: 0,
+        })
+    );
+    assert_eq!(decoder.next_frame().expect("valid response"), None);
+
+    wait_for(&server, "malformed count", |s| s.malformed >= 1);
+    let stats = server.shutdown();
+    assert_eq!(stats.malformed, 1);
+    assert_eq!(stats.opens, 0, "neither open was applied");
+}
+
 /// A batch addressed to a shard the fleet doesn't have is a typed,
 /// counted rejection — and the connection keeps working afterwards.
 #[test]
