@@ -86,4 +86,11 @@ echo "== perfbench build and unit tests (its own workspace; BENCHMARK.json runs 
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench ingest smoke (oracle and exactly-once checks on both ingest workloads) =="
+# The bulk run is long enough for the 100 ops its p90 needs.
+cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload ingest_trips --seconds 2 --trace 0
+cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload ingest_bulk --seconds 6 --trace 0
+
 echo "CI OK"

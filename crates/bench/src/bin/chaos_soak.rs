@@ -8,7 +8,7 @@
 //! Every producer connection runs over a
 //! [`adassure_fleet::ChaosTransport`] that severs the socket mid-frame
 //! at a seeded rate. Two-fifths of the way through the campaign the
-//! harness hard-kills the server (no final drain — post-checkpoint
+//! harness kills the server and discards its fleet (post-checkpoint
 //! progress is deliberately lost), restores a fresh fleet from the last
 //! periodic checkpoint on a *new* port, and lets the producers
 //! reconnect, resume their sessions, and replay the gap from their
@@ -40,11 +40,10 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use adassure_core::{Assertion, Condition, Severity, SignalExpr};
-use adassure_exp::Runtime;
 use adassure_fleet::{
     restore_server, ChaosConfig, ChaosTransport, Fleet, FleetConfig, IngestConfig, IngestListener,
     IngestServer, ProducerConfig, ProducerStats, ReconnectPolicy, ResilientProducer, SampleBatch,
-    SessionSeed, StreamId, SubmitError, Transport,
+    SessionSeed, StreamId, Transport,
 };
 use serde::Serialize;
 
@@ -56,7 +55,6 @@ struct Report {
     producers: usize,
     streams: usize,
     shards: usize,
-    workers: usize,
     cycles_per_stream: usize,
     cycles: u64,
     samples: u64,
@@ -214,10 +212,9 @@ impl Synth {
     }
 }
 
-fn fleet_config(shards: usize, runtime: Runtime) -> FleetConfig {
+fn fleet_config(shards: usize) -> FleetConfig {
     FleetConfig {
         shards,
-        runtime,
         ..FleetConfig::default()
     }
 }
@@ -225,8 +222,8 @@ fn fleet_config(shards: usize, runtime: Runtime) -> FleetConfig {
 /// The undisturbed truth: the same seeded telemetry run in-process — no
 /// sockets, no faults, no crash. Returns each stream's report JSON,
 /// indexed by synth seed.
-fn oracle_reports(args: &Args, runtime: Runtime) -> Vec<String> {
-    let mut fleet = Fleet::new(catalog(), fleet_config(args.shards, runtime));
+fn oracle_reports(args: &Args) -> Vec<String> {
+    let mut fleet = Fleet::new(catalog(), fleet_config(args.shards));
     let ids: Vec<StreamId> = (0..args.streams).map(|_| fleet.open_stream()).collect();
     let mut synths: Vec<Synth> = (0..args.streams).map(|k| Synth::new(k as u64)).collect();
     let waves = args.cycles.div_ceil(args.batch);
@@ -237,19 +234,10 @@ fn oracle_reports(args: &Args, runtime: Runtime) -> Vec<String> {
             for _ in 0..cycles_this_wave {
                 synth.cycle_into(&mut batch);
             }
-            let mut pending = batch;
-            loop {
-                match fleet.submit(pending) {
-                    Ok(()) => break,
-                    Err(SubmitError::Saturated { batch, .. }) => {
-                        fleet.poll();
-                        pending = batch;
-                    }
-                    Err(other) => panic!("oracle submit failed: {other}"),
-                }
+            if let Err(e) = fleet.submit(batch) {
+                panic!("oracle submit failed: {e}");
             }
         }
-        fleet.poll();
     }
     ids.iter()
         .map(|&id| {
@@ -393,16 +381,12 @@ fn run_producer(
 
 fn main() {
     let args = parse_args();
-    let runtime = Runtime::global();
     let ckpt_dir = std::env::temp_dir().join(format!("adassure-chaos-{}", std::process::id()));
     std::fs::create_dir_all(&ckpt_dir).expect("checkpoint dir");
     let ckpt_path = ckpt_dir.join("fleet.adckpt");
     let ckpt_every = Duration::from_millis(250);
 
-    let first_fleet = Arc::new(Mutex::new(Fleet::new(
-        catalog(),
-        fleet_config(args.shards, runtime),
-    )));
+    let first_fleet = Arc::new(Mutex::new(Fleet::new(catalog(), fleet_config(args.shards))));
     let first_server = spawn_server(Arc::clone(&first_fleet), None);
     let addr = Arc::new(Mutex::new(first_server.local_addr().expect("tcp addr")));
 
@@ -432,10 +416,10 @@ fn main() {
 
             barrier.wait(); // crash point
             let checkpoints = 1 + ckpt_loop.finish();
-            first_server.kill(); // abrupt: post-checkpoint progress is lost
+            first_server.kill(); // the fleet is discarded: post-checkpoint progress is lost
             let bytes = std::fs::read(&ckpt_path).expect("checkpoint file");
             let (restored, session_seed) =
-                restore_server(catalog(), fleet_config(args.shards, runtime), &bytes)
+                restore_server(catalog(), fleet_config(args.shards), &bytes)
                     .expect("checkpoint restores");
             let restored = Arc::new(Mutex::new(restored));
             let new_server = spawn_server(Arc::clone(&restored), Some(session_seed));
@@ -457,7 +441,7 @@ fn main() {
     let ingest = final_server.shutdown();
 
     // Byte-identity against the undisturbed oracle, per synth seed.
-    let oracle = oracle_reports(&args, runtime);
+    let oracle = oracle_reports(&args);
     reports.sort_by_key(|(seed, _)| *seed);
     assert_eq!(reports.len(), args.streams);
     let mut mismatches = 0;
@@ -496,7 +480,6 @@ fn main() {
         producers: args.producers,
         streams: args.streams,
         shards: args.shards,
-        workers: runtime.workers(),
         cycles_per_stream: args.cycles,
         cycles: stats.cycles,
         samples: stats.samples,

@@ -7,11 +7,10 @@
 //! `monitor-server` demo: cross-track error with excursions, speed, a
 //! lossy gnss channel), so runs are reproducible and every assertion in
 //! the catalog fires somewhere in the fleet. Ingestion is wave-based:
-//! each wave cuts `--batch` cycles per stream into one `SampleBatch`,
-//! submits it (polling and retrying on saturation — the bounded queues
-//! are real, so with enough streams per shard the soak exercises
-//! backpressure by construction) and polls the shards on the shared
-//! worker pool.
+//! each wave cuts `--batch` cycles per stream into one `SampleBatch` and
+//! submits it. The streams are split over one submitting thread per
+//! worker of the shared pool, each with its own `FleetHandle`, and every
+//! submit applies its batch before it returns.
 //!
 //! ```text
 //! fleet_soak [--streams N] [--cycles N] [--shards N] [--batch N]
@@ -30,7 +29,7 @@ use std::time::Instant;
 
 use adassure_core::{Assertion, Condition, Severity, SignalExpr};
 use adassure_exp::Runtime;
-use adassure_fleet::{Fleet, FleetConfig, SampleBatch, StreamId, SubmitError};
+use adassure_fleet::{Fleet, FleetConfig, FleetHandle, SampleBatch, StreamId};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -44,7 +43,6 @@ struct Report {
     cycles: u64,
     samples: u64,
     violations: u64,
-    rejected_batches: u64,
     wall_s: f64,
     samples_per_sec: f64,
     cycles_per_sec: f64,
@@ -182,14 +180,30 @@ impl Synth {
     }
 }
 
+/// Submits every wave for one thread's share of the streams.
+fn submit_waves(handle: &FleetHandle, ids: &[StreamId], synths: &mut [Synth], args: &Args) {
+    let waves = args.cycles.div_ceil(args.batch);
+    for wave in 0..waves {
+        let cycles_this_wave = args.batch.min(args.cycles - wave * args.batch);
+        for (id, synth) in ids.iter().zip(synths.iter_mut()) {
+            let mut batch = SampleBatch::new(*id);
+            for _ in 0..cycles_this_wave {
+                synth.cycle_into(&mut batch);
+            }
+            if let Err(e) = handle.submit(batch) {
+                panic!("submit failed: {e}");
+            }
+        }
+    }
+}
+
 fn main() {
     let args = parse_args();
-    let runtime = Runtime::global();
+    let workers = Runtime::global().workers();
     let mut fleet = Fleet::new(
         catalog(),
         FleetConfig {
             shards: args.shards,
-            runtime,
             ..FleetConfig::default()
         },
     );
@@ -203,27 +217,14 @@ fn main() {
         "every stream must be concurrently open"
     );
 
-    let waves = args.cycles.div_ceil(args.batch);
-    for wave in 0..waves {
-        let cycles_this_wave = args.batch.min(args.cycles - wave * args.batch);
-        for (id, synth) in ids.iter().zip(synths.iter_mut()) {
-            let mut batch = SampleBatch::new(*id);
-            for _ in 0..cycles_this_wave {
-                synth.cycle_into(&mut batch);
-            }
-            loop {
-                match fleet.submit(batch) {
-                    Ok(()) => break,
-                    Err(SubmitError::Saturated { batch: b, .. }) => {
-                        fleet.poll();
-                        batch = b;
-                    }
-                    Err(other) => panic!("submit failed: {other}"),
-                }
-            }
+    let per = args.streams.div_ceil(workers).max(1);
+    let handle = fleet.handle();
+    std::thread::scope(|scope| {
+        for (ids, synths) in ids.chunks(per).zip(synths.chunks_mut(per)) {
+            let (handle, args) = (&handle, &args);
+            scope.spawn(move || submit_waves(handle, ids, synths, args));
         }
-        fleet.poll();
-    }
+    });
     for id in &ids {
         fleet.close_stream(*id).expect("stream closes cleanly");
     }
@@ -241,12 +242,11 @@ fn main() {
         regenerate: "cargo run --release -p adassure-bench --bin fleet_soak",
         streams: args.streams,
         shards: args.shards,
-        workers: runtime.workers(),
+        workers,
         cycles_per_stream: args.cycles,
         cycles: stats.cycles,
         samples: stats.samples,
         violations: stats.violations,
-        rejected_batches: stats.rejected_batches,
         wall_s,
         samples_per_sec: stats.samples as f64 / wall_s,
         cycles_per_sec: stats.cycles as f64 / wall_s,
@@ -259,8 +259,8 @@ fn main() {
         report.streams, report.cycles_per_stream, report.shards, report.workers, report.wall_s
     );
     println!(
-        "ingest : {:.0} samples/sec, {:.0} cycles/sec ({} rejected batches retried)",
-        report.samples_per_sec, report.cycles_per_sec, report.rejected_batches
+        "ingest : {:.0} samples/sec, {:.0} cycles/sec",
+        report.samples_per_sec, report.cycles_per_sec
     );
     println!(
         "latency: p50 <= {:.0} ns, p99 <= {:.0} ns per cycle ({} violations seen)",

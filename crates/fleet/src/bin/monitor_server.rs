@@ -3,7 +3,7 @@
 //! Drives a synthetic vehicle fleet through the sharded checker and
 //! serves the merged metrics over HTTP (`GET /metrics`, Prometheus text
 //! format; `GET /metrics.json` for the JSON exporter), plus fleet-level
-//! gauges (open streams, rejected batches, stale drops). With
+//! gauges (open streams, stale drops, bad cycles). With
 //! `--ingest PORT` it also opens the binary wire-protocol listener
 //! ([`adassure_fleet::IngestServer`]) on the same fleet, so external
 //! producers can push batches while Prometheus scrapes. Plain
@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use adassure_core::{Assertion, Condition, Severity, SignalExpr};
 use adassure_fleet::{
     restore_server, Fleet, FleetConfig, IngestConfig, IngestListener, IngestServer,
-    IngestStatsSnapshot, SampleBatch, SessionSeed, StreamId, SubmitError,
+    IngestStatsSnapshot, SampleBatch, SessionSeed, StreamId,
 };
 use adassure_obs::export;
 
@@ -207,22 +207,13 @@ impl Synth {
     }
 }
 
-/// One ingestion tick: a cycle for every stream, retrying on saturation.
-fn tick(fleet: &mut Fleet, ids: &[StreamId], synths: &mut [Synth]) {
+/// One ingestion tick: a cycle for every stream.
+fn tick(fleet: &Fleet, ids: &[StreamId], synths: &mut [Synth]) {
     for (id, synth) in ids.iter().zip(synths.iter_mut()) {
-        let mut batch = synth.cycle(*id);
-        loop {
-            match fleet.submit(batch) {
-                Ok(()) => break,
-                Err(SubmitError::Saturated { batch: b, .. }) => {
-                    fleet.poll();
-                    batch = b;
-                }
-                Err(other) => panic!("submit failed: {other}"),
-            }
+        if let Err(e) = fleet.submit(synth.cycle(*id)) {
+            panic!("submit failed: {e}");
         }
     }
-    fleet.poll();
 }
 
 /// The Prometheus page: checker metrics, fleet-level counters, and —
@@ -235,12 +226,6 @@ fn metrics_page(fleet: &Fleet, ingest: Option<&IngestStatsSnapshot>) -> String {
         "adassure_fleet_open_streams",
         "Streams currently open",
         stats.open_streams as f64,
-    );
-    export::push_counter(
-        &mut page,
-        "adassure_fleet_rejected_batches",
-        "Batches refused by saturated shard queues",
-        stats.rejected_batches,
     );
     export::push_counter(
         &mut page,
@@ -263,7 +248,7 @@ fn metrics_page(fleet: &Fleet, ingest: Option<&IngestStatsSnapshot>) -> String {
     export::push_quantiles(
         &mut page,
         "adassure_fleet_cycle_latency_ns",
-        "Sampled per-cycle shard drain latency, nanoseconds",
+        "Sampled per-cycle checking latency, nanoseconds",
         &fleet.cycle_latency(),
     );
     if let Some(ingest) = ingest {
@@ -398,21 +383,22 @@ fn run(args: Args) -> Result<(), ServerError> {
 
     if args.once {
         for _ in 0..args.ticks {
-            tick(&mut fleet, &ids, &mut synths);
+            tick(&fleet, &ids, &mut synths);
         }
         print!("{}", metrics_page(&fleet, None));
         let stats = fleet.stats();
         eprintln!(
-            "monitor-server: {} streams, {} cycles, {} violations, {} rejected batches",
-            args.streams, stats.cycles, stats.violations, stats.rejected_batches
+            "monitor-server: {} streams, {} cycles, {} violations",
+            args.streams, stats.cycles, stats.violations
         );
         return Ok(());
     }
 
     let fleet = Arc::new(Mutex::new(fleet));
 
-    // The wire-protocol ingest listener, if requested. Its drain thread
-    // polls the fleet, so the synthetic driver below stays optional.
+    // The wire-protocol ingest listener, if requested. Its connection
+    // threads apply their own batches, so the synthetic driver below
+    // stays optional.
     let ingest = match args.ingest {
         Some(port) => {
             let addr = format!("{}:{port}", args.bind);
@@ -476,10 +462,7 @@ fn run(args: Args) -> Result<(), ServerError> {
     if !ids.is_empty() {
         let fleet = Arc::clone(&fleet);
         std::thread::spawn(move || loop {
-            {
-                let mut fleet = fleet.lock().expect("fleet lock");
-                tick(&mut fleet, &ids, &mut synths);
-            }
+            tick(&fleet.lock().expect("fleet lock"), &ids, &mut synths);
             std::thread::sleep(std::time::Duration::from_millis(50));
         });
     }

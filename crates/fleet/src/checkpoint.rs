@@ -32,6 +32,11 @@
 //! session, so a restarted server can resume producers exactly where the
 //! checkpoint cut them (see DESIGN.md §13).
 //!
+//! Each shard record still opens with a `u64` rejected-batch count, from
+//! when a full shard queue refused batches. Nothing is refused any more:
+//! the word is written as 0 and ignored on restore, which keeps the
+//! layout and version byte unchanged.
+//!
 //! Streams carrying a fault injector are rejected with
 //! [`CheckpointError::Unsupported`]: injector RNG state is not
 //! serializable, and the wire path never attaches injectors.
@@ -45,7 +50,7 @@ use adassure_trace::binary::{put_header, Cur};
 
 use crate::fleet::{Fleet, FleetConfig, FleetState};
 use crate::guard::{GuardConfig, GuardState};
-use crate::shard::{DrainStats, ShardState, SlotState, StreamState};
+use crate::shard::{ShardState, ShardTotals, SlotState, StreamState};
 
 /// Magic bytes opening every checkpoint.
 pub const CKPT_MAGIC: &[u8; 6] = b"ADCKPT";
@@ -96,7 +101,7 @@ impl SessionSeed {
 
 use codec::{put_count, put_grid, put_histogram, put_u16_str};
 
-fn put_drain_stats(out: &mut Vec<u8>, s: &DrainStats) {
+fn put_totals(out: &mut Vec<u8>, s: &ShardTotals) {
     for v in [
         s.batches,
         s.samples,
@@ -136,15 +141,10 @@ pub(crate) fn encode(state: &FleetState, sessions: &[SessionSeedEntry]) -> Vec<u
     put_count(&mut out, retired.len());
     out.extend_from_slice(&retired);
     put_count(&mut out, state.shards.len());
-    for (shard, &rejected) in state.shards.iter().zip(
-        state
-            .rejected
-            .iter()
-            .chain(std::iter::repeat(&0))
-            .take(state.shards.len()),
-    ) {
-        out.extend_from_slice(&rejected.to_le_bytes());
-        put_drain_stats(&mut out, &shard.totals);
+    for shard in &state.shards {
+        // The retired per-shard rejected-batch count: always 0.
+        out.extend_from_slice(&0u64.to_le_bytes());
+        put_totals(&mut out, &shard.totals);
         out.extend_from_slice(&shard.cycle_counter.to_le_bytes());
         put_histogram(&mut out, &shard.cycle_ns);
         put_count(&mut out, shard.slots.len());
@@ -190,8 +190,8 @@ pub(crate) fn encode(state: &FleetState, sessions: &[SessionSeedEntry]) -> Vec<u
 // Decoding
 // ---------------------------------------------------------------------------
 
-fn read_drain_stats(c: &mut Cur<'_>) -> Result<DrainStats, CheckpointError> {
-    Ok(DrainStats {
+fn read_totals(c: &mut Cur<'_>) -> Result<ShardTotals, CheckpointError> {
+    Ok(ShardTotals {
         batches: c.u64("totals")?,
         samples: c.u64("totals")?,
         cycles: c.u64("totals")?,
@@ -250,10 +250,10 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FleetState, Vec<SessionSeedEntry>)
         .map_err(|e| c.bad(format!("retired metrics JSON: {e}")))?;
     let shard_count = c.count("shard count")?;
     let mut shards = Vec::with_capacity(shard_count);
-    let mut rejected = Vec::with_capacity(shard_count);
     for _ in 0..shard_count {
-        rejected.push(c.u64("rejected batches")?);
-        let totals = read_drain_stats(&mut c)?;
+        // The retired rejected-batch count, ignored (see the module docs).
+        c.u64("rejected batches")?;
+        let totals = read_totals(&mut c)?;
         let cycle_counter = c.u64("cycle counter")?;
         let cycle_ns = read_histogram(&mut c, "cycle histogram")?;
         let slot_count = c.count("slot count")?;
@@ -319,7 +319,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FleetState, Vec<SessionSeedEntry>)
             next_seq,
             closed_streams,
             retired,
-            rejected,
             shards,
         },
         sessions,
@@ -331,8 +330,8 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FleetState, Vec<SessionSeedEntry>)
 // ---------------------------------------------------------------------------
 
 impl Fleet {
-    /// Drains every queue, then serializes the fleet's complete state
-    /// into versioned checkpoint bytes. Restoring them with
+    /// Serializes the fleet's complete state into versioned checkpoint
+    /// bytes. Restoring them with
     /// [`Fleet::restore`] (same catalog, same config) and replaying the
     /// post-checkpoint batches yields bit-identical verdicts to an
     /// uninterrupted run.
@@ -341,7 +340,7 @@ impl Fleet {
     ///
     /// [`CheckpointError::Unsupported`] when a live stream carries a
     /// fault injector (its RNG state is not serializable).
-    pub fn checkpoint(&mut self) -> Result<Vec<u8>, CheckpointError> {
+    pub fn checkpoint(&self) -> Result<Vec<u8>, CheckpointError> {
         let state = self
             .capture_state()
             .map_err(|message| CheckpointError::Unsupported { message })?;
@@ -395,7 +394,6 @@ mod tests {
     use super::*;
     use crate::stream::SampleBatch;
     use adassure_core::{Condition, Severity, SignalExpr};
-    use adassure_exp::Runtime;
 
     fn catalog() -> Vec<Assertion> {
         vec![
@@ -423,7 +421,6 @@ mod tests {
     fn config() -> FleetConfig {
         FleetConfig {
             shards: 2,
-            runtime: Runtime::with_workers(1),
             ..FleetConfig::default()
         }
     }
@@ -454,17 +451,13 @@ mod tests {
             feed(&fleet, &ids, k);
             feed(&oracle, &oracle_ids, k);
         }
-        oracle.poll();
         let bytes = fleet.checkpoint().expect("checkpoint");
         drop(fleet);
-        let restored = Fleet::restore(catalog(), config(), &bytes).expect("restore");
-        let mut fleet = restored;
+        let mut fleet = Fleet::restore(catalog(), config(), &bytes).expect("restore");
         for k in 11..=20 {
             feed(&fleet, &ids, k);
             feed(&oracle, &oracle_ids, k);
         }
-        fleet.poll();
-        oracle.poll();
         for (&id, &oid) in ids.iter().zip(&oracle_ids) {
             let (report, _) = fleet.close_stream(id).unwrap();
             let (oreport, _) = oracle.close_stream(oid).unwrap();
@@ -516,7 +509,6 @@ mod tests {
             batch.push(0.1 * f64::from(k), "x", f64::from(k % 3));
             fleet.submit(batch).unwrap();
         }
-        fleet.poll();
         let bytes = fleet.checkpoint().unwrap();
         assert!(matches!(
             decode(b"NOTACKPT"),

@@ -1,19 +1,18 @@
-//! The fleet multiplexer: sharded stream slabs behind bounded ingestion
-//! queues, drained on the shared worker pool.
+//! The fleet multiplexer: sharded stream slabs, each behind its own lock.
+//! A submitted batch is applied to its stream's checker on the
+//! submitting thread before `submit` returns.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 
 use adassure_core::{Assertion, CheckReport, CheckerPlan, HealthConfig};
 use adassure_exp::Runtime;
 use adassure_obs::{Histogram, MetricsSnapshot};
 
-use crate::shard::{DrainStats, Shard, ShardState, StreamConfig, StreamError};
+use crate::shard::{Shard, ShardState, StreamConfig, StreamError};
 use crate::stream::{SampleBatch, StreamId};
 
-/// Plain-data snapshot of a whole fleet, captured between polls. The
-/// binary encoding lives in [`crate::checkpoint`].
+/// Plain-data snapshot of a whole fleet. The binary encoding lives in
+/// [`crate::checkpoint`].
 #[derive(Debug, Clone)]
 pub(crate) struct FleetState {
     /// Assertion ids of the plan the state was captured under, in catalog
@@ -23,24 +22,25 @@ pub(crate) struct FleetState {
     pub(crate) next_seq: u64,
     pub(crate) closed_streams: u64,
     pub(crate) retired: MetricsSnapshot,
-    pub(crate) rejected: Vec<u64>,
     pub(crate) shards: Vec<ShardState>,
 }
 
 /// Fleet construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
-    /// Number of shards. More shards = more drain parallelism and smaller
-    /// lock scopes; stream → shard assignment is round-robin by open
-    /// order, so any count yields the same per-stream results.
+    /// Number of shards. More shards = more submitters that can apply at
+    /// once and smaller lock scopes; stream → shard assignment is
+    /// round-robin by open order, so any count yields the same per-stream
+    /// results.
     pub shards: usize,
-    /// Per-shard ingestion queue capacity, in batches. A full queue
-    /// rejects [`Fleet::submit`] with [`SubmitError::Saturated`] — explicit
-    /// backpressure instead of unbounded buffering.
+    /// Unused: batches are applied on submit, so there is no queue. Kept
+    /// only because the benchmark compiles against it.
     pub queue_capacity: usize,
     /// Telemetry-health configuration for every stream's checker.
     pub health: HealthConfig,
-    /// Worker pool draining the shards ([`Runtime::global`] by default).
+    /// Unused: the fleet has no worker pool; parallelism comes from
+    /// concurrent submitters. Kept only because the benchmark compiles
+    /// against it.
     pub runtime: Runtime,
 }
 
@@ -56,16 +56,15 @@ impl Default for FleetConfig {
 }
 
 /// Typed rejection from [`Fleet::submit`] / [`FleetHandle::submit`]. The
-/// batch rides along so the producer can retry without cloning up front.
+/// batch rides along so the caller gets it back.
 #[derive(Debug)]
 pub enum SubmitError {
-    /// The target shard's queue is full. The shard's rejected-batch
-    /// counter has been bumped (observable via [`Fleet::stats`]); nothing
-    /// was buffered or dropped silently.
+    /// Never returned: submit applies the batch instead of queueing it.
+    /// Kept only because the benchmark compiles against it.
     Saturated {
-        /// The saturated shard.
+        /// The shard the batch addressed.
         shard: usize,
-        /// The rejected batch, returned for retry.
+        /// The batch.
         batch: SampleBatch,
     },
     /// The batch's stream id names a shard this fleet does not have.
@@ -73,20 +72,13 @@ pub enum SubmitError {
         /// The rejected batch.
         batch: SampleBatch,
     },
-    /// The shard's receiver is gone (the fleet was dropped).
-    Disconnected {
-        /// The rejected batch.
-        batch: SampleBatch,
-    },
 }
 
 impl SubmitError {
-    /// Recovers the rejected batch for retry.
+    /// Recovers the rejected batch.
     pub fn into_batch(self) -> SampleBatch {
         match self {
-            SubmitError::Saturated { batch, .. }
-            | SubmitError::UnknownShard { batch }
-            | SubmitError::Disconnected { batch } => batch,
+            SubmitError::Saturated { batch, .. } | SubmitError::UnknownShard { batch } => batch,
         }
     }
 }
@@ -100,7 +92,6 @@ impl std::fmt::Display for SubmitError {
             SubmitError::UnknownShard { batch } => {
                 write!(f, "stream addresses unknown shard {}", batch.stream.shard())
             }
-            SubmitError::Disconnected { .. } => write!(f, "fleet is gone"),
         }
     }
 }
@@ -109,42 +100,30 @@ impl std::fmt::Display for SubmitError {
 /// fleet (and without its lock). One handle per producer thread.
 #[derive(Debug, Clone)]
 pub struct FleetHandle {
-    txs: Vec<SyncSender<SampleBatch>>,
-    rejected: Vec<Arc<AtomicU64>>,
+    shards: Arc<[Mutex<Shard>]>,
 }
 
 impl FleetHandle {
-    /// Queues `batch` on its stream's shard.
+    /// Applies `batch` to its stream's checker under that shard's lock,
+    /// and returns once it is applied. A batch for a closed stream is
+    /// counted stale and dropped.
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Saturated`] when the shard queue is full (the batch
-    /// is returned; the rejection is counted), [`SubmitError::UnknownShard`]
-    /// for a foreign [`StreamId`].
+    /// [`SubmitError::UnknownShard`] for a foreign [`StreamId`].
     pub fn submit(&self, batch: SampleBatch) -> Result<(), SubmitError> {
-        submit(&self.txs, &self.rejected, batch)
+        submit(&self.shards, batch)
     }
 }
 
 /// The one submit path behind [`Fleet::submit`] and
 /// [`FleetHandle::submit`].
-fn submit(
-    txs: &[SyncSender<SampleBatch>],
-    rejected: &[Arc<AtomicU64>],
-    batch: SampleBatch,
-) -> Result<(), SubmitError> {
-    let shard = batch.stream.shard();
-    let Some(tx) = txs.get(shard) else {
+fn submit(shards: &[Mutex<Shard>], batch: SampleBatch) -> Result<(), SubmitError> {
+    let Some(shard) = shards.get(batch.stream.shard()) else {
         return Err(SubmitError::UnknownShard { batch });
     };
-    match tx.try_send(batch) {
-        Ok(()) => Ok(()),
-        Err(TrySendError::Full(batch)) => {
-            rejected[shard].fetch_add(1, Ordering::Relaxed);
-            Err(SubmitError::Saturated { shard, batch })
-        }
-        Err(TrySendError::Disconnected(batch)) => Err(SubmitError::Disconnected { batch }),
-    }
+    shard.lock().expect("shard lock poisoned").apply(&batch);
+    Ok(())
 }
 
 /// Aggregate counters over the fleet's lifetime.
@@ -154,9 +133,10 @@ pub struct FleetStats {
     pub open_streams: u64,
     /// Streams closed so far.
     pub closed_streams: u64,
-    /// Batches rejected with [`SubmitError::Saturated`].
+    /// Always 0: nothing is ever refused for load. Kept only because the
+    /// benchmark reports it.
     pub rejected_batches: u64,
-    /// Batches consumed from the queues.
+    /// Batches applied.
     pub batches: u64,
     /// Samples offered to checkers.
     pub samples: u64,
@@ -170,9 +150,6 @@ pub struct FleetStats {
     /// never silent).
     pub stale_batches: u64,
 }
-
-/// Per-[`Fleet::poll`] progress counters.
-pub type PollStats = DrainStats;
 
 /// A sharded multi-stream monitor over one compiled assertion catalog.
 ///
@@ -192,9 +169,8 @@ pub type PollStats = DrainStats;
 /// batch.push(0.1, "x", 0.5);
 /// batch.push(0.2, "x", 2.0);
 /// fleet.submit(batch).unwrap();
-/// let polled = fleet.poll();
-/// assert_eq!(polled.cycles, 2);
-/// assert_eq!(polled.violations, 1);
+/// assert_eq!(fleet.stats().cycles, 2);
+/// assert_eq!(fleet.stats().violations, 1);
 /// let (report, _metrics) = fleet.close_stream(id).unwrap();
 /// assert_eq!(report.violations.len(), 1);
 /// ```
@@ -202,10 +178,7 @@ pub type PollStats = DrainStats;
 pub struct Fleet {
     plan: Arc<CheckerPlan>,
     health: HealthConfig,
-    runtime: Runtime,
-    shards: Vec<Mutex<Shard>>,
-    txs: Vec<SyncSender<SampleBatch>>,
-    rejected: Vec<Arc<AtomicU64>>,
+    shards: Arc<[Mutex<Shard>]>,
     /// Snapshots of closed streams, merged eagerly in close order (an
     /// order the caller controls, hence shard-count independent).
     retired: MetricsSnapshot,
@@ -222,24 +195,13 @@ impl Fleet {
     /// Builds a fleet over an already-compiled plan (shareable with other
     /// fleets or serial checkers).
     pub fn with_plan(plan: Arc<CheckerPlan>, config: FleetConfig) -> Self {
-        let shard_count = config.shards.max(1);
-        let capacity = config.queue_capacity.max(1);
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut txs = Vec::with_capacity(shard_count);
-        let mut rejected = Vec::with_capacity(shard_count);
-        for index in 0..shard_count {
-            let (tx, rx) = sync_channel(capacity);
-            shards.push(Mutex::new(Shard::new(index as u32, rx)));
-            txs.push(tx);
-            rejected.push(Arc::new(AtomicU64::new(0)));
-        }
+        let shards = (0..config.shards.max(1) as u32)
+            .map(|index| Mutex::new(Shard::new(index)))
+            .collect();
         Fleet {
             plan,
             health: config.health,
-            runtime: config.runtime,
             shards,
-            txs,
-            rejected,
             retired: MetricsSnapshot::empty(),
             closed_streams: 0,
             next_seq: 0,
@@ -277,35 +239,23 @@ impl Fleet {
     /// A clonable producer handle (see [`FleetHandle`]).
     pub fn handle(&self) -> FleetHandle {
         FleetHandle {
-            txs: self.txs.clone(),
-            rejected: self.rejected.clone(),
+            shards: Arc::clone(&self.shards),
         }
     }
 
-    /// Queues `batch` on its stream's shard — see [`FleetHandle::submit`].
+    /// Applies `batch` to its stream's checker — see
+    /// [`FleetHandle::submit`].
     pub fn submit(&self, batch: SampleBatch) -> Result<(), SubmitError> {
-        submit(&self.txs, &self.rejected, batch)
+        submit(&self.shards, batch)
     }
 
-    /// Drains every shard's queue on the worker pool and returns this
-    /// poll's aggregate progress. Deterministic: each stream's cycles
-    /// depend only on its own batch order, never on which worker drained
-    /// the shard.
-    pub fn poll(&self) -> PollStats {
-        let indices: Vec<usize> = (0..self.shards.len()).collect();
-        let deltas = self.runtime.map(&indices, |&i| {
-            self.shards[i].lock().expect("shard lock poisoned").drain()
-        });
-        let mut total = DrainStats::default();
-        for delta in &deltas {
-            total.merge(delta);
-        }
-        total
-    }
+    /// Does nothing: [`Fleet::submit`] has already applied every batch.
+    /// Kept only because the benchmark compiles against it.
+    pub fn poll(&self) {}
 
-    /// Closes a stream: drains its shard (so queued batches are applied,
-    /// not lost), finalises the checker at the last cycle's timestamp, and
-    /// retires the stream's metrics into the fleet accumulator.
+    /// Closes a stream: finalises the checker at the last cycle's
+    /// timestamp and retires the stream's metrics into the fleet
+    /// accumulator.
     ///
     /// # Errors
     ///
@@ -314,14 +264,13 @@ impl Fleet {
         &mut self,
         id: StreamId,
     ) -> Result<(CheckReport, MetricsSnapshot), StreamError> {
-        let shard = self
+        let (report, snapshot) = self
             .shards
             .get(id.shard())
-            .ok_or(StreamError::UnknownSlot)?;
-        let mut shard = shard.lock().expect("shard lock poisoned");
-        shard.drain();
-        let (report, snapshot) = shard.close(id)?;
-        drop(shard);
+            .ok_or(StreamError::UnknownSlot)?
+            .lock()
+            .expect("shard lock poisoned")
+            .close(id)?;
         self.retired.merge(&snapshot);
         self.closed_streams += 1;
         Ok((report, snapshot))
@@ -334,7 +283,7 @@ impl Fleet {
     /// sharded-vs-serial differential test.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut live: Vec<(u64, MetricsSnapshot)> = Vec::new();
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             shard
                 .lock()
                 .expect("shard lock poisoned")
@@ -349,13 +298,13 @@ impl Fleet {
         out
     }
 
-    /// Aggregate lifetime counters (streams, batches, rejections, drops).
+    /// Aggregate lifetime counters (streams, batches, cycles, drops).
     pub fn stats(&self) -> FleetStats {
         let mut stats = FleetStats {
             closed_streams: self.closed_streams,
             ..FleetStats::default()
         };
-        for (shard, rejected) in self.shards.iter().zip(&self.rejected) {
+        for shard in self.shards.iter() {
             let shard = shard.lock().expect("shard lock poisoned");
             let totals = shard.totals();
             stats.open_streams += shard.live() as u64;
@@ -365,20 +314,19 @@ impl Fleet {
             stats.violations += totals.violations;
             stats.bad_cycles += totals.bad_cycles;
             stats.stale_batches += totals.stale_batches;
-            stats.rejected_batches += rejected.load(Ordering::Relaxed);
         }
         stats
     }
 
-    /// Drains every queue, then captures the fleet's complete state as
-    /// plain data: slab layouts, checker and guardian states, merged
-    /// retired metrics, and the stream-sequence counter. Together with the
-    /// plan this determines every future verdict, which is what makes
-    /// checkpoint/restore bit-identical (see [`crate::checkpoint`]).
-    pub(crate) fn capture_state(&mut self) -> Result<FleetState, String> {
-        self.poll();
+    /// Captures the fleet's complete state as plain data: slab layouts,
+    /// checker and guardian states, merged retired metrics, and the
+    /// stream-sequence counter. Together with the plan this determines
+    /// every future verdict, which is what makes checkpoint/restore
+    /// bit-identical (see [`crate::checkpoint`]). Every batch whose
+    /// `submit` has returned is in it.
+    pub(crate) fn capture_state(&self) -> Result<FleetState, String> {
         let mut shards = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             shards.push(shard.lock().expect("shard lock poisoned").save_state()?);
         }
         Ok(FleetState {
@@ -392,11 +340,6 @@ impl Fleet {
             next_seq: self.next_seq,
             closed_streams: self.closed_streams,
             retired: self.retired.clone(),
-            rejected: self
-                .rejected
-                .iter()
-                .map(|r| r.load(Ordering::Relaxed))
-                .collect(),
             shards,
         })
     }
@@ -444,9 +387,6 @@ impl Fleet {
                 fleet.health,
             )?;
         }
-        for (counter, value) in fleet.rejected.iter().zip(&state.rejected) {
-            counter.store(*value, Ordering::Relaxed);
-        }
         fleet.next_seq = state.next_seq;
         fleet.closed_streams = state.closed_streams;
         fleet.retired = state.retired;
@@ -458,7 +398,7 @@ impl Fleet {
     /// snapshot comparison.
     pub fn cycle_latency(&self) -> Histogram {
         let mut out = Histogram::nanos();
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             out.merge(shard.lock().expect("shard lock poisoned").cycle_ns());
         }
         out

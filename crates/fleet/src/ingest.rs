@@ -1,28 +1,27 @@
 //! Network ingestion: the connection-per-producer server loop feeding the
 //! sharded fleet, and the reusable client-side producer.
 //!
-//! The server accepts TCP or Unix-domain connections, runs the
+//! The server accepts TCP or Unix-domain connections and runs the
 //! [`crate::wire`] protocol on each (one thread per producer — plain
-//! `std::net`, no async runtime), decodes frames into the fleet's
-//! bounded shard queues through a lock-free [`crate::FleetHandle`], and
-//! drains the shards on a dedicated thread. Nothing is silently
-//! dropped: every refused frame is a typed [`NackReason`] and is counted
-//! in [`IngestStats`].
+//! `std::net`, no async runtime). A connection thread applies each
+//! decoded batch itself, through a [`crate::FleetHandle`] that takes only
+//! the batch's shard lock, and acknowledges it once it is applied.
+//! Nothing is silently dropped: every refused frame is a typed
+//! [`NackReason`] and is counted in [`IngestStats`].
 //!
-//! # Ordering under backpressure (stall, never refuse)
+//! # Ordering and flow control
 //!
 //! Per-stream batch order is what the checker's determinism rests on, so
 //! the connection enforces a sequence discipline: every post-handshake
 //! frame carries a `u64` sequence number, and the server applies frames
 //! strictly in that order. A frame out of sequence can only come from a
 //! broken client: it is answered [`NackReason::Malformed`] and the
-//! connection closes. A full shard queue is *not* refused. The
-//! connection thread stalls on it, draining the fleet itself until the
-//! batch fits, and only then advances the expected sequence. The frames
-//! behind the stalled one wait in the socket, so TCP's own window is the
-//! flow control and nothing is ever re-sent. The result is exactly-once,
-//! in-order application of every batch, which is what makes wire-path
-//! output bit-identical to in-process submission (pinned by
+//! connection closes. Nothing is refused for load. A connection thread
+//! that is busy checking does not read its socket, so the frames behind
+//! the current one wait there: TCP's own window is the flow control and
+//! nothing is ever re-sent. The result is exactly-once, in-order
+//! application of every batch, which is what makes wire-path output
+//! bit-identical to in-process submission (pinned by
 //! `tests/ingest_differential.rs`).
 //!
 //! # Sessions and crash recovery
@@ -56,7 +55,7 @@ use std::time::{Duration, Instant};
 use adassure_obs::Histogram;
 
 use crate::checkpoint::{self, CheckpointError, SessionSeed, SessionSeedEntry};
-use crate::fleet::{Fleet, FleetHandle, SubmitError};
+use crate::fleet::{Fleet, FleetHandle};
 use crate::shard::StreamError;
 use crate::stream::{SampleBatch, StreamId};
 use crate::wire::{
@@ -71,6 +70,10 @@ const DECODE_TIMING_MASK: u64 = 7;
 
 /// Retry hint (µs) carried by [`NackReason::ConnectionLimit`] nacks.
 const RETRY_AFTER_US: u32 = 100;
+
+/// How long a connection thread blocks in `read` before it checks the
+/// stop flag again.
+const CONN_READ_TIMEOUT: Duration = Duration::from_millis(20);
 
 /// Ingest server tuning.
 #[derive(Debug, Clone, Copy)]
@@ -394,6 +397,7 @@ impl SessionTable {
 #[derive(Debug)]
 struct ConnShared {
     fleet: Arc<Mutex<Fleet>>,
+    handle: FleetHandle,
     stats: Arc<IngestStats>,
     stop: Arc<AtomicBool>,
     sessions: Arc<SessionTable>,
@@ -405,11 +409,13 @@ struct ConnShared {
 /// lifetime so a periodic thread can snapshot while the server serves.
 ///
 /// Capture holds the session gate exclusively (stalling windowed-frame
-/// handling for the duration of the in-memory copy), drains the fleet,
-/// and serializes fleet plus session state; the file write happens
-/// outside the gate, atomically (`.tmp` + rename), and only *after* the
-/// rename do the sessions' durable sequences advance — so a `durable_seq`
-/// a producer ever sees is always backed by a fully written file.
+/// handling for the duration of the in-memory copy) and serializes fleet
+/// plus session state. Every acknowledged batch was applied before its
+/// frame released the gate, so the image holds all of them. The file write
+/// happens outside the gate, atomically (`.tmp` + rename), and only
+/// *after* the rename do the sessions' durable sequences advance — so a
+/// `durable_seq` a producer ever sees is always backed by a fully
+/// written file.
 #[derive(Debug, Clone)]
 pub struct Checkpointer {
     fleet: Arc<Mutex<Fleet>>,
@@ -466,21 +472,20 @@ impl Checkpointer {
     }
 }
 
-/// The ingest server: accept loop, one protocol thread per producer
-/// connection, and a drain thread turning queued batches into checker
-/// cycles.
+/// The ingest server: an accept loop and one protocol thread per
+/// producer connection, which applies that producer's batches.
 ///
 /// The fleet is shared (`Arc<Mutex<Fleet>>`) so a metrics endpoint — or
 /// the embedding `monitor-server` — can serve exporter snapshots from
-/// the same instance the wire path feeds. Batches themselves bypass the
-/// mutex entirely via [`FleetHandle`]; the lock is only taken for
-/// opens, closes, metrics reads and shard drains.
+/// the same instance the wire path feeds. Batches bypass the mutex
+/// entirely via [`FleetHandle`]; the lock is only taken for opens,
+/// closes, metrics reads and checkpoints.
 #[derive(Debug)]
 pub struct IngestServer {
     fleet: Arc<Mutex<Fleet>>,
     stats: Arc<IngestStats>,
     stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    accept: JoinHandle<()>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     sessions: Arc<SessionTable>,
     io_lock: Arc<Mutex<()>>,
@@ -489,7 +494,10 @@ pub struct IngestServer {
 
 impl IngestServer {
     /// Starts serving `listener` against `fleet`. Returns immediately;
-    /// accept/drain threads run until [`IngestServer::shutdown`].
+    /// the accept and connection threads run until
+    /// [`IngestServer::shutdown`]. The `Mutex` around the fleet guards
+    /// only opens, closes, metrics and checkpoints; batches take their
+    /// shard's lock alone.
     ///
     /// # Errors
     ///
@@ -546,8 +554,10 @@ impl IngestServer {
             #[cfg(unix)]
             IngestListener::Unix(_) => None,
         };
+        let handle = fleet.lock().expect("fleet lock").handle();
         let shared = Arc::new(ConnShared {
             fleet: Arc::clone(&fleet),
+            handle,
             stats: Arc::clone(&stats),
             stop: Arc::clone(&stop),
             sessions: Arc::clone(&sessions),
@@ -555,37 +565,45 @@ impl IngestServer {
             config,
         });
 
-        let mut threads = Vec::new();
-        {
-            let shared = Arc::clone(&shared);
-            let conn_threads = Arc::clone(&conn_threads);
-            match listener {
-                IngestListener::Tcp(l) => {
-                    l.set_nonblocking(true)?;
-                    threads.push(std::thread::spawn(move || {
-                        accept_tcp(&l, &shared, &conn_threads);
-                    }));
-                }
-                #[cfg(unix)]
-                IngestListener::Unix(l) => {
-                    l.set_nonblocking(true)?;
-                    threads.push(std::thread::spawn(move || {
-                        accept_unix(&l, &shared, &conn_threads);
-                    }));
-                }
+        let threads = Arc::clone(&conn_threads);
+        let accept = match listener {
+            IngestListener::Tcp(l) => {
+                l.set_nonblocking(true)?;
+                std::thread::spawn(move || {
+                    accept_loop(
+                        || {
+                            let (conn, _) = l.accept()?;
+                            let _ = conn.set_nodelay(true);
+                            let _ = conn.set_read_timeout(Some(CONN_READ_TIMEOUT));
+                            Ok(conn)
+                        },
+                        &shared,
+                        &threads,
+                    );
+                })
             }
-        }
-        {
-            let fleet = Arc::clone(&fleet);
-            let stop = Arc::clone(&stop);
-            threads.push(std::thread::spawn(move || drain_loop(&fleet, &stop)));
-        }
+            #[cfg(unix)]
+            IngestListener::Unix(l) => {
+                l.set_nonblocking(true)?;
+                std::thread::spawn(move || {
+                    accept_loop(
+                        || {
+                            let (conn, _) = l.accept()?;
+                            let _ = conn.set_read_timeout(Some(CONN_READ_TIMEOUT));
+                            Ok(conn)
+                        },
+                        &shared,
+                        &threads,
+                    );
+                })
+            }
+        };
 
         Ok(IngestServer {
             fleet,
             stats,
             stop,
-            threads,
+            accept,
             conn_threads,
             sessions,
             io_lock: Arc::new(Mutex::new(())),
@@ -599,7 +617,8 @@ impl IngestServer {
         self.local_addr
     }
 
-    /// The shared fleet this server feeds.
+    /// The shared fleet this server feeds. Its `Mutex` is not taken by
+    /// batches, only by opens, closes, metrics and checkpoints.
     pub fn fleet(&self) -> &Arc<Mutex<Fleet>> {
         &self.fleet
     }
@@ -630,14 +649,12 @@ impl IngestServer {
         self.checkpointer().checkpoint_to(path)
     }
 
-    /// Stops accepting, waits for every connection and drain thread, and
-    /// returns the final counters. Queued batches are drained before the
-    /// drain thread exits.
-    pub fn shutdown(mut self) -> IngestStatsSnapshot {
+    /// Stops accepting, waits for every connection thread, and returns
+    /// the final counters. Every acknowledged batch has already been
+    /// applied.
+    pub fn shutdown(self) -> IngestStatsSnapshot {
         self.stop.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        let _ = self.accept.join();
         let conns: Vec<_> = self
             .conn_threads
             .lock()
@@ -647,31 +664,15 @@ impl IngestServer {
         for t in conns {
             let _ = t.join();
         }
-        // One final drain so nothing submitted in the last instants of a
-        // connection is left queued.
-        self.fleet.lock().expect("fleet lock").poll();
         self.stats.snapshot()
     }
 
-    /// Abrupt stop for crash drills: tears the threads down without the
-    /// final drain, abandoning whatever post-checkpoint progress was in
-    /// flight — exactly what a process kill would lose. The fleet behind
-    /// the server should be discarded and rebuilt from the last
-    /// checkpoint.
-    pub fn kill(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        let conns: Vec<_> = self
-            .conn_threads
-            .lock()
-            .expect("conn thread list lock")
-            .drain(..)
-            .collect();
-        for t in conns {
-            let _ = t.join();
-        }
+    /// Stop for crash drills. The teardown is [`IngestServer::shutdown`]'s;
+    /// what makes it a drill is that the caller then discards the fleet
+    /// and rebuilds it from the last checkpoint, losing every
+    /// post-checkpoint batch as a process kill would.
+    pub fn kill(self) {
+        self.shutdown();
     }
 }
 
@@ -709,42 +710,17 @@ fn over_limit(shared: &ConnShared) -> bool {
         && shared.live_conns.load(Ordering::Relaxed) >= shared.config.max_connections
 }
 
-fn accept_tcp(
-    listener: &TcpListener,
+/// Accepts connections until the server stops. `accept` yields one
+/// configured connection, or `WouldBlock` when none is pending.
+fn accept_loop<C: Read + Write + Send + 'static>(
+    mut accept: impl FnMut() -> std::io::Result<C>,
     shared: &Arc<ConnShared>,
     conn_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
     while !shared.stop.load(Ordering::SeqCst) {
         reap_finished(conn_threads);
-        match listener.accept() {
-            Ok((conn, _)) => {
-                let _ = conn.set_nodelay(true);
-                let _ = conn.set_read_timeout(Some(Duration::from_millis(20)));
-                if over_limit(shared) {
-                    reject_over_limit(conn, shared);
-                } else {
-                    spawn_conn(conn, shared, conn_threads);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-#[cfg(unix)]
-fn accept_unix(
-    listener: &UnixListener,
-    shared: &Arc<ConnShared>,
-    conn_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        reap_finished(conn_threads);
-        match listener.accept() {
-            Ok((conn, _)) => {
-                let _ = conn.set_read_timeout(Some(Duration::from_millis(20)));
+        match accept() {
+            Ok(conn) => {
                 if over_limit(shared) {
                     reject_over_limit(conn, shared);
                 } else {
@@ -777,20 +753,6 @@ fn spawn_conn<C: Read + Write + Send + 'static>(
         .push(handle);
 }
 
-fn drain_loop(fleet: &Arc<Mutex<Fleet>>, stop: &Arc<AtomicBool>) {
-    loop {
-        let polled = fleet.lock().expect("fleet lock").poll();
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        if polled.batches == 0 {
-            std::thread::sleep(Duration::from_micros(100));
-        }
-    }
-    // Final sweep after stop so late submissions still get checked.
-    fleet.lock().expect("fleet lock").poll();
-}
-
 /// Connection handshake progression: bare/new-session hello goes
 /// straight to `Ready`; a session-bearing hello must `Resume` first.
 #[derive(Debug, PartialEq, Eq)]
@@ -814,7 +776,6 @@ enum Step {
 }
 
 fn serve_conn<C: Read + Write>(mut conn: C, shared: &ConnShared) {
-    let handle = shared.fleet.lock().expect("fleet lock").handle();
     let stats = &shared.stats;
     let mut decoder = FrameDecoder::new(shared.config.max_frame_len);
     let mut state = Conn {
@@ -865,7 +826,7 @@ fn serve_conn<C: Read + Write>(mut conn: C, shared: &ConnShared) {
                     }
                     state.frame_counter += 1;
                     stats.frames.fetch_add(1, Ordering::Relaxed);
-                    match handle_frame(frame, &mut state, shared, &handle, &mut out) {
+                    match handle_frame(frame, &mut state, shared, &mut out) {
                         Step::Continue => {}
                         Step::Close => {
                             let _ = conn.write_all(&out);
@@ -901,13 +862,7 @@ fn serve_conn<C: Read + Write>(mut conn: C, shared: &ConnShared) {
     }
 }
 
-fn handle_frame(
-    frame: Frame,
-    state: &mut Conn,
-    shared: &ConnShared,
-    handle: &FleetHandle,
-    out: &mut Vec<u8>,
-) -> Step {
+fn handle_frame(frame: Frame, state: &mut Conn, shared: &ConnShared, out: &mut Vec<u8>) -> Step {
     let stats = &shared.stats;
     match frame {
         Frame::Hello { version, session } => {
@@ -1008,7 +963,7 @@ fn handle_frame(
             let entry = state.entry.clone().expect("attached when Ready");
             let _gate = shared.sessions.gate.read().expect("checkpoint gate");
             let mut e = entry.lock().expect("session lock");
-            handle_windowed(windowed, &mut e, shared, handle, out)
+            handle_windowed(windowed, &mut e, shared, out)
         }
     }
 }
@@ -1022,7 +977,6 @@ fn handle_windowed(
     frame: Frame,
     e: &mut SessionEntry,
     shared: &ConnShared,
-    handle: &FleetHandle,
     out: &mut Vec<u8>,
 ) -> Step {
     let stats = &shared.stats;
@@ -1052,23 +1006,10 @@ fn handle_windowed(
             stats.opens.fetch_add(1, Ordering::Relaxed);
             encode_ack(out, seq, &AckBody::StreamOpened { stream });
         }
-        Frame::SampleBatch { mut batch, .. } => {
+        Frame::SampleBatch { batch, .. } => {
             let samples = batch.samples.len() as u64;
-            let submitted = loop {
-                match handle.submit(batch) {
-                    // Stall, never refuse: drain the fleet from this
-                    // thread and retry. Gate → session → fleet is the lock
-                    // order opens, closes and metrics already use, and
-                    // draining here means the stall ends even after the
-                    // drain thread has stopped.
-                    Err(SubmitError::Saturated { batch: back, .. }) => {
-                        shared.fleet.lock().expect("fleet lock").poll();
-                        batch = back;
-                    }
-                    other => break other,
-                }
-            };
-            match submitted {
+            // Applied here, under gate → session → shard, before the ack.
+            match shared.handle.submit(batch) {
                 Ok(()) => {
                     stats.batches.fetch_add(1, Ordering::Relaxed);
                     stats.samples.fetch_add(samples, Ordering::Relaxed);
@@ -1080,14 +1021,10 @@ fn handle_windowed(
                         },
                     );
                 }
-                Err(SubmitError::UnknownShard { .. }) => {
+                // `UnknownShard` is the only error submit returns.
+                Err(_) => {
                     stats.rejected_unknown_shard.fetch_add(1, Ordering::Relaxed);
                     encode_nack(out, seq, NackReason::UnknownShard, 0);
-                }
-                // `Disconnected`: the fleet is gone.
-                Err(_) => {
-                    encode_nack(out, seq, NackReason::ShuttingDown, 0);
-                    return Step::Close;
                 }
             }
         }

@@ -8,21 +8,20 @@
 //!   timestamped [`SampleBatch`]es (a cycle is a run of equal timestamps);
 //! - [`shard`] owns stream state in generational slabs — per-stream
 //!   checker (stamped from one shared [`adassure_core::CheckerPlan`]),
-//!   optional telemetry-fault injector, optional guardian — and drains
-//!   queued batches into checker cycles;
-//! - [`fleet`] wires shards behind bounded ingestion queues with explicit
-//!   backpressure ([`SubmitError::Saturated`] returns the batch; every
-//!   rejection and stale drop is counted) and drains them in parallel on
-//!   the worker pool shared with the campaign engine
-//!   ([`adassure_exp::Runtime`]);
+//!   optional telemetry-fault injector, optional guardian — and applies
+//!   each sample batch as checker cycles;
+//! - [`fleet`] puts each shard behind its own lock; [`Fleet::submit`] and
+//!   [`FleetHandle::submit`] apply a batch on the calling thread before
+//!   they return (stale drops are counted, never silent), so parallelism
+//!   comes from concurrent submitters;
 //! - [`guard`] is the lightweight per-stream guardian (nominal → degraded
 //!   → safe-stop with confirmation and hysteresis);
 //! - [`wire`] is the versioned, little-endian, length-prefixed binary
 //!   ingest protocol (validating streaming decoder, typed nack reasons);
 //! - [`ingest`] runs that protocol: a connection-per-producer TCP/UDS
-//!   server feeding the shard queues (a full queue stalls its
-//!   connection, it is never refused), and the windowed client-side
-//!   [`IngestProducer`];
+//!   server whose connection threads apply their batches themselves (a
+//!   busy connection stops reading its socket, so TCP's window is the flow
+//!   control), and the windowed client-side [`IngestProducer`];
 //! - [`checkpoint`] snapshots the whole fleet — per-stream checker
 //!   state, guardians, health, session sequences — into a versioned
 //!   binary image a restarted server restores bit-identically;
@@ -35,9 +34,10 @@
 //! # Determinism
 //!
 //! Sharded output is bit-identical to running each stream on its own
-//! serial checker, for any shard and worker count: a stream's verdicts
-//! depend only on its own in-order batch sequence (streams never share
-//! mutable state), and fleet-wide metrics merge per-stream snapshots in
+//! serial checker, for any shard count and any number of concurrent
+//! submitters: a stream's verdicts depend only on its own in-order batch
+//! sequence (streams never share mutable state), and fleet-wide metrics
+//! merge per-stream snapshots in
 //! open/close order — orders the *caller* controls — using the
 //! associative, order-insensitive [`adassure_obs::MetricsSnapshot::merge`].
 //! The `fleet_differential` integration test pins this against the serial
@@ -58,14 +58,14 @@ pub mod wire;
 
 pub use chaos::{ChaosConfig, ChaosTransport, Severable};
 pub use checkpoint::{restore_server, CheckpointError, SessionSeed};
-pub use fleet::{Fleet, FleetConfig, FleetHandle, FleetStats, PollStats, SubmitError};
+pub use fleet::{Fleet, FleetConfig, FleetHandle, FleetStats, SubmitError};
 pub use guard::{GuardConfig, GuardState, StreamGuard};
 pub use ingest::{
     Checkpointer, IngestConfig, IngestListener, IngestProducer, IngestServer, IngestStats,
     IngestStatsSnapshot, ProducerConfig, ProducerError, ProducerStats, RecoveryState,
 };
 pub use resilient::{ReconnectPolicy, ResilientError, ResilientProducer, Transport};
-pub use shard::{DrainStats, StreamConfig, StreamError};
+pub use shard::{StreamConfig, StreamError};
 pub use stream::{Sample, SampleBatch, StreamId};
 pub use wire::{FrameDecoder, NackReason, WireError};
 
@@ -86,41 +86,48 @@ mod tests {
         )]
     }
 
-    fn config(shards: usize, queue: usize) -> FleetConfig {
+    fn config(shards: usize) -> FleetConfig {
         FleetConfig {
             shards,
-            queue_capacity: queue,
             ..FleetConfig::default()
         }
     }
 
     #[test]
-    fn saturation_is_typed_and_counted() {
-        let mut fleet = Fleet::new(catalog(), config(1, 2));
+    fn submit_applies_before_returning() {
+        let mut fleet = Fleet::new(catalog(), config(2));
         let id = fleet.open_stream();
-        let batch = |t: f64| {
+        let handle = fleet.handle();
+        for k in 1..=3u32 {
+            let excursion = if k == 1 { 2.0 } else { 0.0 };
             let mut b = SampleBatch::new(id);
-            b.push(t, "x", 0.0);
-            b
-        };
-        fleet.submit(batch(0.1)).unwrap();
-        fleet.submit(batch(0.2)).unwrap();
-        let err = fleet.submit(batch(0.3)).unwrap_err();
-        let recovered = match err {
-            SubmitError::Saturated { shard: 0, batch } => batch,
-            other => panic!("expected saturation, got {other:?}"),
-        };
-        assert_eq!(fleet.stats().rejected_batches, 1);
-        // Drain and retry: nothing was lost.
-        assert_eq!(fleet.poll().cycles, 2);
-        fleet.submit(recovered).unwrap();
-        assert_eq!(fleet.poll().cycles, 1);
-        assert_eq!(fleet.stats().cycles, 3);
+            b.push(0.1 * f64::from(k), "x", excursion);
+            b.push(0.1 * f64::from(k) + 0.05, "x", 0.0);
+            handle.submit(b).unwrap();
+            let stats = fleet.stats();
+            assert_eq!(stats.batches, u64::from(k));
+            assert_eq!(
+                stats.cycles,
+                2 * u64::from(k),
+                "batch {k} applied on submit"
+            );
+            assert_eq!(stats.violations, 1, "raised by the first batch's excursion");
+        }
+        let foreign = SampleBatch::new(StreamId {
+            shard: 9,
+            slot: 0,
+            gen: 0,
+        });
+        assert!(matches!(
+            handle.submit(foreign),
+            Err(SubmitError::UnknownShard { .. })
+        ));
+        assert_eq!(fleet.stats().rejected_batches, 0);
     }
 
     #[test]
     fn stale_generation_batches_are_counted_not_applied() {
-        let mut fleet = Fleet::new(catalog(), config(1, 8));
+        let mut fleet = Fleet::new(catalog(), config(1));
         let old = fleet.open_stream();
         fleet.close_stream(old).unwrap();
         let new = fleet.open_stream();
@@ -131,9 +138,9 @@ mod tests {
         let mut stale = SampleBatch::new(old);
         stale.push(0.1, "x", 5.0);
         fleet.submit(stale).unwrap();
-        let polled = fleet.poll();
-        assert_eq!(polled.stale_batches, 1);
-        assert_eq!(polled.cycles, 0, "stale batch never reaches a checker");
+        let stats = fleet.stats();
+        assert_eq!(stats.stale_batches, 1);
+        assert_eq!(stats.cycles, 0, "stale batch never reaches a checker");
         assert!(fleet.close_stream(old).is_err(), "double close is stale");
         let (report, _) = fleet.close_stream(new).unwrap();
         assert!(report.is_clean());
@@ -141,26 +148,25 @@ mod tests {
 
     #[test]
     fn bad_timestamps_are_counted_and_skipped() {
-        let mut fleet = Fleet::new(catalog(), config(2, 8));
+        let mut fleet = Fleet::new(catalog(), config(2));
         let id = fleet.open_stream();
         let mut b = SampleBatch::new(id);
         b.push(0.2, "x", 0.0);
         fleet.submit(b).unwrap();
-        fleet.poll();
         let mut b = SampleBatch::new(id);
         b.push(0.1, "x", 9.0); // non-monotone: rejected, not evaluated
         b.push(0.3, "x", 0.0);
         fleet.submit(b).unwrap();
-        let polled = fleet.poll();
-        assert_eq!(polled.bad_cycles, 1);
-        assert_eq!(polled.cycles, 1);
+        let stats = fleet.stats();
+        assert_eq!(stats.bad_cycles, 1);
+        assert_eq!(stats.cycles, 2);
         let (report, _) = fleet.close_stream(id).unwrap();
         assert!(report.is_clean(), "the rejected excursion never fired");
     }
 
     #[test]
     fn metrics_merge_all_streams_live_and_retired() {
-        let mut fleet = Fleet::new(catalog(), config(3, 8));
+        let mut fleet = Fleet::new(catalog(), config(3));
         let a = fleet.open_stream();
         let b = fleet.open_stream();
         for (id, v) in [(a, 0.5), (b, 2.0)] {
@@ -169,7 +175,6 @@ mod tests {
             batch.push(0.2, "x", v);
             fleet.submit(batch).unwrap();
         }
-        fleet.poll();
         let live = fleet.metrics();
         assert_eq!(live.cycles, 4);
         fleet.close_stream(a).unwrap();
@@ -180,7 +185,7 @@ mod tests {
 
     #[test]
     fn handle_submits_from_producer_threads() {
-        let mut fleet = Fleet::new(catalog(), config(2, 64));
+        let mut fleet = Fleet::new(catalog(), config(2));
         let ids: Vec<StreamId> = (0..4).map(|_| fleet.open_stream()).collect();
         let handle = fleet.handle();
         std::thread::scope(|scope| {
@@ -193,6 +198,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(fleet.poll().cycles, 4);
+        assert_eq!(fleet.stats().cycles, 4);
     }
 }

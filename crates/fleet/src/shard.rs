@@ -1,13 +1,13 @@
-//! One shard: a generational slab of stream states plus the drain loop
-//! that turns queued sample batches into checker cycles.
+//! One shard: a generational slab of stream states, and the apply step
+//! that turns one sample batch into checker cycles.
 //!
-//! A shard owns its streams exclusively — the fleet wraps each shard in a
-//! `Mutex` and drains shards in parallel on the shared worker pool, so no
-//! two workers ever touch the same stream. Everything a drain computes is
-//! a pure function of the per-stream batch sequence, which is what makes
-//! sharded output bit-identical to serial checking (see DESIGN.md §11).
+//! A shard owns its streams exclusively. The fleet wraps each shard in a
+//! `Mutex`, and every submitter applies its batch under that lock, so two
+//! threads never touch the same stream at once. Everything an apply
+//! computes is a pure function of the per-stream batch sequence, which is
+//! what makes sharded output bit-identical to serial checking (see
+//! DESIGN.md §11).
 
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -56,10 +56,10 @@ struct SlabSlot {
     state: Option<StreamSlot>,
 }
 
-/// Counters a single [`Shard::drain`] call accumulated.
+/// A shard's cumulative apply counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DrainStats {
-    /// Batches consumed from the queue.
+pub(crate) struct ShardTotals {
+    /// Batches applied, stale ones included.
     pub batches: u64,
     /// Samples offered to checkers (before fault injection).
     pub samples: u64,
@@ -72,18 +72,6 @@ pub struct DrainStats {
     pub bad_cycles: u64,
     /// Batches addressed to a closed generation, dropped.
     pub stale_batches: u64,
-}
-
-impl DrainStats {
-    /// Adds `other` into `self`.
-    pub fn merge(&mut self, other: &DrainStats) {
-        self.batches += other.batches;
-        self.samples += other.samples;
-        self.cycles += other.cycles;
-        self.violations += other.violations;
-        self.bad_cycles += other.bad_cycles;
-        self.stale_batches += other.stale_batches;
-    }
 }
 
 /// Errors from operations addressed to a specific stream.
@@ -131,7 +119,7 @@ pub(crate) struct SlotState {
 pub(crate) struct ShardState {
     pub(crate) slots: Vec<SlotState>,
     pub(crate) free: Vec<u32>,
-    pub(crate) totals: DrainStats,
+    pub(crate) totals: ShardTotals,
     pub(crate) cycle_ns: Histogram,
     pub(crate) cycle_counter: u64,
 }
@@ -139,12 +127,11 @@ pub(crate) struct ShardState {
 #[derive(Debug)]
 pub(crate) struct Shard {
     index: u32,
-    rx: Receiver<SampleBatch>,
     slots: Vec<SlabSlot>,
     free: Vec<u32>,
     live: usize,
-    /// Cumulative drain counters since construction.
-    totals: DrainStats,
+    /// Cumulative apply counters since construction.
+    totals: ShardTotals,
     /// Sampled wall-clock per-cycle latency (see [`TIMING_MASK`]).
     cycle_ns: Histogram,
     /// Cycles closed on this shard, for the timing stride.
@@ -152,14 +139,13 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn new(index: u32, rx: Receiver<SampleBatch>) -> Self {
+    pub(crate) fn new(index: u32) -> Self {
         Shard {
             index,
-            rx,
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            totals: DrainStats::default(),
+            totals: ShardTotals::default(),
             cycle_ns: Histogram::nanos(),
             cycle_counter: 0,
         }
@@ -169,7 +155,7 @@ impl Shard {
         self.live
     }
 
-    pub(crate) fn totals(&self) -> DrainStats {
+    pub(crate) fn totals(&self) -> ShardTotals {
         self.totals
     }
 
@@ -214,8 +200,7 @@ impl Shard {
     }
 
     /// Closes a stream: finalises its checker at the last closed cycle's
-    /// timestamp and frees the slot (generation bumped). The caller must
-    /// drain the shard first so queued batches are not silently lost.
+    /// timestamp and frees the slot (generation bumped).
     pub(crate) fn close(
         &mut self,
         id: StreamId,
@@ -239,33 +224,28 @@ impl Shard {
         Ok((report, snapshot))
     }
 
-    /// Consumes every queued batch and advances the addressed checkers.
-    /// Returns this call's counters (also accumulated into the totals).
-    pub(crate) fn drain(&mut self) -> DrainStats {
-        let mut stats = DrainStats::default();
-        while let Ok(batch) = self.rx.try_recv() {
-            stats.batches += 1;
-            self.process(batch, &mut stats);
-        }
-        self.totals.merge(&stats);
-        stats
-    }
-
-    fn process(&mut self, batch: SampleBatch, stats: &mut DrainStats) {
-        let Some(slab) = self.slots.get_mut(batch.stream.slot as usize) else {
-            stats.stale_batches += 1;
-            return;
-        };
-        if slab.gen != batch.stream.gen {
-            stats.stale_batches += 1;
-            return;
-        }
-        let Some(stream) = slab.state.as_mut() else {
-            stats.stale_batches += 1;
+    /// Applies one batch to its stream's checker, one cycle per run of
+    /// equal timestamps, and adds the counts to the shard totals. A batch
+    /// for a closed generation is counted stale and dropped.
+    pub(crate) fn apply(&mut self, batch: &SampleBatch) {
+        let Shard {
+            slots,
+            totals,
+            cycle_ns,
+            cycle_counter,
+            ..
+        } = self;
+        totals.batches += 1;
+        let Some(stream) = slots
+            .get_mut(batch.stream.slot as usize)
+            .filter(|slab| slab.gen == batch.stream.gen)
+            .and_then(|slab| slab.state.as_mut())
+        else {
+            totals.stale_batches += 1;
             return;
         };
         let samples = &batch.samples;
-        stats.samples += samples.len() as u64;
+        totals.samples += samples.len() as u64;
         let mut i = 0;
         while i < samples.len() {
             let t = samples[i].t;
@@ -275,11 +255,11 @@ impl Shard {
                 end += 1;
             }
             if stream.checker.begin_cycle(t).is_err() {
-                stats.bad_cycles += 1;
+                totals.bad_cycles += 1;
                 i = end;
                 continue;
             }
-            let timed = (self.cycle_counter & TIMING_MASK == 0).then(Instant::now);
+            let timed = (*cycle_counter & TIMING_MASK == 0).then(Instant::now);
             for sample in &samples[i..end] {
                 match &mut stream.injector {
                     Some(injector) => {
@@ -292,8 +272,8 @@ impl Shard {
                 }
             }
             let new_violations = stream.checker.end_cycle();
-            stats.cycles += 1;
-            stats.violations += new_violations as u64;
+            totals.cycles += 1;
+            totals.violations += new_violations as u64;
             stream.last_t = t;
             if let Some(guard) = &mut stream.guard {
                 let alarmed = stream
@@ -303,17 +283,15 @@ impl Shard {
                 guard.observe(alarmed);
             }
             if let Some(t0) = timed {
-                self.cycle_ns.record(t0.elapsed().as_nanos() as f64);
+                cycle_ns.record(t0.elapsed().as_nanos() as f64);
             }
-            self.cycle_counter += 1;
+            *cycle_counter += 1;
             i = end;
         }
     }
 
     /// Captures the shard's complete state (slab layout, checkers,
-    /// guardians, counters) as plain data. The caller must have drained
-    /// the shard first so the queue is empty — queued batches are not part
-    /// of the snapshot.
+    /// guardians, counters) as plain data.
     ///
     /// # Errors
     ///

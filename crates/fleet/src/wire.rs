@@ -150,7 +150,10 @@ pub enum NackReason {
     /// Valid frame, unsupported content (unknown protocol version,
     /// non-zero reserved flags). The connection closes.
     Unsupported,
-    /// The fleet is shutting down; the connection closes.
+    /// The fleet is shutting down; the connection closes. This server
+    /// never sends it: each batch is applied on its connection thread,
+    /// so no queue can vanish under a connection. The byte stays
+    /// assigned.
     ShuttingDown,
     /// The Hello presented a session token the server does not know (it
     /// restarted without a checkpoint covering it, evicted the session,
@@ -243,7 +246,7 @@ pub enum AckBody {
         /// and may be dropped from replay buffers.
         durable_seq: u64,
     },
-    /// The stream was drained and closed.
+    /// The stream was closed.
     StreamClosed {
         /// The final [`adassure_core::CheckReport`], JSON-encoded.
         report_json: Vec<u8>,

@@ -6,7 +6,7 @@
 
 use adassure_core::{Assertion, Condition, HealthConfig, Severity, SignalExpr};
 use adassure_fleet::{
-    Fleet, FleetConfig, GuardConfig, SampleBatch, StreamConfig, StreamGuard, StreamId, SubmitError,
+    Fleet, FleetConfig, GuardConfig, SampleBatch, StreamConfig, StreamGuard, StreamId,
 };
 use proptest::prelude::*;
 
@@ -72,7 +72,7 @@ fn open_streams(fleet: &mut Fleet, guards: &[bool]) -> Vec<StreamId> {
         .collect()
 }
 
-fn feed(fleet: &mut Fleet, ids: &[StreamId], cycles: &[CycleSpec], from: usize) {
+fn feed(fleet: &Fleet, ids: &[StreamId], cycles: &[CycleSpec], from: usize) {
     for (i, cycle) in cycles.iter().enumerate().skip(from) {
         let t = 0.05 * (i + 1) as f64;
         for (stream, &(violate, gnss)) in ids.iter().zip(cycle.iter()) {
@@ -81,19 +81,8 @@ fn feed(fleet: &mut Fleet, ids: &[StreamId], cycles: &[CycleSpec], from: usize) 
             if gnss {
                 batch.push(t, "gnss_x", 1.0);
             }
-            let mut pending = batch;
-            loop {
-                match fleet.submit(pending) {
-                    Ok(()) => break,
-                    Err(SubmitError::Saturated { batch, .. }) => {
-                        fleet.poll();
-                        pending = batch;
-                    }
-                    Err(other) => panic!("submit failed: {other}"),
-                }
-            }
+            fleet.submit(batch).expect("submit");
         }
-        fleet.poll();
     }
 }
 
@@ -137,18 +126,18 @@ proptest! {
         // Oracle: the same traffic, never interrupted.
         let mut oracle = Fleet::new(catalog(), config(shards));
         let oracle_ids = open_streams(&mut oracle, guards);
-        feed(&mut oracle, &oracle_ids, &cycles, 0);
+        feed(&oracle, &oracle_ids, &cycles, 0);
         let expected = observable_output(oracle, &oracle_ids);
 
         // Subject: checkpoint at the split, restore, continue.
         let mut subject = Fleet::new(catalog(), config(shards));
         let subject_ids = open_streams(&mut subject, guards);
-        feed(&mut subject, &subject_ids, &cycles[..split], 0);
+        feed(&subject, &subject_ids, &cycles[..split], 0);
         let image = subject.checkpoint().expect("checkpointable fleet");
         drop(subject); // the "crash"
-        let mut restored =
+        let restored =
             Fleet::restore(catalog(), config(shards), &image).expect("image restores");
-        feed(&mut restored, &subject_ids, &cycles, split);
+        feed(&restored, &subject_ids, &cycles, split);
         let actual = observable_output(restored, &subject_ids);
 
         prop_assert_eq!(actual, expected);

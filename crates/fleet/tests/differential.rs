@@ -1,10 +1,8 @@
-//! The fleet's central guarantee, pinned: sharded, batched, parallel
+//! The fleet's central guarantee, pinned: sharded, batched, concurrent
 //! checking produces **bit-identical** verdicts, violations and metrics
 //! to running every stream on its own serial [`OnlineChecker`], for any
-//! shard count, worker count and queue capacity — including streams with
-//! telemetry-fault injectors and guardians attached, and in the presence
-//! of backpressure (saturated queues force retries, which must not change
-//! a single byte of output).
+//! shard count and any number of threads submitting at once — including
+//! streams with telemetry-fault injectors and guardians attached.
 
 use std::sync::Arc;
 
@@ -13,10 +11,7 @@ use adassure_core::{
     Assertion, CheckReport, CheckerPlan, Condition, HealthConfig, OnlineChecker, Severity,
     SignalExpr, Temporal,
 };
-use adassure_exp::Runtime;
-use adassure_fleet::{
-    Fleet, FleetConfig, GuardConfig, SampleBatch, StreamConfig, StreamGuard, SubmitError,
-};
+use adassure_fleet::{Fleet, FleetConfig, GuardConfig, SampleBatch, StreamConfig, StreamGuard};
 use adassure_obs::MetricsSnapshot;
 
 fn catalog() -> Vec<Assertion> {
@@ -193,23 +188,23 @@ fn run_serial(plan: &Arc<CheckerPlan>, streams: &[Vec<Cycle>]) -> (Vec<CheckRepo
 }
 
 /// The system under test: the same streams through a fleet with the given
-/// layout. Batches are cut at seeded cycle boundaries and submitted
-/// round-robin across streams; saturation is handled by polling and
-/// retrying, so backpressure changes scheduling but never content.
+/// layout. Batches are cut at seeded cycle boundaries. `submitters`
+/// threads each take every `submitters`-th stream and submit round-robin
+/// across their streams through a clone of one `FleetHandle`, so streams
+/// on a shared shard are applied concurrently while each stream keeps
+/// its batch order.
 fn run_fleet(
     plan: &Arc<CheckerPlan>,
     streams: &[Vec<Cycle>],
     shards: usize,
-    workers: usize,
-    queue_capacity: usize,
-) -> (Vec<CheckReport>, String, u64) {
+    submitters: usize,
+) -> (Vec<CheckReport>, String) {
     let mut fleet = Fleet::with_plan(
         Arc::clone(plan),
         FleetConfig {
             shards,
-            queue_capacity,
             health: health(),
-            runtime: Runtime::with_workers(workers),
+            ..FleetConfig::default()
         },
     );
     let ids: Vec<_> = (0..streams.len())
@@ -244,43 +239,31 @@ fn run_fleet(
         batches.push(per_stream);
     }
 
-    // Interleave submission round-robin across streams (per-stream order
+    // Each thread interleaves its streams round-robin (per-stream order
     // preserved — that is the only order that matters).
-    let mut saturated = 0u64;
-    let mut cursors = vec![0usize; batches.len()];
-    loop {
-        let mut any = false;
-        for (index, cursor) in cursors.iter_mut().enumerate() {
-            if *cursor >= batches[index].len() {
-                continue;
-            }
-            any = true;
-            let mut batch = batches[index][*cursor].clone();
-            loop {
-                match fleet.submit(batch) {
-                    Ok(()) => break,
-                    Err(SubmitError::Saturated { batch: b, .. }) => {
-                        saturated += 1;
-                        fleet.poll();
-                        batch = b;
+    let handle = fleet.handle();
+    std::thread::scope(|scope| {
+        for first in 0..submitters {
+            let (handle, batches) = (handle.clone(), &batches);
+            scope.spawn(move || {
+                let mine: Vec<&Vec<SampleBatch>> =
+                    batches.iter().skip(first).step_by(submitters).collect();
+                let rounds = mine.iter().map(|b| b.len()).max().unwrap_or(0);
+                for round in 0..rounds {
+                    for batch in mine.iter().filter_map(|b| b.get(round)) {
+                        handle.submit(batch.clone()).expect("submit");
                     }
-                    Err(other) => panic!("unexpected submit error: {other}"),
                 }
-            }
-            *cursor += 1;
+            });
         }
-        if !any {
-            break;
-        }
-    }
-    fleet.poll();
+    });
 
     let reports = ids
         .iter()
         .map(|&id| fleet.close_stream(id).expect("close").0)
         .collect();
     let summary = serde_json::to_string(&fleet.metrics().summary()).expect("summary serializes");
-    (reports, summary, saturated)
+    (reports, summary)
 }
 
 #[test]
@@ -294,32 +277,19 @@ fn sharded_fleet_matches_serial_for_any_layout() {
     assert!(serial_reports.iter().any(|r| !r.violations.is_empty()));
     assert!(serial_reports.iter().any(|r| r.inconclusive_cycles > 0));
 
-    for (shards, workers, queue) in [(1, 1, 1024), (2, 4, 1024), (7, 2, 1024), (24, 3, 1024)] {
-        let (reports, summary, _) = run_fleet(&plan, &streams, shards, workers, queue);
+    for (shards, submitters) in [(1, 1), (2, 4), (7, 2), (24, 3), (3, 8)] {
+        let (reports, summary) = run_fleet(&plan, &streams, shards, submitters);
         for (index, (fleet_report, serial_report)) in
             reports.iter().zip(&serial_reports).enumerate()
         {
             assert_eq!(
                 fleet_report, serial_report,
-                "stream {index} diverged at shards={shards} workers={workers}"
+                "stream {index} diverged at shards={shards} submitters={submitters}"
             );
         }
         assert_eq!(
             summary, serial_summary,
-            "merged metrics diverged at shards={shards} workers={workers}"
+            "merged metrics diverged at shards={shards} submitters={submitters}"
         );
     }
-}
-
-#[test]
-fn backpressure_changes_scheduling_but_not_output() {
-    let plan = Arc::new(CheckerPlan::compile(catalog()));
-    let streams = fleet_streams();
-    let (serial_reports, serial_summary) = run_serial(&plan, &streams);
-
-    // A queue of 2 batches across 3 shards forces constant saturation.
-    let (reports, summary, saturated) = run_fleet(&plan, &streams, 3, 2, 2);
-    assert!(saturated > 0, "the tiny queue must actually saturate");
-    assert_eq!(reports, serial_reports);
-    assert_eq!(summary, serial_summary);
 }

@@ -1,16 +1,15 @@
 //! The wire path's central guarantee, pinned: checking driven through the
 //! binary ingest protocol — TCP or Unix-domain, windowed producers,
-//! stalled queues and all — produces **bit-identical** per-stream
+//! concurrent connections and all — produces **bit-identical** per-stream
 //! reports and merged metrics JSON to direct in-process [`Fleet`]
 //! submission of the same batches.
 
 use std::sync::{Arc, Mutex};
 
 use adassure_core::{Assertion, Condition, Severity, SignalExpr};
-use adassure_exp::Runtime;
 use adassure_fleet::{
     Fleet, FleetConfig, IngestConfig, IngestListener, IngestServer, ProducerConfig, SampleBatch,
-    StreamId, SubmitError,
+    StreamId,
 };
 
 fn catalog() -> Vec<Assertion> {
@@ -139,27 +138,15 @@ fn run_in_process(streams: &[Vec<Cycle>]) -> (Vec<Vec<u8>>, Vec<u8>) {
         catalog(),
         FleetConfig {
             shards: 1,
-            runtime: Runtime::with_workers(1),
             ..FleetConfig::default()
         },
     );
     let ids: Vec<StreamId> = (0..streams.len()).map(|_| fleet.open_stream()).collect();
     for (index, cycles) in streams.iter().enumerate() {
         for batch in cut_batches(ids[index], index, cycles) {
-            let mut batch = batch;
-            loop {
-                match fleet.submit(batch) {
-                    Ok(()) => break,
-                    Err(SubmitError::Saturated { batch: b, .. }) => {
-                        fleet.poll();
-                        batch = b;
-                    }
-                    Err(other) => panic!("submit failed: {other}"),
-                }
-            }
+            fleet.submit(batch).expect("submit");
         }
     }
-    fleet.poll();
     let reports = ids
         .iter()
         .map(|&id| {
@@ -171,13 +158,11 @@ fn run_in_process(streams: &[Vec<Cycle>]) -> (Vec<Vec<u8>>, Vec<u8>) {
     (reports, summary)
 }
 
-fn wire_fleet(shards: usize, queue_capacity: usize) -> Arc<Mutex<Fleet>> {
+fn wire_fleet(shards: usize) -> Arc<Mutex<Fleet>> {
     Arc::new(Mutex::new(Fleet::new(
         catalog(),
         FleetConfig {
             shards,
-            queue_capacity,
-            runtime: Runtime::with_workers(2),
             ..FleetConfig::default()
         },
     )))
@@ -221,7 +206,7 @@ fn tcp_ingestion_is_bit_identical_to_in_process_submission() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let server = IngestServer::spawn(
-        wire_fleet(4, 64),
+        wire_fleet(4),
         IngestListener::Tcp(listener),
         IngestConfig::default(),
     )
@@ -258,7 +243,7 @@ fn unix_domain_ingestion_matches_tcp_semantics() {
     let _ = std::fs::remove_file(&path);
     let listener = std::os::unix::net::UnixListener::bind(&path).expect("bind uds");
     let server = IngestServer::spawn(
-        wire_fleet(2, 32),
+        wire_fleet(2),
         IngestListener::Unix(listener),
         IngestConfig::default(),
     )
@@ -274,23 +259,19 @@ fn unix_domain_ingestion_matches_tcp_semantics() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Concurrent producers against a deliberately tiny shard queue: the
-/// queues fill, the connections stall instead of refusing, and nothing
-/// is nacked, re-sent or lost — per-stream reports bit-identical to the
-/// oracle.
+/// Four concurrent producers over two shards: their connection threads
+/// apply batches to shared shards at once, and nothing is nacked,
+/// re-sent or lost — per-stream reports bit-identical to the oracle.
 #[test]
-fn saturated_queues_stall_and_lose_nothing() {
+fn concurrent_producers_lose_nothing() {
     const PRODUCERS: usize = 4;
     let streams = corpus();
     let (oracle_reports, _) = run_in_process(&streams);
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
-    // queue_capacity 1 under four concurrent producers keeps the queues
-    // full.
-    let fleet = wire_fleet(2, 1);
     let server = IngestServer::spawn(
-        Arc::clone(&fleet),
+        wire_fleet(2),
         IngestListener::Tcp(listener),
         IngestConfig::default(),
     )
@@ -339,20 +320,12 @@ fn saturated_queues_stall_and_lose_nothing() {
         });
 
     for (first, reports, stats, _) in &results {
-        assert_eq!(
-            (
-                stats.saturated_nacks,
-                stats.superseded_nacks,
-                stats.resent_frames
-            ),
-            (0, 0, 0),
-            "producer {first}: a full queue stalls, it is never refused"
-        );
+        assert_eq!(stats.resent_frames, 0, "producer {first}: nothing re-sent");
         for (offset, report) in reports.iter().enumerate() {
             assert_eq!(
                 report,
                 &oracle_reports[first + offset],
-                "stream {} diverged under saturation",
+                "stream {} diverged under concurrent producers",
                 first + offset
             );
         }
@@ -366,8 +339,4 @@ fn saturated_queues_stall_and_lose_nothing() {
         "the server decoded every frame exactly once"
     );
     assert_eq!(stats.malformed, 0);
-    assert!(
-        fleet.lock().expect("fleet lock").stats().rejected_batches > 0,
-        "the tiny queue must actually fill"
-    );
 }

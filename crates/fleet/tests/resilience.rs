@@ -68,8 +68,7 @@ fn oracle_reports(streams: usize, cycles: u64) -> Vec<String> {
         for (idx, &id) in ids.iter().enumerate() {
             fleet
                 .submit(cycle_batch(id, idx as u64, cycle))
-                .expect("queue sized for test");
-            fleet.poll();
+                .expect("submit");
         }
     }
     ids.iter()
