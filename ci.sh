@@ -86,6 +86,10 @@ echo "== perfbench build and unit tests (its own workspace; BENCHMARK.json runs 
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench fmt and clippy (its own workspace, so the lints above skip it) =="
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+cargo clippy --offline --locked --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
+
 echo "== perfbench ingest smoke (oracle and exactly-once checks on both ingest workloads) =="
 # The bulk run is long enough for the 100 ops its p90 needs.
 cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \

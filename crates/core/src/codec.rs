@@ -15,7 +15,7 @@
 //! Its [`DecodeError`] converts into [`CodecError::Malformed`].
 
 use adassure_obs::{AssertionStats, Histogram, Verdict, VerdictCounts};
-use adassure_trace::binary::{Cur, DecodeError};
+use adassure_trace::binary::{put_count, put_opt_f64, put_u16_str, Cur, DecodeError};
 
 use crate::assertion::{AssertionId, Eval, Severity};
 use crate::online::{CheckerState, HealthState, MonitorSnapshot, SignalSnapshot};
@@ -39,11 +39,6 @@ pub enum CodecError {
         /// What did not line up.
         message: String,
     },
-    /// The state cannot be checkpointed or restored as requested.
-    Unsupported {
-        /// Which feature blocked the operation.
-        message: String,
-    },
 }
 
 impl CodecError {
@@ -60,13 +55,6 @@ impl CodecError {
             message: message.into(),
         }
     }
-
-    /// A [`CodecError::Unsupported`] with the given message.
-    pub fn unsupported(message: impl Into<String>) -> Self {
-        CodecError::Unsupported {
-            message: message.into(),
-        }
-    }
 }
 
 impl std::fmt::Display for CodecError {
@@ -76,9 +64,6 @@ impl std::fmt::Display for CodecError {
             CodecError::Malformed { message } => write!(f, "malformed checkpoint: {message}"),
             CodecError::Incompatible { message } => {
                 write!(f, "incompatible checkpoint: {message}")
-            }
-            CodecError::Unsupported { message } => {
-                write!(f, "unsupported checkpoint request: {message}")
             }
         }
     }
@@ -108,34 +93,6 @@ impl From<DecodeError> for CodecError {
 // ---------------------------------------------------------------------------
 // Encoding primitives
 // ---------------------------------------------------------------------------
-
-/// Appends a `u16` length-prefixed UTF-8 string.
-pub fn put_u16_str(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    debug_assert!(bytes.len() <= u16::MAX as usize, "oversized id string");
-    #[allow(clippy::cast_possible_truncation)]
-    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-/// Appends a presence byte followed by the raw bits when `Some`.
-pub fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        None => out.push(0),
-    }
-}
-
-/// Appends a `u32` element count (callers must keep sections under 4 G
-/// entries, which every in-memory state satisfies by construction).
-pub fn put_count(out: &mut Vec<u8>, n: usize) {
-    debug_assert!(n <= u32::MAX as usize, "oversized section");
-    #[allow(clippy::cast_possible_truncation)]
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-}
 
 /// Appends a bounded-memory histogram.
 pub fn put_histogram(out: &mut Vec<u8>, h: &Histogram) {

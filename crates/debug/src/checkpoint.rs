@@ -26,7 +26,7 @@ use adassure_core::CheckerState;
 use adassure_sim::engine::SimSnapshot;
 use adassure_sim::geometry::Vec2;
 use adassure_sim::vehicle::VehicleState;
-use adassure_trace::binary::{put_header, Cur};
+use adassure_trace::binary::{put_count, put_header, put_opt_f64, put_u16_str, Cur};
 use adassure_trace::ColumnarTrace;
 
 /// File magic of a sim debug checkpoint.
@@ -68,7 +68,7 @@ impl SimCheckpoint {
         put_header(&mut out, MAGIC, VERSION);
         out.extend_from_slice(&self.cycle.to_le_bytes());
         put_sim(&mut out, &self.sim);
-        codec::put_count(&mut out, self.injectors.len());
+        put_count(&mut out, self.injectors.len());
         for inj in &self.injectors {
             put_injector(&mut out, inj);
         }
@@ -151,7 +151,7 @@ fn read_rng(c: &mut Cur<'_>, what: &str) -> Result<[u64; 4], CodecError> {
 }
 
 fn put_time_fix_list(out: &mut Vec<u8>, list: &[(f64, Vec2)]) {
-    codec::put_count(out, list.len());
+    put_count(out, list.len());
     for &(t, p) in list {
         out.extend_from_slice(&t.to_le_bytes());
         put_vec2(out, p);
@@ -194,13 +194,13 @@ fn put_sim(out: &mut Vec<u8>, s: &SimSnapshot) {
         None => out.push(0),
     }
     put_time_fix_list(out, &s.fix_history);
-    codec::put_count(out, s.wheel_history.len());
+    put_count(out, s.wheel_history.len());
     for &(t, v) in &s.wheel_history {
         out.extend_from_slice(&t.to_le_bytes());
         out.extend_from_slice(&v.to_le_bytes());
     }
     out.extend_from_slice(&s.wheel_jitter.to_le_bytes());
-    codec::put_opt_f64(out, s.last_wheel);
+    put_opt_f64(out, s.last_wheel);
     out.extend_from_slice(&s.actual_accel.to_le_bytes());
     out.extend_from_slice(&s.true_progress.to_le_bytes());
     out.extend_from_slice(&s.last_station.to_le_bytes());
@@ -209,7 +209,7 @@ fn put_sim(out: &mut Vec<u8>, s: &SimSnapshot) {
     // The trace rides along as a length-prefixed columnar image, so the
     // restored session appends to byte-identical history.
     let trace = ColumnarTrace::from_trace(&s.trace).encode();
-    codec::put_count(out, trace.len());
+    put_count(out, trace.len());
     out.extend_from_slice(&trace);
 }
 
@@ -281,7 +281,7 @@ fn put_injector(out: &mut Vec<u8>, s: &InjectorState) {
         }
         None => out.push(0),
     }
-    codec::put_opt_f64(out, s.frozen_speed);
+    put_opt_f64(out, s.frozen_speed);
     put_time_fix_list(out, &s.delay_buffer);
 }
 
@@ -344,7 +344,7 @@ fn put_stack(out: &mut Vec<u8>, s: &StackState) {
         }
         LateralState::Mpc(m) => {
             out.push(2);
-            codec::put_count(out, m.plan.len());
+            put_count(out, m.plan.len());
             for &v in &m.plan {
                 out.extend_from_slice(&v.to_le_bytes());
             }
@@ -353,9 +353,9 @@ fn put_stack(out: &mut Vec<u8>, s: &StackState) {
         }
     }
     out.extend_from_slice(&s.pid.integral.to_le_bytes());
-    codec::put_opt_f64(out, s.pid.last_error);
+    put_opt_f64(out, s.pid.last_error);
     out.extend_from_slice(&s.progress.to_le_bytes());
-    codec::put_opt_f64(out, s.last_station);
+    put_opt_f64(out, s.last_station);
 }
 
 fn read_stack(c: &mut Cur<'_>) -> Result<StackState, CodecError> {
@@ -512,11 +512,11 @@ fn read_guardian(c: &mut Cur<'_>) -> Result<GuardianState, CodecError> {
 
 fn put_fault(out: &mut Vec<u8>, f: &FaultInjectorState) {
     put_rng(out, &f.rng);
-    codec::put_count(out, f.channels.len());
+    put_count(out, f.channels.len());
     for ch in &f.channels {
-        codec::put_u16_str(out, &ch.channel);
-        codec::put_opt_f64(out, ch.last_delivered);
-        codec::put_opt_f64(out, ch.pending);
+        put_u16_str(out, &ch.channel);
+        put_opt_f64(out, ch.last_delivered);
+        put_opt_f64(out, ch.pending);
         out.push(ch.burst_left);
     }
     out.extend_from_slice(&f.offered.to_le_bytes());

@@ -23,7 +23,7 @@
 //!
 //! With `--checkpoint-dir` (and `--ingest`), the server writes a
 //! periodic [`adassure_fleet::checkpoint`] snapshot of the whole fleet —
-//! checker state, guardians, session sequences — to
+//! checker state, slab layout, session sequences — to
 //! `DIR/fleet.adckpt`, atomically. On startup it restores from that
 //! file when present, so producers that reconnect with their session
 //! token resume exactly where the checkpoint left them.

@@ -2,9 +2,9 @@
 //!
 //! A checkpoint is the complete serialized state of a [`Fleet`] — every
 //! live stream's checker (sample-and-hold signals, health machines,
-//! verdict caches, violations, counters), guardian state machines, slab
-//! layout including generation counters and free-list order, the merged
-//! retired metrics, and the stream-sequence counter — plus, when written
+//! verdict caches, violations, counters), slab layout including
+//! generation counters and free-list order, the merged retired metrics,
+//! and the stream-sequence counter — plus, when written
 //! by an ingest server, every producer session's applied-sequence
 //! high-water mark and its ring of recent encoded responses. Restoring a
 //! checkpoint and replaying the post-checkpoint batches yields verdicts
@@ -27,29 +27,25 @@
 //! The fleet section stores the catalog's assertion ids (validated on
 //! restore — a checkpoint is only meaningful against the same compiled
 //! plan), the health config, the shard layout, and per shard the slab
-//! slots with their checker/guardian states. The session section stores
+//! slots with their checker states. The session section stores
 //! `(token, expected_seq, durable_seq, recent responses)` per producer
 //! session, so a restarted server can resume producers exactly where the
 //! checkpoint cut them (see DESIGN.md §13).
 //!
-//! Each shard record still opens with a `u64` rejected-batch count, from
-//! when a full shard queue refused batches. Nothing is refused any more:
-//! the word is written as 0 and ignored on restore, which keeps the
-//! layout and version byte unchanged.
-//!
-//! Streams carrying a fault injector are rejected with
-//! [`CheckpointError::Unsupported`]: injector RNG state is not
-//! serializable, and the wire path never attaches injectors.
+//! Two retired fields keep the layout and version byte unchanged. Each
+//! shard record still opens with a `u64` rejected-batch count, from when
+//! a full shard queue refused batches; it is written as 0 and ignored on
+//! restore. Each live stream still carries a guard-present byte, from
+//! when a fleet stream could carry its own guardian; it is written as 0,
+//! and an image that sets it is [`CheckpointError::Incompatible`].
 
 use std::sync::Arc;
 
-use adassure_core::codec::{self, read_grid, read_histogram};
+use adassure_core::codec::{self, put_histogram, read_histogram};
 use adassure_core::{Assertion, CheckerPlan, HealthConfig};
-use adassure_obs::Guard;
-use adassure_trace::binary::{put_header, Cur};
+use adassure_trace::binary::{put_count, put_header, put_u16_str, Cur};
 
 use crate::fleet::{Fleet, FleetConfig, FleetState};
-use crate::guard::{GuardConfig, GuardState};
 use crate::shard::{ShardState, ShardTotals, SlotState, StreamState};
 
 /// Magic bytes opening every checkpoint.
@@ -99,8 +95,6 @@ impl SessionSeed {
 // Encoding
 // ---------------------------------------------------------------------------
 
-use codec::{put_count, put_grid, put_histogram, put_u16_str};
-
 fn put_totals(out: &mut Vec<u8>, s: &ShardTotals) {
     for v in [
         s.batches,
@@ -112,15 +106,6 @@ fn put_totals(out: &mut Vec<u8>, s: &ShardTotals) {
     ] {
         out.extend_from_slice(&v.to_le_bytes());
     }
-}
-
-fn put_guard(out: &mut Vec<u8>, g: &GuardState) {
-    out.extend_from_slice(&g.config.confirm_cycles.to_le_bytes());
-    out.extend_from_slice(&g.config.recover_cycles.to_le_bytes());
-    out.push(g.state.index() as u8);
-    out.extend_from_slice(&g.alarm_streak.to_le_bytes());
-    out.extend_from_slice(&g.clean_streak.to_le_bytes());
-    put_grid(out, &g.grid);
 }
 
 /// Encodes a captured fleet state plus producer sessions into checkpoint
@@ -156,13 +141,8 @@ pub(crate) fn encode(state: &FleetState, sessions: &[SessionSeedEntry]) -> Vec<u
                     out.push(1);
                     out.extend_from_slice(&stream.seq.to_le_bytes());
                     out.extend_from_slice(&stream.last_t.to_le_bytes());
-                    match &stream.guard {
-                        Some(g) => {
-                            out.push(1);
-                            put_guard(&mut out, g);
-                        }
-                        None => out.push(0),
-                    }
+                    // The retired guard-present byte: always 0.
+                    out.push(0);
                     codec::put_checker(&mut out, &stream.checker);
                 }
             }
@@ -198,27 +178,6 @@ fn read_totals(c: &mut Cur<'_>) -> Result<ShardTotals, CheckpointError> {
         violations: c.u64("totals")?,
         bad_cycles: c.u64("totals")?,
         stale_batches: c.u64("totals")?,
-    })
-}
-
-fn read_guard(c: &mut Cur<'_>) -> Result<GuardState, CheckpointError> {
-    let config = GuardConfig {
-        confirm_cycles: c.u32("guard confirm cycles")?,
-        recover_cycles: c.u32("guard recover cycles")?,
-    };
-    let state_idx = c.u8("guard state")? as usize;
-    let state = *Guard::ALL
-        .get(state_idx)
-        .ok_or_else(|| c.bad(format!("invalid guard state index {state_idx}")))?;
-    let alarm_streak = c.u32("guard alarm streak")?;
-    let clean_streak = c.u32("guard clean streak")?;
-    let grid = read_grid(c, "guard grid")?;
-    Ok(GuardState {
-        config,
-        state,
-        alarm_streak,
-        clean_streak,
-        grid,
     })
 }
 
@@ -263,17 +222,17 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FleetState, Vec<SessionSeedEntry>)
             let stream = if c.bool("slot live flag")? {
                 let seq = c.u64("stream seq")?;
                 let last_t = c.f64("stream last-t")?;
-                let guard = if c.bool("guard flag")? {
-                    Some(read_guard(&mut c)?)
-                } else {
-                    None
-                };
+                // The retired guard-present byte (see the module docs).
+                if c.bool("guard flag")? {
+                    return Err(CheckpointError::incompatible(
+                        "stream sets the retired guard-present byte; fleet streams carry no guardian",
+                    ));
+                }
                 let checker = codec::read_checker(&mut c)?;
                 Some(StreamState {
                     seq,
                     last_t,
                     checker,
-                    guard,
                 })
             } else {
                 None
@@ -335,16 +294,8 @@ impl Fleet {
     /// [`Fleet::restore`] (same catalog, same config) and replaying the
     /// post-checkpoint batches yields bit-identical verdicts to an
     /// uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Unsupported`] when a live stream carries a
-    /// fault injector (its RNG state is not serializable).
-    pub fn checkpoint(&self) -> Result<Vec<u8>, CheckpointError> {
-        let state = self
-            .capture_state()
-            .map_err(|message| CheckpointError::Unsupported { message })?;
-        Ok(encode(&state, &[]))
+    pub fn checkpoint(&self) -> Vec<u8> {
+        encode(&self.capture_state(), &[])
     }
 
     /// Rebuilds a fleet from checkpoint bytes, compiling `catalog` and
@@ -354,7 +305,9 @@ impl Fleet {
     ///
     /// [`CheckpointError::Malformed`] for corrupt bytes,
     /// [`CheckpointError::Incompatible`] when the catalog, health config
-    /// or shard count does not match the checkpoint.
+    /// or shard count does not match the checkpoint, when a stream sets
+    /// the retired guard byte, or when a shard's free list names a live or
+    /// a repeated slot.
     pub fn restore(
         catalog: impl IntoIterator<Item = Assertion>,
         config: FleetConfig,
@@ -425,6 +378,13 @@ mod tests {
         }
     }
 
+    fn one_shard() -> FleetConfig {
+        FleetConfig {
+            shards: 1,
+            ..config()
+        }
+    }
+
     #[test]
     fn checkpoint_restore_continues_bit_identically() {
         let mut fleet = Fleet::new(catalog(), config());
@@ -451,7 +411,7 @@ mod tests {
             feed(&fleet, &ids, k);
             feed(&oracle, &oracle_ids, k);
         }
-        let bytes = fleet.checkpoint().expect("checkpoint");
+        let bytes = fleet.checkpoint();
         drop(fleet);
         let mut fleet = Fleet::restore(catalog(), config(), &bytes).expect("restore");
         for k in 11..=20 {
@@ -476,7 +436,7 @@ mod tests {
     fn restore_rejects_wrong_catalog_and_layout() {
         let mut fleet = Fleet::new(catalog(), config());
         let _ = fleet.open_stream();
-        let bytes = fleet.checkpoint().unwrap();
+        let bytes = fleet.checkpoint();
         let other = vec![Assertion::new(
             "Z9",
             "different",
@@ -490,12 +450,8 @@ mod tests {
             Fleet::restore(other, config(), &bytes),
             Err(CheckpointError::Incompatible { .. })
         ));
-        let narrow = FleetConfig {
-            shards: 1,
-            ..config()
-        };
         assert!(matches!(
-            Fleet::restore(catalog(), narrow, &bytes),
+            Fleet::restore(catalog(), one_shard(), &bytes),
             Err(CheckpointError::Incompatible { .. })
         ));
     }
@@ -509,7 +465,7 @@ mod tests {
             batch.push(0.1 * f64::from(k), "x", f64::from(k % 3));
             fleet.submit(batch).unwrap();
         }
-        let bytes = fleet.checkpoint().unwrap();
+        let bytes = fleet.checkpoint();
         assert!(matches!(
             decode(b"NOTACKPT"),
             Err(CheckpointError::Malformed { .. })
@@ -547,18 +503,71 @@ mod tests {
     }
 
     #[test]
-    fn injector_streams_are_refused_with_a_typed_error() {
-        use crate::shard::StreamConfig;
-        use adassure_attacks::{ChannelFaultInjector, FaultKind, FaultSpec, Window};
-        let mut fleet = Fleet::new(catalog(), config());
-        let spec = FaultSpec::new(FaultKind::Dropout, 0.5, Window::always());
-        let _ = fleet.open_stream_with(StreamConfig {
-            injector: Some(ChannelFaultInjector::new(spec, 7)),
-            guard: None,
-        });
+    fn a_set_guard_byte_is_a_typed_error() {
+        let mut fleet = Fleet::new(catalog(), one_shard());
+        let id = fleet.open_stream();
+        let mut batch = SampleBatch::new(id);
+        batch.push(0.1, "x", 2.0);
+        fleet.submit(batch).unwrap();
+        let bytes = fleet.checkpoint();
+        // The one stream's record ends with its guard byte and checker;
+        // only the empty free list and session table follow.
+        let state = fleet.capture_state();
+        let checker = &state.shards[0].slots[0].stream.as_ref().unwrap().checker;
+        let mut checker_bytes = Vec::new();
+        codec::put_checker(&mut checker_bytes, checker);
+        let guard_at = bytes.len() - 8 - checker_bytes.len() - 1;
+        assert_eq!(bytes[guard_at], 0, "the retired guard byte is written as 0");
+        assert!(decode(&bytes).is_ok());
+        let mut guarded = bytes.clone();
+        guarded[guard_at] = 1;
         assert!(matches!(
-            fleet.checkpoint(),
-            Err(CheckpointError::Unsupported { .. })
+            decode(&guarded),
+            Err(CheckpointError::Incompatible { .. })
         ));
+        assert!(matches!(
+            Fleet::restore(catalog(), one_shard(), &guarded),
+            Err(CheckpointError::Incompatible { .. })
+        ));
+    }
+
+    /// A one-shard image whose free list is `free` (patched in place),
+    /// with streams opened at slots `0..opened` and the first `closed`
+    /// of them closed again.
+    fn image_with_free_list(opened: usize, closed: usize, free: &[u32]) -> Vec<u8> {
+        let mut fleet = Fleet::new(catalog(), one_shard());
+        let ids: Vec<_> = (0..opened).map(|_| fleet.open_stream()).collect();
+        for &id in &ids[..closed] {
+            fleet.close_stream(id).unwrap();
+        }
+        let mut bytes = fleet.checkpoint();
+        // Tail: free count u32, the entries, then the session count u32.
+        assert_eq!(free.len(), closed, "patch keeps the layout");
+        let at = bytes.len() - 4 - 4 * free.len();
+        for (k, &slot) in free.iter().enumerate() {
+            bytes[at + 4 * k..at + 4 * k + 4].copy_from_slice(&slot.to_le_bytes());
+        }
+        bytes
+    }
+
+    #[test]
+    fn restore_rejects_a_free_list_that_hands_out_a_slot_twice() {
+        // Unpatched, the images restore: the free lists are consistent.
+        for (opened, closed, free) in [(2, 1, &[0][..]), (3, 2, &[0, 1][..])] {
+            let bytes = image_with_free_list(opened, closed, free);
+            assert!(Fleet::restore(catalog(), one_shard(), &bytes).is_ok());
+        }
+        // Slot 1 is live: listing it as free would let the next open
+        // replace its checker under the live stream's own id.
+        let live = image_with_free_list(2, 1, &[1]);
+        // Slot 0 listed twice would be handed to two streams.
+        let repeated = image_with_free_list(3, 2, &[0, 0]);
+        for bytes in [live, repeated] {
+            assert!(decode(&bytes).is_ok(), "the image itself is decodable");
+            assert!(matches!(
+                Fleet::restore(catalog(), one_shard(), &bytes),
+                Err(CheckpointError::Incompatible { .. })
+            ));
+        }
     }
 }

@@ -8,7 +8,7 @@ use adassure_core::{Assertion, CheckReport, CheckerPlan, HealthConfig};
 use adassure_exp::Runtime;
 use adassure_obs::{Histogram, MetricsSnapshot};
 
-use crate::shard::{Shard, ShardState, StreamConfig, StreamError};
+use crate::shard::{Shard, ShardState, StreamError};
 use crate::stream::{SampleBatch, StreamId};
 
 /// Plain-data snapshot of a whole fleet. The binary encoding lives in
@@ -218,22 +218,16 @@ impl Fleet {
         self.shards.len()
     }
 
-    /// Opens a stream with a clean telemetry link and no guardian.
-    pub fn open_stream(&mut self) -> StreamId {
-        self.open_stream_with(StreamConfig::default())
-    }
-
-    /// Opens a stream with explicit per-stream options (fault injector,
-    /// guardian). Streams are assigned to shards round-robin by open
+    /// Opens a stream. Streams are assigned to shards round-robin by open
     /// order.
-    pub fn open_stream_with(&mut self, config: StreamConfig) -> StreamId {
+    pub fn open_stream(&mut self) -> StreamId {
         let seq = self.next_seq;
         self.next_seq += 1;
         let shard = (seq % self.shards.len() as u64) as usize;
         self.shards[shard]
             .lock()
             .expect("shard lock poisoned")
-            .open(seq, &self.plan, self.health, config)
+            .open(seq, &self.plan, self.health)
     }
 
     /// A clonable producer handle (see [`FleetHandle`]).
@@ -319,17 +313,18 @@ impl Fleet {
     }
 
     /// Captures the fleet's complete state as plain data: slab layouts,
-    /// checker and guardian states, merged retired metrics, and the
-    /// stream-sequence counter. Together with the plan this determines
-    /// every future verdict, which is what makes checkpoint/restore
-    /// bit-identical (see [`crate::checkpoint`]). Every batch whose
-    /// `submit` has returned is in it.
-    pub(crate) fn capture_state(&self) -> Result<FleetState, String> {
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for shard in self.shards.iter() {
-            shards.push(shard.lock().expect("shard lock poisoned").save_state()?);
-        }
-        Ok(FleetState {
+    /// checker states, merged retired metrics, and the stream-sequence
+    /// counter. Together with the plan this determines every future
+    /// verdict, which is what makes checkpoint/restore bit-identical (see
+    /// [`crate::checkpoint`]). Every batch whose `submit` has returned is
+    /// in it.
+    pub(crate) fn capture_state(&self) -> FleetState {
+        let shards = self
+            .shards
+            .iter()
+            .map(|shard| shard.lock().expect("shard lock poisoned").save_state())
+            .collect();
+        FleetState {
             assertion_ids: self
                 .plan
                 .monitors()
@@ -341,7 +336,7 @@ impl Fleet {
             closed_streams: self.closed_streams,
             retired: self.retired.clone(),
             shards,
-        })
+        }
     }
 
     /// Rebuilds a fleet from a captured [`FleetState`] over `plan`. The

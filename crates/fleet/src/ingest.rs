@@ -429,27 +429,17 @@ pub struct Checkpointer {
 type Capture = (Vec<u8>, Vec<(u64, u64)>);
 
 impl Checkpointer {
-    fn capture(&self) -> Result<Capture, CheckpointError> {
+    fn capture(&self) -> Capture {
         let _gate = self.sessions.gate.write().expect("checkpoint gate");
-        let state = self
-            .fleet
-            .lock()
-            .expect("fleet lock")
-            .capture_state()
-            .map_err(|message| CheckpointError::Unsupported { message })?;
+        let state = self.fleet.lock().expect("fleet lock").capture_state();
         let (seed, marks) = self.sessions.snapshot();
-        Ok((checkpoint::encode(&state, &seed), marks))
+        (checkpoint::encode(&state, &seed), marks)
     }
 
     /// Serializes the fleet and session state to checkpoint bytes
     /// without touching disk (durable sequences do not advance).
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Unsupported`] when a stream cannot be
-    /// checkpointed.
-    pub fn checkpoint_bytes(&self) -> Result<Vec<u8>, CheckpointError> {
-        Ok(self.capture()?.0)
+    pub fn checkpoint_bytes(&self) -> Vec<u8> {
+        self.capture().0
     }
 
     /// Writes a checkpoint atomically to `path` (`path.tmp` + rename)
@@ -457,12 +447,10 @@ impl Checkpointer {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] on filesystem failure,
-    /// [`CheckpointError::Unsupported`] when a stream cannot be
-    /// checkpointed.
+    /// [`CheckpointError::Io`] on filesystem failure.
     pub fn checkpoint_to(&self, path: &Path) -> Result<(), CheckpointError> {
         let _io = self.io_lock.lock().expect("checkpoint io lock");
-        let (bytes, marks) = self.capture()?;
+        let (bytes, marks) = self.capture();
         let tmp = path.with_extension("adckpt.tmp");
         std::fs::write(&tmp, &bytes)?;
         std::fs::rename(&tmp, path)?;

@@ -6,16 +6,13 @@
 //!
 //! - [`stream`] defines the wire surface: a generational [`StreamId`] and
 //!   timestamped [`SampleBatch`]es (a cycle is a run of equal timestamps);
-//! - [`shard`] owns stream state in generational slabs — per-stream
-//!   checker (stamped from one shared [`adassure_core::CheckerPlan`]),
-//!   optional telemetry-fault injector, optional guardian — and applies
-//!   each sample batch as checker cycles;
+//! - [`shard`] owns stream state in generational slabs — one checker per
+//!   stream, stamped from one shared [`adassure_core::CheckerPlan`] — and
+//!   applies each sample batch as checker cycles;
 //! - [`fleet`] puts each shard behind its own lock; [`Fleet::submit`] and
 //!   [`FleetHandle::submit`] apply a batch on the calling thread before
 //!   they return (stale drops are counted, never silent), so parallelism
 //!   comes from concurrent submitters;
-//! - [`guard`] is the lightweight per-stream guardian (nominal → degraded
-//!   → safe-stop with confirmation and hysteresis);
 //! - [`wire`] is the versioned, little-endian, length-prefixed binary
 //!   ingest protocol (validating streaming decoder, typed nack reasons);
 //! - [`ingest`] runs that protocol: a connection-per-producer TCP/UDS
@@ -23,7 +20,7 @@
 //!   busy connection stops reading its socket, so TCP's window is the flow
 //!   control), and the windowed client-side [`IngestProducer`];
 //! - [`checkpoint`] snapshots the whole fleet — per-stream checker
-//!   state, guardians, health, session sequences — into a versioned
+//!   state, health, session sequences — into a versioned
 //!   binary image a restarted server restores bit-identically;
 //! - [`resilient`] wraps the producer with reconnect-and-resume so
 //!   connection cuts and server restarts preserve exactly-once batch
@@ -49,7 +46,6 @@
 pub mod chaos;
 pub mod checkpoint;
 pub mod fleet;
-pub mod guard;
 pub mod ingest;
 pub mod resilient;
 pub mod shard;
@@ -59,13 +55,12 @@ pub mod wire;
 pub use chaos::{ChaosConfig, ChaosTransport, Severable};
 pub use checkpoint::{restore_server, CheckpointError, SessionSeed};
 pub use fleet::{Fleet, FleetConfig, FleetHandle, FleetStats, SubmitError};
-pub use guard::{GuardConfig, GuardState, StreamGuard};
 pub use ingest::{
     Checkpointer, IngestConfig, IngestListener, IngestProducer, IngestServer, IngestStats,
     IngestStatsSnapshot, ProducerConfig, ProducerError, ProducerStats, RecoveryState,
 };
 pub use resilient::{ReconnectPolicy, ResilientError, ResilientProducer, Transport};
-pub use shard::{StreamConfig, StreamError};
+pub use shard::StreamError;
 pub use stream::{Sample, SampleBatch, StreamId};
 pub use wire::{FrameDecoder, NackReason, WireError};
 

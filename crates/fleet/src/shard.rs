@@ -11,29 +11,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use adassure_attacks::ChannelFaultInjector;
-use adassure_core::{
-    CheckReport, CheckerPlan, CheckerState, HealthConfig, OnlineChecker, Severity,
-};
+use adassure_core::{CheckReport, CheckerPlan, CheckerState, HealthConfig, OnlineChecker};
 use adassure_obs::{Histogram, MetricsSnapshot};
 
-use crate::guard::{GuardState, StreamGuard};
 use crate::stream::{SampleBatch, StreamId};
 
 /// Sample the per-cycle wall-clock latency every `TIMING_MASK + 1` cycles
 /// — dense enough for soak p50/p99, cheap enough for the hot path.
 const TIMING_MASK: u64 = 7;
-
-/// Per-stream ingestion options (fault injection, guardian).
-#[derive(Debug, Default)]
-pub struct StreamConfig {
-    /// A deterministic telemetry-fault injector applied to every sample
-    /// before it reaches the checker (`None` = clean link).
-    pub injector: Option<ChannelFaultInjector>,
-    /// A per-stream guardian fed each cycle's critical-alarm status
-    /// (`None` = no guardian, no guard transitions in the metrics).
-    pub guard: Option<StreamGuard>,
-}
 
 /// What one stream carries at runtime.
 #[derive(Debug)]
@@ -42,8 +27,6 @@ struct StreamSlot {
     /// order so the merged snapshot is independent of shard count.
     seq: u64,
     checker: OnlineChecker,
-    injector: Option<ChannelFaultInjector>,
-    guard: Option<StreamGuard>,
     /// Timestamp of the last closed cycle, the stream's end time at close.
     last_t: f64,
 }
@@ -61,7 +44,7 @@ struct SlabSlot {
 pub(crate) struct ShardTotals {
     /// Batches applied, stale ones included.
     pub batches: u64,
-    /// Samples offered to checkers (before fault injection).
+    /// Samples offered to checkers.
     pub samples: u64,
     /// Cycles closed.
     pub cycles: u64,
@@ -101,7 +84,6 @@ pub(crate) struct StreamState {
     pub(crate) seq: u64,
     pub(crate) last_t: f64,
     pub(crate) checker: CheckerState,
-    pub(crate) guard: Option<GuardState>,
 }
 
 /// Plain-data snapshot of one slab slot (generation plus optional live
@@ -169,13 +151,10 @@ impl Shard {
         seq: u64,
         plan: &Arc<CheckerPlan>,
         health: HealthConfig,
-        config: StreamConfig,
     ) -> StreamId {
         let state = StreamSlot {
             seq,
             checker: OnlineChecker::from_plan(Arc::clone(plan), health),
-            injector: config.injector,
-            guard: config.guard,
             last_t: 0.0,
         };
         let slot = match self.free.pop() {
@@ -216,11 +195,7 @@ impl Shard {
         slab.gen = slab.gen.wrapping_add(1);
         self.free.push(id.slot);
         self.live -= 1;
-        let end = state.last_t;
-        let (report, mut snapshot, _) = state.checker.finish_observed(end);
-        if let Some(guard) = &state.guard {
-            snapshot.guard_transitions = guard.transitions();
-        }
+        let (report, snapshot, _) = state.checker.finish_observed(state.last_t);
         Ok((report, snapshot))
     }
 
@@ -261,27 +236,12 @@ impl Shard {
             }
             let timed = (*cycle_counter & TIMING_MASK == 0).then(Instant::now);
             for sample in &samples[i..end] {
-                match &mut stream.injector {
-                    Some(injector) => {
-                        let delivery = injector.apply(sample.channel.as_str(), t, sample.value);
-                        for &value in delivery.as_slice() {
-                            stream.checker.update(sample.channel.clone(), value);
-                        }
-                    }
-                    None => stream.checker.update(sample.channel.clone(), sample.value),
-                }
+                stream.checker.update(sample.channel.clone(), sample.value);
             }
             let new_violations = stream.checker.end_cycle();
             totals.cycles += 1;
             totals.violations += new_violations as u64;
             stream.last_t = t;
-            if let Some(guard) = &mut stream.guard {
-                let alarmed = stream
-                    .checker
-                    .open_episode_onset(Severity::Critical)
-                    .is_some();
-                guard.observe(alarmed);
-            }
             if let Some(t0) = timed {
                 cycle_ns.record(t0.elapsed().as_nanos() as f64);
             }
@@ -291,47 +251,27 @@ impl Shard {
     }
 
     /// Captures the shard's complete state (slab layout, checkers,
-    /// guardians, counters) as plain data.
-    ///
-    /// # Errors
-    ///
-    /// Streams carrying a [`ChannelFaultInjector`] are rejected with a
-    /// description: injector RNG state is not serializable, so
-    /// checkpointing is only supported for clean-link streams (the wire
-    /// path never attaches injectors).
-    pub(crate) fn save_state(&self) -> Result<ShardState, String> {
-        let mut slots = Vec::with_capacity(self.slots.len());
-        for (index, slab) in self.slots.iter().enumerate() {
-            let stream = match &slab.state {
-                None => None,
-                Some(stream) => {
-                    if stream.injector.is_some() {
-                        return Err(format!(
-                            "stream in shard {} slot {index} carries a fault injector; \
-                             injector-bearing streams cannot be checkpointed",
-                            self.index
-                        ));
-                    }
-                    Some(StreamState {
-                        seq: stream.seq,
-                        last_t: stream.last_t,
-                        checker: stream.checker.save_state(),
-                        guard: stream.guard.as_ref().map(StreamGuard::save_state),
-                    })
-                }
-            };
-            slots.push(SlotState {
+    /// counters) as plain data.
+    pub(crate) fn save_state(&self) -> ShardState {
+        let slots = self
+            .slots
+            .iter()
+            .map(|slab| SlotState {
                 gen: slab.gen,
-                stream,
-            });
-        }
-        Ok(ShardState {
+                stream: slab.state.as_ref().map(|stream| StreamState {
+                    seq: stream.seq,
+                    last_t: stream.last_t,
+                    checker: stream.checker.save_state(),
+                }),
+            })
+            .collect();
+        ShardState {
             slots,
             free: self.free.clone(),
             totals: self.totals,
             cycle_ns: self.cycle_ns.clone(),
             cycle_counter: self.cycle_counter,
-        })
+        }
     }
 
     /// Replaces this (freshly constructed, empty) shard's state with a
@@ -357,8 +297,6 @@ impl Shard {
                     Some(StreamSlot {
                         seq: s.seq,
                         checker,
-                        injector: None,
-                        guard: s.guard.map(StreamGuard::from_state),
                         last_t: s.last_t,
                     })
                 }
@@ -368,14 +306,26 @@ impl Shard {
                 state: stream,
             });
         }
+        // Each free-list entry must name a distinct vacant slot: an entry
+        // naming a live slot, or a repeated one, would hand that slot to
+        // two streams.
+        let mut listed = vec![false; slots.len()];
         for &slot in &state.free {
-            if slot as usize >= slots.len() {
-                return Err(format!(
-                    "shard {}: free-list entry {slot} out of range ({} slots)",
-                    self.index,
-                    slots.len()
-                ));
-            }
+            let index = slot as usize;
+            let problem = match slots.get(index) {
+                None => "is out of range",
+                Some(slab) if slab.state.is_some() => "names a live stream",
+                Some(_) if listed[index] => "is repeated",
+                Some(_) => {
+                    listed[index] = true;
+                    continue;
+                }
+            };
+            return Err(format!(
+                "shard {}: free-list entry {slot} {problem} ({} slots)",
+                self.index,
+                slots.len()
+            ));
         }
         self.slots = slots;
         self.free = state.free;
@@ -386,16 +336,12 @@ impl Shard {
         Ok(())
     }
 
-    /// Appends `(seq, snapshot)` for every live stream, guard transitions
-    /// stitched in. The fleet sorts by `seq` before merging.
+    /// Appends `(seq, snapshot)` for every live stream. The fleet sorts by
+    /// `seq` before merging.
     pub(crate) fn snapshots(&self, out: &mut Vec<(u64, MetricsSnapshot)>) {
         for slab in &self.slots {
             if let Some(stream) = &slab.state {
-                let mut snap = stream.checker.metrics();
-                if let Some(guard) = &stream.guard {
-                    snap.guard_transitions = guard.transitions();
-                }
-                out.push((stream.seq, snap));
+                out.push((stream.seq, stream.checker.metrics()));
             }
         }
     }

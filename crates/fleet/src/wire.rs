@@ -57,7 +57,7 @@
 //! finiteness rules to wire batches as to in-process ones, so the two
 //! paths stay bit-identical.
 
-use adassure_trace::binary::{put_header, Cur, DecodeError};
+use adassure_trace::binary::{put_count, put_header, Cur, DecodeError};
 use adassure_trace::SignalId;
 
 use crate::stream::{Sample, SampleBatch, StreamId};
@@ -429,10 +429,8 @@ pub fn encode_sample_batch(
         out.push(TYPE_SAMPLE_BATCH);
         out.extend_from_slice(&seq.to_le_bytes());
         put_stream(out, batch.stream);
-        #[allow(clippy::cast_possible_truncation)]
-        out.extend_from_slice(&(channels.len() as u32).to_le_bytes());
-        #[allow(clippy::cast_possible_truncation)]
-        out.extend_from_slice(&(batch.samples.len() as u32).to_le_bytes());
+        put_count(out, channels.len());
+        put_count(out, batch.samples.len());
         let table_start = out.len();
         out.extend_from_slice(&0u32.to_le_bytes());
         for (i, channel) in channels.iter().enumerate() {
@@ -495,14 +493,12 @@ pub fn encode_ack(out: &mut Vec<u8>, seq: u64, body: &AckBody) {
             }
             AckBody::StreamClosed { report_json } => {
                 out.push(ACK_STREAM_CLOSED);
-                #[allow(clippy::cast_possible_truncation)]
-                out.extend_from_slice(&(report_json.len() as u32).to_le_bytes());
+                put_count(out, report_json.len());
                 out.extend_from_slice(report_json);
             }
             AckBody::Metrics { summary_json } => {
                 out.push(ACK_METRICS);
-                #[allow(clippy::cast_possible_truncation)]
-                out.extend_from_slice(&(summary_json.len() as u32).to_le_bytes());
+                put_count(out, summary_json.len());
                 out.extend_from_slice(summary_json);
             }
             AckBody::Resumed { next_seq } => {

@@ -1,13 +1,11 @@
 //! Property-based test of the crash-recovery invariant: checkpointing a
 //! fleet mid-campaign and continuing from the restored image yields
 //! bit-identical per-stream reports and metrics to an uninterrupted run —
-//! for any shard layout, any split point (including mid-confirm-window
-//! guardians), and any health state (degraded, quarantined, recovering).
+//! for any shard layout, any split point, and any health state (degraded,
+//! quarantined, recovering).
 
 use adassure_core::{Assertion, Condition, HealthConfig, Severity, SignalExpr};
-use adassure_fleet::{
-    Fleet, FleetConfig, GuardConfig, SampleBatch, StreamConfig, StreamGuard, StreamId,
-};
+use adassure_fleet::{Fleet, FleetConfig, SampleBatch, StreamId};
 use proptest::prelude::*;
 
 fn catalog() -> Vec<Assertion> {
@@ -54,22 +52,8 @@ const MAX_STREAMS: usize = 4;
 /// degradation/quarantine)?
 type CycleSpec = [(bool, bool); MAX_STREAMS];
 
-fn open_streams(fleet: &mut Fleet, guards: &[bool]) -> Vec<StreamId> {
-    guards
-        .iter()
-        .map(|&guarded| {
-            fleet.open_stream_with(StreamConfig {
-                injector: None,
-                // Tight confirmation window so splits land inside it.
-                guard: guarded.then(|| {
-                    StreamGuard::new(GuardConfig {
-                        confirm_cycles: 3,
-                        recover_cycles: 4,
-                    })
-                }),
-            })
-        })
-        .collect()
+fn open_streams(fleet: &mut Fleet, n_streams: usize) -> Vec<StreamId> {
+    (0..n_streams).map(|_| fleet.open_stream()).collect()
 }
 
 fn feed(fleet: &Fleet, ids: &[StreamId], cycles: &[CycleSpec], from: usize) {
@@ -105,14 +89,12 @@ proptest! {
     fn restored_fleet_continues_bit_identically(
         shards in 1usize..4,
         n_streams in 1usize..(MAX_STREAMS + 1),
-        guards in proptest::collection::vec(any::<bool>(), MAX_STREAMS),
         cycles in proptest::collection::vec(
             proptest::collection::vec((any::<bool>(), any::<bool>()), MAX_STREAMS),
             4usize..28,
         ),
         split_roll in 0usize..1000,
     ) {
-        let guards = &guards[..n_streams];
         let cycles: Vec<CycleSpec> = cycles
             .iter()
             .map(|c| {
@@ -125,15 +107,15 @@ proptest! {
 
         // Oracle: the same traffic, never interrupted.
         let mut oracle = Fleet::new(catalog(), config(shards));
-        let oracle_ids = open_streams(&mut oracle, guards);
+        let oracle_ids = open_streams(&mut oracle, n_streams);
         feed(&oracle, &oracle_ids, &cycles, 0);
         let expected = observable_output(oracle, &oracle_ids);
 
         // Subject: checkpoint at the split, restore, continue.
         let mut subject = Fleet::new(catalog(), config(shards));
-        let subject_ids = open_streams(&mut subject, guards);
+        let subject_ids = open_streams(&mut subject, n_streams);
         feed(&subject, &subject_ids, &cycles[..split], 0);
-        let image = subject.checkpoint().expect("checkpointable fleet");
+        let image = subject.checkpoint();
         drop(subject); // the "crash"
         let restored =
             Fleet::restore(catalog(), config(shards), &image).expect("image restores");

@@ -1,17 +1,18 @@
 //! The fleet's central guarantee, pinned: sharded, batched, concurrent
 //! checking produces **bit-identical** verdicts, violations and metrics
 //! to running every stream on its own serial [`OnlineChecker`], for any
-//! shard count and any number of threads submitting at once — including
-//! streams with telemetry-fault injectors and guardians attached.
+//! shard count and any number of threads submitting at once. The
+//! synthetic streams carry excursions, NaN samples and gnss dropouts, so
+//! verdicts, telemetry health, poisoning and staleness all cross the
+//! shard and submitter boundaries.
 
 use std::sync::Arc;
 
-use adassure_attacks::{ChannelFaultInjector, FaultKind, FaultSpec, Window};
 use adassure_core::{
     Assertion, CheckReport, CheckerPlan, Condition, HealthConfig, OnlineChecker, Severity,
     SignalExpr, Temporal,
 };
-use adassure_fleet::{Fleet, FleetConfig, GuardConfig, SampleBatch, StreamConfig, StreamGuard};
+use adassure_fleet::{Fleet, FleetConfig, SampleBatch};
 use adassure_obs::MetricsSnapshot;
 
 fn catalog() -> Vec<Assertion> {
@@ -111,32 +112,6 @@ fn stream_cycles(seed: u64, cycles: usize) -> Vec<Cycle> {
     out
 }
 
-/// Per-stream options, varied by index: every third stream gets a fault
-/// injector, every other stream a guardian. Both sides of the
-/// differential construct these identically.
-fn injector_for(index: usize) -> Option<ChannelFaultInjector> {
-    match index % 3 {
-        0 => None,
-        1 => Some(
-            FaultSpec::new(FaultKind::Dropout, 0.2, Window::new(0.5, 4.0))
-                .injector(900 + index as u64),
-        ),
-        _ => Some(
-            FaultSpec::new(FaultKind::NanBurst, 0.1, Window::new(0.2, f64::INFINITY))
-                .injector(77 + index as u64),
-        ),
-    }
-}
-
-fn guard_for(index: usize) -> Option<StreamGuard> {
-    index.is_multiple_of(2).then(|| {
-        StreamGuard::new(GuardConfig {
-            confirm_cycles: 2,
-            recover_cycles: 4,
-        })
-    })
-}
-
 const STREAMS: usize = 24;
 
 fn fleet_streams() -> Vec<Vec<Cycle>> {
@@ -151,35 +126,20 @@ fn fleet_streams() -> Vec<Vec<Cycle>> {
 fn run_serial(plan: &Arc<CheckerPlan>, streams: &[Vec<Cycle>]) -> (Vec<CheckReport>, String) {
     let mut reports = Vec::new();
     let mut merged = MetricsSnapshot::empty();
-    for (index, cycles) in streams.iter().enumerate() {
+    for cycles in streams {
         let mut checker = OnlineChecker::from_plan(Arc::clone(plan), health());
-        let mut injector = injector_for(index);
-        let mut guard = guard_for(index);
         let mut last_t = 0.0;
         for cycle in cycles {
             checker
                 .begin_cycle(cycle.t)
                 .expect("monotone by construction");
             for &(channel, value) in &cycle.samples {
-                match &mut injector {
-                    Some(inj) => {
-                        for &v in inj.apply(channel, cycle.t, value).as_slice() {
-                            checker.update(channel, v);
-                        }
-                    }
-                    None => checker.update(channel, value),
-                }
+                checker.update(channel, value);
             }
             checker.end_cycle();
             last_t = cycle.t;
-            if let Some(guard) = &mut guard {
-                guard.observe(checker.open_episode_onset(Severity::Critical).is_some());
-            }
         }
-        let (report, mut snapshot, _) = checker.finish_observed(last_t);
-        if let Some(guard) = &guard {
-            snapshot.guard_transitions = guard.transitions();
-        }
+        let (report, snapshot, _) = checker.finish_observed(last_t);
         merged.merge(&snapshot);
         reports.push(report);
     }
@@ -207,14 +167,7 @@ fn run_fleet(
             ..FleetConfig::default()
         },
     );
-    let ids: Vec<_> = (0..streams.len())
-        .map(|index| {
-            fleet.open_stream_with(StreamConfig {
-                injector: injector_for(index),
-                guard: guard_for(index),
-            })
-        })
-        .collect();
+    let ids: Vec<_> = (0..streams.len()).map(|_| fleet.open_stream()).collect();
 
     // Cut each stream into batches of 1..=4 cycles, seeded per stream.
     let mut batches: Vec<Vec<SampleBatch>> = Vec::new();

@@ -1,9 +1,11 @@
-//! The workspace's one bounds-checked binary reader.
+//! The workspace's one bounds-checked binary reader, and the encode
+//! primitives that write what it reads.
 //!
 //! Every binary container in ADAssure — `.adt` traces ([`crate::columnar`]),
 //! ADWIRE frames, ADCKPT fleet checkpoints and ADSIM debugger checkpoints —
 //! follows the same conventions (DESIGN.md, "Binary container
-//! conventions") and is decoded through [`Cur`]:
+//! conventions"), is written with [`put_header`], [`put_count`],
+//! [`put_u16_str`] and [`put_opt_f64`], and is decoded through [`Cur`]:
 //!
 //! - a header `magic | version:u8 | endian:u8` ([`put_header`] /
 //!   [`Cur::header`]), where endianness `1` (little-endian) is the only
@@ -54,6 +56,34 @@ pub fn put_header(out: &mut Vec<u8>, magic: &[u8], version: u8) {
     out.extend_from_slice(magic);
     out.push(version);
     out.push(LITTLE_ENDIAN);
+}
+
+/// Appends a `u16` length-prefixed UTF-8 string.
+pub fn put_u16_str(out: &mut Vec<u8>, s: &str) {
+    let bytes = s.as_bytes();
+    debug_assert!(bytes.len() <= u16::MAX as usize, "oversized id string");
+    #[allow(clippy::cast_possible_truncation)]
+    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
+/// Appends a presence byte followed by the raw bits when `Some`.
+pub fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
+    match v {
+        Some(v) => {
+            out.push(1);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        None => out.push(0),
+    }
+}
+
+/// Appends a `u32` element count or byte length (callers keep it under
+/// 4 G, which every in-memory state and every capped frame satisfies).
+pub fn put_count(out: &mut Vec<u8>, n: usize) {
+    debug_assert!(n <= u32::MAX as usize, "oversized section");
+    #[allow(clippy::cast_possible_truncation)]
+    out.extend_from_slice(&(n as u32).to_le_bytes());
 }
 
 /// Rounds `n` up to the next multiple of 8.

@@ -42,7 +42,7 @@
 
 use std::path::Path;
 
-use crate::binary::{pad8, put_header, Cur, DecodeError};
+use crate::binary::{pad8, put_count, put_header, Cur, DecodeError};
 use crate::{SignalId, Trace, TraceError};
 
 /// `.adt` magic bytes.
@@ -248,8 +248,7 @@ impl ColumnarTrace {
                 + pad8(4 * self.cycle_idx.len()),
         );
         put_header(&mut out, MAGIC, VERSION);
-        #[allow(clippy::cast_possible_truncation)] // signal count bounded by u32 slots
-        out.extend_from_slice(&(self.signals.len() as u32).to_le_bytes());
+        put_count(&mut out, self.signals.len());
         out.extend_from_slice(&0u32.to_le_bytes()); // reserved
         out.extend_from_slice(&(self.cycle_times.len() as u64).to_le_bytes());
         out.extend_from_slice(&(self.times.len() as u64).to_le_bytes());
