@@ -41,6 +41,18 @@ echo "== fleet soak smoke (10k+ concurrent streams on the sharded checker) =="
 cargo run --release -q -p adassure-bench --bin fleet_soak -- \
     --smoke --out target/ci_fleet_soak.json
 
+echo "== monitor-server smoke (one Prometheus page, one per-cycle latency series) =="
+page=target/ci_monitor_page.txt
+cargo run --release -q -p adassure-fleet --bin monitor-server -- \
+    --once --streams 64 --ticks 50 > "$page"
+for series in adassure_eval_cycle_ns_count adassure_fleet_open_streams; do
+    grep -q "^$series " "$page" || { echo "monitor-server page lacks $series"; exit 1; }
+done
+if grep -q adassure_fleet_cycle_latency_ns "$page"; then
+    echo "monitor-server page exports the duplicate adassure_fleet_cycle_latency_ns"
+    exit 1
+fi
+
 echo "== ingest differential (loopback wire vs in-process, bit-identical) =="
 cargo test -q -p adassure-fleet --test ingest_differential
 

@@ -5,7 +5,8 @@
 //! into little-endian binary images. This module holds the one
 //! [`CheckerState`] encoding and the typed [`CodecError`] surface they
 //! share, so a checkpoint written by either side decodes checker state
-//! with the exact same bit-for-bit semantics.
+//! with the exact same bit-for-bit semantics. The encoding holds no
+//! wall-clock data, so equal checker states encode to equal bytes.
 //!
 //! Decoding reads through the workspace's one bounds-checked reader,
 //! [`adassure_trace::binary::Cur`], which also owns the container header
@@ -14,7 +15,7 @@
 //! remaining, typed errors — DESIGN.md, "Binary container conventions").
 //! Its [`DecodeError`] converts into [`CodecError::Malformed`].
 
-use adassure_obs::{AssertionStats, Histogram, Verdict, VerdictCounts};
+use adassure_obs::{AssertionStats, Verdict, VerdictCounts};
 use adassure_trace::binary::{put_count, put_opt_f64, put_u16_str, Cur, DecodeError};
 
 use crate::assertion::{AssertionId, Eval, Severity};
@@ -93,21 +94,6 @@ impl From<DecodeError> for CodecError {
 // ---------------------------------------------------------------------------
 // Encoding primitives
 // ---------------------------------------------------------------------------
-
-/// Appends a bounded-memory histogram.
-pub fn put_histogram(out: &mut Vec<u8>, h: &Histogram) {
-    out.extend_from_slice(&h.lo.to_le_bytes());
-    put_count(out, h.buckets.len());
-    for &b in &h.buckets {
-        out.extend_from_slice(&b.to_le_bytes());
-    }
-    out.extend_from_slice(&h.underflow.to_le_bytes());
-    out.extend_from_slice(&h.overflow.to_le_bytes());
-    out.extend_from_slice(&h.rejected.to_le_bytes());
-    out.extend_from_slice(&h.count.to_le_bytes());
-    out.extend_from_slice(&h.sum.to_le_bytes());
-    out.extend_from_slice(&h.max.to_le_bytes());
-}
 
 /// Appends a 3x3 transition grid.
 pub fn put_grid(out: &mut Vec<u8>, grid: &[[u64; 3]; 3]) {
@@ -225,7 +211,6 @@ pub fn put_checker(out: &mut Vec<u8>, c: &CheckerState) {
         }
     }
     put_grid(out, &c.health_grid);
-    put_histogram(out, &c.eval_ns);
     out.extend_from_slice(&c.cycles.to_le_bytes());
     out.extend_from_slice(&c.events_emitted.to_le_bytes());
     out.extend_from_slice(&c.run_id.to_le_bytes());
@@ -235,31 +220,6 @@ pub fn put_checker(out: &mut Vec<u8>, c: &CheckerState) {
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
-
-/// Reads a bounded-memory histogram (inverse of [`put_histogram`]).
-///
-/// # Errors
-///
-/// [`CodecError::Malformed`] on truncation or an invalid layout.
-pub fn read_histogram(c: &mut Cur<'_>, what: &str) -> Result<Histogram, CodecError> {
-    let lo = c.f64(what)?;
-    if !(lo.is_finite() && lo > 0.0) {
-        return Err(c.bad(format!("{what}: invalid histogram lo {lo}")).into());
-    }
-    let buckets = c.count(what)?;
-    let mut h = Histogram::new(lo, buckets.max(1));
-    h.buckets.clear();
-    for _ in 0..buckets {
-        h.buckets.push(c.u64(what)?);
-    }
-    h.underflow = c.u64(what)?;
-    h.overflow = c.u64(what)?;
-    h.rejected = c.u64(what)?;
-    h.count = c.u64(what)?;
-    h.sum = c.f64(what)?;
-    h.max = c.f64(what)?;
-    Ok(h)
-}
 
 /// Reads a 3x3 transition grid (inverse of [`put_grid`]).
 ///
@@ -436,7 +396,6 @@ pub fn read_checker(c: &mut Cur<'_>) -> Result<CheckerState, CodecError> {
         stats.push(stat);
     }
     let health_grid = read_grid(c, "health grid")?;
-    let eval_ns = read_histogram(c, "eval histogram")?;
     let cycles = c.u64("checker cycles")?;
     let events_emitted = c.u64("events emitted")?;
     let run_id = c.u64("run id")?;
@@ -451,7 +410,6 @@ pub fn read_checker(c: &mut Cur<'_>) -> Result<CheckerState, CodecError> {
         violations,
         stats,
         health_grid,
-        eval_ns,
         cycles,
         events_emitted,
         run_id,

@@ -56,6 +56,11 @@ use crate::expr::Env;
 use crate::report::CheckReport;
 use crate::violation::Violation;
 
+/// `end_cycle` takes a wall-clock timing sample when `cycles & TIMING_MASK
+/// == 0`, one cycle in 64: two `Instant` reads on every ~100 ns cycle
+/// would cost 30-50 %.
+const TIMING_MASK: u64 = 63;
+
 /// Error returned by [`OnlineChecker::begin_cycle`] for an invalid cycle
 /// timestamp. The cycle is not opened and the checker state is unchanged.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -337,9 +342,6 @@ pub struct CheckerState {
     pub stats: Vec<AssertionStats>,
     /// Health-transition counts across all monitors.
     pub health_grid: [[u64; 3]; 3],
-    /// Wall-clock evaluation latency histogram (carried for counter
-    /// continuity; never part of deterministic summaries).
-    pub eval_ns: Histogram,
     /// Cycles closed so far.
     pub cycles: u64,
     /// Events that passed the filter so far.
@@ -422,13 +424,11 @@ pub struct OnlineChecker {
     stats: Box<[AssertionStats]>,
     /// Health-state transitions across all monitors.
     health_grid: TransitionGrid,
-    /// Wall-clock `end_cycle` latency, sampled every `timing_mask + 1`
-    /// cycles. Excluded from deterministic summaries.
+    /// Wall-clock `end_cycle` latency, sampled every `TIMING_MASK + 1`
+    /// cycles. Excluded from deterministic summaries and checkpoints.
     eval_ns: Histogram,
     /// Cycles closed so far.
     cycles: u64,
-    /// `cycle & timing_mask == 0` → take a wall-clock timing sample.
-    timing_mask: u64,
     /// Event destination; `None` keeps observability down to counters.
     sink: Option<Box<dyn EventSink>>,
     /// Severity/sampling filter applied before the sink.
@@ -495,7 +495,6 @@ impl OnlineChecker {
             health_grid: TransitionGrid::new(),
             eval_ns: Histogram::nanos(),
             cycles: 0,
-            timing_mask: ObsConfig::disabled().timing_mask(),
             sink: None,
             filter: EventFilter::none(),
             events_emitted: 0,
@@ -506,8 +505,7 @@ impl OnlineChecker {
 
     /// Creates a checker with health *and* observability configuration:
     /// events that pass `obs.filter` go to `sink` (dropped entirely when
-    /// `obs.events` is off), and wall-clock timing follows
-    /// `obs.timing_stride`.
+    /// `obs.events` is off).
     pub fn with_observability(
         catalog: impl IntoIterator<Item = Assertion>,
         health_config: HealthConfig,
@@ -520,10 +518,9 @@ impl OnlineChecker {
     }
 
     /// Attaches (or, with `obs.events` off, detaches) the event sink and
-    /// adopts `obs`'s filter and timing stride. Call before the first
-    /// cycle so the `run_start` event is not lost.
+    /// adopts `obs`'s filter. Call before the first cycle so the
+    /// `run_start` event is not lost.
     pub fn set_event_sink(&mut self, obs: &ObsConfig, sink: Box<dyn EventSink>) {
-        self.timing_mask = obs.timing_mask();
         self.filter = obs.filter.clone();
         self.sink = obs.events.then_some(sink);
     }
@@ -633,7 +630,7 @@ impl OnlineChecker {
     /// the cached stale bound is past the horizon; otherwise every monitor
     /// is known to have no dark input.
     pub fn end_cycle(&mut self) -> usize {
-        let t0 = (self.cycles & self.timing_mask == 0).then(Instant::now);
+        let t0 = (self.cycles & TIMING_MASK == 0).then(Instant::now);
         // Destructure for disjoint field borrows: the monitor loop mutates
         // `monitors`/`stats` while emitting through `sink`.
         let OnlineChecker {
@@ -983,7 +980,6 @@ impl OnlineChecker {
             violations: self.violations.clone(),
             stats: self.stats.to_vec(),
             health_grid: self.health_grid.counts(),
-            eval_ns: self.eval_ns.clone(),
             cycles: self.cycles,
             events_emitted: self.events_emitted,
             run_id: self.run_id,
@@ -998,6 +994,7 @@ impl OnlineChecker {
     ///
     /// No event sink is attached (the fleet path runs sinkless); attach
     /// one afterwards with [`OnlineChecker::set_event_sink`] if needed.
+    /// The wall-clock timer is not part of the state, so it starts empty.
     ///
     /// # Errors
     ///
@@ -1085,7 +1082,6 @@ impl OnlineChecker {
         checker.violations = state.violations;
         checker.stats = state.stats.into_boxed_slice();
         checker.health_grid = TransitionGrid::from_counts(state.health_grid);
-        checker.eval_ns = state.eval_ns;
         checker.cycles = state.cycles;
         checker.events_emitted = state.events_emitted;
         checker.run_id = state.run_id;

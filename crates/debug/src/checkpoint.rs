@@ -32,8 +32,9 @@ use adassure_trace::ColumnarTrace;
 /// File magic of a sim debug checkpoint.
 pub const MAGIC: &[u8; 5] = b"ADSIM";
 /// Current format version (2: the shared container header replaced
-/// version 1's `u16` version field).
-pub const VERSION: u8 = 2;
+/// version 1's `u16` version field; 3: the checker section dropped its
+/// wall-clock latency histogram, so equal states encode to equal bytes).
+pub const VERSION: u8 = 3;
 
 /// The driver half of a checkpoint: whichever control loop was producing
 /// commands when the snapshot was taken.
@@ -723,12 +724,14 @@ mod tests {
             SimCheckpoint::decode(&wrong_magic),
             Err(CodecError::Malformed { .. })
         ));
-        let mut wrong_version = bytes.clone();
-        wrong_version[5] = 99;
-        assert!(matches!(
-            SimCheckpoint::decode(&wrong_version),
-            Err(CodecError::Incompatible { .. })
-        ));
+        for version in [2, 99] {
+            let mut wrong_version = bytes.clone();
+            wrong_version[5] = version;
+            assert!(matches!(
+                SimCheckpoint::decode(&wrong_version),
+                Err(CodecError::Incompatible { .. })
+            ));
+        }
         let mut trailing = bytes;
         trailing.push(0);
         assert!(SimCheckpoint::decode(&trailing).is_err());

@@ -65,6 +65,22 @@ fn backward_time_travel_is_bit_identical() {
 }
 
 #[test]
+fn captures_of_one_state_encode_to_identical_bytes() {
+    let spec = DebugSpec::from_run_spec(&violating_cell());
+    let mut straight = DebugSession::new(&spec, 500).expect("session");
+    straight.run_to(2500).expect("forward");
+    // The second session reaches cycle 2500 through a checkpoint restore.
+    let mut traveller = DebugSession::new(&spec, 500).expect("session");
+    traveller.run_to(3100).expect("forward");
+    traveller.run_to(2500).expect("rewind");
+    assert_eq!(
+        straight.capture().encode(),
+        traveller.capture().encode(),
+        "an ADSIM image must be a function of the captured state alone"
+    );
+}
+
+#[test]
 fn encoded_checkpoint_resumes_in_a_fresh_session() {
     let spec = DebugSpec::from_run_spec(&violating_cell());
 

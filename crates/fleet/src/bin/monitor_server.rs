@@ -245,12 +245,6 @@ fn metrics_page(fleet: &Fleet, ingest: Option<&IngestStatsSnapshot>) -> String {
         "Samples checked",
         stats.samples,
     );
-    export::push_quantiles(
-        &mut page,
-        "adassure_fleet_cycle_latency_ns",
-        "Sampled per-cycle checking latency, nanoseconds",
-        &fleet.cycle_latency(),
-    );
     if let Some(ingest) = ingest {
         for (name, help, value) in [
             (

@@ -20,28 +20,26 @@
 //! typed [`CheckpointError`]s instead of panicking on corrupt input.
 //!
 //! ```text
-//! checkpoint := magic b"ADCKPT", version u8 (=2), endianness u8 (=1),
+//! checkpoint := magic b"ADCKPT", version u8 (=3), endianness u8 (=1),
 //!               fleet-section, session-section
 //! ```
 //!
 //! The fleet section stores the catalog's assertion ids (validated on
 //! restore — a checkpoint is only meaningful against the same compiled
-//! plan), the health config, the shard layout, and per shard the slab
-//! slots with their checker states. The session section stores
+//! plan), the health config, the deterministic part of the retired
+//! metrics, the shard layout, and per shard the slab slots with their
+//! checker states. The session section stores
 //! `(token, expected_seq, durable_seq, recent responses)` per producer
 //! session, so a restarted server can resume producers exactly where the
 //! checkpoint cut them (see DESIGN.md §13).
 //!
-//! Two retired fields keep the layout and version byte unchanged. Each
-//! shard record still opens with a `u64` rejected-batch count, from when
-//! a full shard queue refused batches; it is written as 0 and ignored on
-//! restore. Each live stream still carries a guard-present byte, from
-//! when a fleet stream could carry its own guardian; it is written as 0,
-//! and an image that sets it is [`CheckpointError::Incompatible`].
+//! No wall-clock data is stored, so two fleets fed the same batches
+//! encode to the same bytes, and a restored fleet re-encodes to the image
+//! it came from. A restored fleet's latency histograms start empty.
 
 use std::sync::Arc;
 
-use adassure_core::codec::{self, put_histogram, read_histogram};
+use adassure_core::codec;
 use adassure_core::{Assertion, CheckerPlan, HealthConfig};
 use adassure_trace::binary::{put_count, put_header, put_u16_str, Cur};
 
@@ -51,8 +49,10 @@ use crate::shard::{ShardState, ShardTotals, SlotState, StreamState};
 /// Magic bytes opening every checkpoint.
 pub const CKPT_MAGIC: &[u8; 6] = b"ADCKPT";
 /// Current checkpoint format version. Version 2 added the violation
-/// cycle index to the shared checker encoding.
-pub const CKPT_VERSION: u8 = 2;
+/// cycle index to the shared checker encoding; version 3 dropped every
+/// wall-clock histogram and two retired fields (a per-shard
+/// rejected-batch count and a per-stream guard-present byte).
+pub const CKPT_VERSION: u8 = 3;
 
 /// Typed checkpoint encode/decode/restore failures.
 ///
@@ -122,16 +122,12 @@ pub(crate) fn encode(state: &FleetState, sessions: &[SessionSeedEntry]) -> Vec<u
     out.extend_from_slice(&state.health.recover_after.to_le_bytes());
     out.extend_from_slice(&state.next_seq.to_le_bytes());
     out.extend_from_slice(&state.closed_streams.to_le_bytes());
-    let retired = serde_json::to_vec(&state.retired).expect("metrics snapshot serializes");
+    let retired = serde_json::to_vec(&state.retired).expect("metrics summary serializes");
     put_count(&mut out, retired.len());
     out.extend_from_slice(&retired);
     put_count(&mut out, state.shards.len());
     for shard in &state.shards {
-        // The retired per-shard rejected-batch count: always 0.
-        out.extend_from_slice(&0u64.to_le_bytes());
         put_totals(&mut out, &shard.totals);
-        out.extend_from_slice(&shard.cycle_counter.to_le_bytes());
-        put_histogram(&mut out, &shard.cycle_ns);
         put_count(&mut out, shard.slots.len());
         for slot in &shard.slots {
             out.extend_from_slice(&slot.gen.to_le_bytes());
@@ -141,8 +137,6 @@ pub(crate) fn encode(state: &FleetState, sessions: &[SessionSeedEntry]) -> Vec<u
                     out.push(1);
                     out.extend_from_slice(&stream.seq.to_le_bytes());
                     out.extend_from_slice(&stream.last_t.to_le_bytes());
-                    // The retired guard-present byte: always 0.
-                    out.push(0);
                     codec::put_checker(&mut out, &stream.checker);
                 }
             }
@@ -210,11 +204,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FleetState, Vec<SessionSeedEntry>)
     let shard_count = c.count("shard count")?;
     let mut shards = Vec::with_capacity(shard_count);
     for _ in 0..shard_count {
-        // The retired rejected-batch count, ignored (see the module docs).
-        c.u64("rejected batches")?;
         let totals = read_totals(&mut c)?;
-        let cycle_counter = c.u64("cycle counter")?;
-        let cycle_ns = read_histogram(&mut c, "cycle histogram")?;
         let slot_count = c.count("slot count")?;
         let mut slots = Vec::with_capacity(slot_count);
         for _ in 0..slot_count {
@@ -222,12 +212,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FleetState, Vec<SessionSeedEntry>)
             let stream = if c.bool("slot live flag")? {
                 let seq = c.u64("stream seq")?;
                 let last_t = c.f64("stream last-t")?;
-                // The retired guard-present byte (see the module docs).
-                if c.bool("guard flag")? {
-                    return Err(CheckpointError::incompatible(
-                        "stream sets the retired guard-present byte; fleet streams carry no guardian",
-                    ));
-                }
                 let checker = codec::read_checker(&mut c)?;
                 Some(StreamState {
                     seq,
@@ -248,8 +232,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FleetState, Vec<SessionSeedEntry>)
             slots,
             free,
             totals,
-            cycle_ns,
-            cycle_counter,
         });
     }
     let session_count = c.count("session count")?;
@@ -304,10 +286,11 @@ impl Fleet {
     /// # Errors
     ///
     /// [`CheckpointError::Malformed`] for corrupt bytes,
-    /// [`CheckpointError::Incompatible`] when the catalog, health config
-    /// or shard count does not match the checkpoint, when a stream sets
-    /// the retired guard byte, or when a shard's free list names a live or
-    /// a repeated slot.
+    /// [`CheckpointError::Incompatible`] for another format version, when
+    /// the catalog, health config or shard count does not match the
+    /// checkpoint, when the retired latency histogram has a foreign
+    /// layout, or when a shard's free list names a live or a repeated
+    /// slot.
     pub fn restore(
         catalog: impl IntoIterator<Item = Assertion>,
         config: FleetConfig,
@@ -432,6 +415,61 @@ mod tests {
         );
     }
 
+    /// A 16-stream fleet after 200 cycles of identical input, with four
+    /// streams closed so the retired metrics are non-empty.
+    fn fed_fleet() -> Fleet {
+        let mut fleet = Fleet::new(catalog(), config());
+        let ids: Vec<_> = (0..16).map(|_| fleet.open_stream()).collect();
+        for k in 1..=200u64 {
+            for (s, &id) in ids.iter().enumerate() {
+                let mut batch = SampleBatch::new(id);
+                let t = 0.1 * k as f64;
+                let x = if (k + s as u64).is_multiple_of(7) {
+                    2.0
+                } else {
+                    0.3
+                };
+                batch.push(t, "x", x);
+                if !k.is_multiple_of(4) {
+                    batch.push(t, "gnss", 1.0);
+                }
+                fleet.submit(batch).unwrap();
+            }
+        }
+        for &id in &ids[..4] {
+            fleet.close_stream(id).unwrap();
+        }
+        fleet
+    }
+
+    #[test]
+    fn images_are_a_function_of_fleet_state() {
+        let image = fed_fleet().checkpoint();
+        assert_eq!(
+            fed_fleet().checkpoint(),
+            image,
+            "two fleets fed the same batches must encode identically"
+        );
+        let restored = Fleet::restore(catalog(), config(), &image).expect("restore");
+        assert_eq!(restored.checkpoint(), image, "restore then re-encode");
+    }
+
+    #[test]
+    fn restore_rejects_a_retired_histogram_of_another_layout() {
+        let fleet = fed_fleet();
+        let mut state = fleet.capture_state();
+        state.retired.detection_latency_s = adassure_obs::Histogram::new(1e-3, 27);
+        let bytes = encode(&state, &[]);
+        assert!(decode(&bytes).is_ok(), "the image itself is decodable");
+        // Restoring it would make every later `Fleet::metrics` panic on
+        // merging histograms of different layouts.
+        assert!(matches!(
+            Fleet::restore(catalog(), config(), &bytes),
+            Err(CheckpointError::Incompatible { .. })
+        ));
+        assert!(Fleet::restore(catalog(), config(), &fleet.checkpoint()).is_ok());
+    }
+
     #[test]
     fn restore_rejects_wrong_catalog_and_layout() {
         let mut fleet = Fleet::new(catalog(), config());
@@ -494,41 +532,15 @@ mod tests {
                 "byte flip at {pos}"
             );
         }
-        let mut flipped = bytes.clone();
-        flipped[6] = 99; // version byte
-        assert!(matches!(
-            decode(&flipped),
-            Err(CheckpointError::Incompatible { .. })
-        ));
-    }
-
-    #[test]
-    fn a_set_guard_byte_is_a_typed_error() {
-        let mut fleet = Fleet::new(catalog(), one_shard());
-        let id = fleet.open_stream();
-        let mut batch = SampleBatch::new(id);
-        batch.push(0.1, "x", 2.0);
-        fleet.submit(batch).unwrap();
-        let bytes = fleet.checkpoint();
-        // The one stream's record ends with its guard byte and checker;
-        // only the empty free list and session table follow.
-        let state = fleet.capture_state();
-        let checker = &state.shards[0].slots[0].stream.as_ref().unwrap().checker;
-        let mut checker_bytes = Vec::new();
-        codec::put_checker(&mut checker_bytes, checker);
-        let guard_at = bytes.len() - 8 - checker_bytes.len() - 1;
-        assert_eq!(bytes[guard_at], 0, "the retired guard byte is written as 0");
-        assert!(decode(&bytes).is_ok());
-        let mut guarded = bytes.clone();
-        guarded[guard_at] = 1;
-        assert!(matches!(
-            decode(&guarded),
-            Err(CheckpointError::Incompatible { .. })
-        ));
-        assert!(matches!(
-            Fleet::restore(catalog(), one_shard(), &guarded),
-            Err(CheckpointError::Incompatible { .. })
-        ));
+        // Version 2 carried wall-clock histograms and retired fields.
+        for version in [2, 99] {
+            let mut flipped = bytes.clone();
+            flipped[6] = version;
+            assert!(matches!(
+                decode(&flipped),
+                Err(CheckpointError::Incompatible { .. })
+            ));
+        }
     }
 
     /// A one-shard image whose free list is `free` (patched in place),

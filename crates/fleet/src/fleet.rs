@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use adassure_core::{Assertion, CheckReport, CheckerPlan, HealthConfig};
 use adassure_exp::Runtime;
-use adassure_obs::{Histogram, MetricsSnapshot};
+use adassure_obs::{Histogram, MetricsSnapshot, ObsSummary};
 
 use crate::shard::{Shard, ShardState, StreamError};
 use crate::stream::{SampleBatch, StreamId};
@@ -21,7 +21,9 @@ pub(crate) struct FleetState {
     pub(crate) health: HealthConfig,
     pub(crate) next_seq: u64,
     pub(crate) closed_streams: u64,
-    pub(crate) retired: MetricsSnapshot,
+    /// The retired metrics' deterministic part: wall-clock timings are
+    /// never captured.
+    pub(crate) retired: ObsSummary,
     pub(crate) shards: Vec<ShardState>,
 }
 
@@ -313,11 +315,11 @@ impl Fleet {
     }
 
     /// Captures the fleet's complete state as plain data: slab layouts,
-    /// checker states, merged retired metrics, and the stream-sequence
-    /// counter. Together with the plan this determines every future
-    /// verdict, which is what makes checkpoint/restore bit-identical (see
-    /// [`crate::checkpoint`]). Every batch whose `submit` has returned is
-    /// in it.
+    /// checker states, merged retired metrics (less their wall-clock
+    /// timings), and the stream-sequence counter. Together with the plan
+    /// this determines every future verdict, which is what makes
+    /// checkpoint/restore bit-identical (see [`crate::checkpoint`]). Every
+    /// batch whose `submit` has returned is in it.
     pub(crate) fn capture_state(&self) -> FleetState {
         let shards = self
             .shards
@@ -334,7 +336,7 @@ impl Fleet {
             health: self.health,
             next_seq: self.next_seq,
             closed_streams: self.closed_streams,
-            retired: self.retired.clone(),
+            retired: self.retired.summary(),
             shards,
         }
     }
@@ -343,6 +345,8 @@ impl Fleet {
     /// plan must carry the same catalog (validated by assertion ids) and
     /// `config` must match the state's shard count and health config —
     /// stream ids encode their shard, so the layout is part of the state.
+    /// The retired latency histogram must have the layout
+    /// [`Fleet::metrics`] merges it into.
     pub(crate) fn restore_with_state(
         plan: Arc<CheckerPlan>,
         config: FleetConfig,
@@ -374,6 +378,13 @@ impl Fleet {
                 config.shards.max(1)
             ));
         }
+        if !state
+            .retired
+            .detection_latency_s
+            .same_layout(&Histogram::seconds())
+        {
+            return Err("retired detection-latency histogram has a foreign layout".into());
+        }
         let mut fleet = Fleet::with_plan(plan, config);
         for (shard, shard_state) in fleet.shards.iter().zip(state.shards) {
             shard.lock().expect("shard lock poisoned").restore_state(
@@ -384,18 +395,14 @@ impl Fleet {
         }
         fleet.next_seq = state.next_seq;
         fleet.closed_streams = state.closed_streams;
-        fleet.retired = state.retired;
+        fleet.retired = state.retired.into_snapshot();
         Ok(fleet)
     }
 
-    /// Sampled wall-clock per-cycle latency, merged across shards. For
-    /// benchmarks and dashboards; never part of the deterministic
-    /// snapshot comparison.
+    /// Sampled wall-clock `end_cycle` latency of every stream, the
+    /// `eval_cycle_ns` of [`Fleet::metrics`]. For benchmarks and
+    /// dashboards; never part of the deterministic snapshot comparison.
     pub fn cycle_latency(&self) -> Histogram {
-        let mut out = Histogram::nanos();
-        for shard in self.shards.iter() {
-            out.merge(shard.lock().expect("shard lock poisoned").cycle_ns());
-        }
-        out
+        self.metrics().eval_cycle_ns
     }
 }

@@ -132,7 +132,7 @@ pub struct IngestStats {
     pub checkpoints: AtomicU64,
     /// Frames decoded (all types).
     pub frames: AtomicU64,
-    /// Sample batches applied to shard queues.
+    /// Sample batches applied to their streams' checkers.
     pub batches: AtomicU64,
     /// Samples inside applied batches.
     pub samples: AtomicU64,
@@ -631,8 +631,7 @@ impl IngestServer {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] on filesystem failure or non-checkpointable
-    /// state.
+    /// [`CheckpointError::Io`] on filesystem failure.
     pub fn checkpoint_to(&self, path: &Path) -> Result<(), CheckpointError> {
         self.checkpointer().checkpoint_to(path)
     }

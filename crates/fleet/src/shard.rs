@@ -9,16 +9,11 @@
 //! DESIGN.md §11).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use adassure_core::{CheckReport, CheckerPlan, CheckerState, HealthConfig, OnlineChecker};
-use adassure_obs::{Histogram, MetricsSnapshot};
+use adassure_obs::MetricsSnapshot;
 
 use crate::stream::{SampleBatch, StreamId};
-
-/// Sample the per-cycle wall-clock latency every `TIMING_MASK + 1` cycles
-/// — dense enough for soak p50/p99, cheap enough for the hot path.
-const TIMING_MASK: u64 = 7;
 
 /// What one stream carries at runtime.
 #[derive(Debug)]
@@ -95,15 +90,13 @@ pub(crate) struct SlotState {
 }
 
 /// Plain-data snapshot of a whole shard: slab layout (including the free
-/// list, whose order determines future slot reuse), cumulative counters,
-/// and the timing histogram.
+/// list, whose order determines future slot reuse) and cumulative
+/// counters.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardState {
     pub(crate) slots: Vec<SlotState>,
     pub(crate) free: Vec<u32>,
     pub(crate) totals: ShardTotals,
-    pub(crate) cycle_ns: Histogram,
-    pub(crate) cycle_counter: u64,
 }
 
 #[derive(Debug)]
@@ -114,10 +107,6 @@ pub(crate) struct Shard {
     live: usize,
     /// Cumulative apply counters since construction.
     totals: ShardTotals,
-    /// Sampled wall-clock per-cycle latency (see [`TIMING_MASK`]).
-    cycle_ns: Histogram,
-    /// Cycles closed on this shard, for the timing stride.
-    cycle_counter: u64,
 }
 
 impl Shard {
@@ -128,8 +117,6 @@ impl Shard {
             free: Vec::new(),
             live: 0,
             totals: ShardTotals::default(),
-            cycle_ns: Histogram::nanos(),
-            cycle_counter: 0,
         }
     }
 
@@ -139,10 +126,6 @@ impl Shard {
 
     pub(crate) fn totals(&self) -> ShardTotals {
         self.totals
-    }
-
-    pub(crate) fn cycle_ns(&self) -> &Histogram {
-        &self.cycle_ns
     }
 
     /// Allocates a slot for a new stream and returns its id.
@@ -203,13 +186,7 @@ impl Shard {
     /// equal timestamps, and adds the counts to the shard totals. A batch
     /// for a closed generation is counted stale and dropped.
     pub(crate) fn apply(&mut self, batch: &SampleBatch) {
-        let Shard {
-            slots,
-            totals,
-            cycle_ns,
-            cycle_counter,
-            ..
-        } = self;
+        let Shard { slots, totals, .. } = self;
         totals.batches += 1;
         let Some(stream) = slots
             .get_mut(batch.stream.slot as usize)
@@ -234,7 +211,6 @@ impl Shard {
                 i = end;
                 continue;
             }
-            let timed = (*cycle_counter & TIMING_MASK == 0).then(Instant::now);
             for sample in &samples[i..end] {
                 stream.checker.update(sample.channel.clone(), sample.value);
             }
@@ -242,10 +218,6 @@ impl Shard {
             totals.cycles += 1;
             totals.violations += new_violations as u64;
             stream.last_t = t;
-            if let Some(t0) = timed {
-                cycle_ns.record(t0.elapsed().as_nanos() as f64);
-            }
-            *cycle_counter += 1;
             i = end;
         }
     }
@@ -269,8 +241,6 @@ impl Shard {
             slots,
             free: self.free.clone(),
             totals: self.totals,
-            cycle_ns: self.cycle_ns.clone(),
-            cycle_counter: self.cycle_counter,
         }
     }
 
@@ -331,8 +301,6 @@ impl Shard {
         self.free = state.free;
         self.live = live;
         self.totals = state.totals;
-        self.cycle_ns = state.cycle_ns;
-        self.cycle_counter = state.cycle_counter;
         Ok(())
     }
 

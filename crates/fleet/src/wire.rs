@@ -130,9 +130,10 @@ impl From<DecodeError> for WireError {
 }
 
 /// Why the server refused a frame. Stream reasons mirror
-/// [`crate::StreamError`]. A full shard queue is never a reason: the
-/// connection stalls until the queue has room (see [`crate::ingest`]).
-/// Reason bytes 0 and 4 are unassigned.
+/// [`crate::StreamError`]. Load is never a reason: a connection thread
+/// applies each batch before it reads the next frame, so a busy server
+/// just reads its socket later (see [`crate::ingest`]). Reason bytes 0
+/// and 4 are unassigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NackReason {
     /// The stream id names a shard the fleet does not have

@@ -25,24 +25,16 @@ pub struct ObsConfig {
     /// Where the campaign engine writes merged JSONL (`None` keeps events
     /// in memory / discards them).
     pub jsonl_path: Option<PathBuf>,
-    /// Sample wall-clock cycle timing every N cycles (power of two;
-    /// rounded up if not). Timing an ~100 ns cycle with two `Instant`
-    /// reads costs ~30-50%, so stride-1 is for benchmarks only.
-    pub timing_stride: u32,
 }
 
 impl ObsConfig {
-    /// Default stride between wall-clock timing samples.
-    pub const DEFAULT_TIMING_STRIDE: u32 = 64;
-
-    /// Everything off: no events, no timing. Metrics counters still run
+    /// Everything off: no events. Metrics counters still run
     /// (they are a few adds per cycle and keep reports comparable).
     pub fn disabled() -> Self {
         ObsConfig {
             events: false,
             filter: EventFilter::none(),
             jsonl_path: None,
-            timing_stride: Self::DEFAULT_TIMING_STRIDE,
         }
     }
 
@@ -52,7 +44,6 @@ impl ObsConfig {
             events: true,
             filter: EventFilter::all(),
             jsonl_path: None,
-            timing_stride: Self::DEFAULT_TIMING_STRIDE,
         }
     }
 
@@ -74,12 +65,6 @@ impl ObsConfig {
         };
         cfg.jsonl_path = std::env::var(OBS_PATH_ENV).ok().map(PathBuf::from);
         cfg
-    }
-
-    /// `timing_stride` rounded up to a power of two, as a cycle-counter
-    /// mask (`cycle & mask == 0` → take a timing sample).
-    pub fn timing_mask(&self) -> u64 {
-        u64::from(self.timing_stride.max(1)).next_power_of_two() - 1
     }
 
     /// Builder-style: set the JSONL output path.
@@ -104,19 +89,6 @@ mod tests {
         let cfg = ObsConfig::disabled();
         assert!(!cfg.events);
         assert_eq!(cfg.filter, EventFilter::none());
-    }
-
-    #[test]
-    fn timing_mask_rounds_to_power_of_two() {
-        let mut cfg = ObsConfig::enabled();
-        cfg.timing_stride = 64;
-        assert_eq!(cfg.timing_mask(), 63);
-        cfg.timing_stride = 1;
-        assert_eq!(cfg.timing_mask(), 0, "stride 1 samples every cycle");
-        cfg.timing_stride = 100;
-        assert_eq!(cfg.timing_mask(), 127);
-        cfg.timing_stride = 0;
-        assert_eq!(cfg.timing_mask(), 0);
     }
 
     // `from_env` is covered by the campaign integration tests; mutating

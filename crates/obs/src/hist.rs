@@ -141,11 +141,17 @@ impl Histogram {
         self.quantile(0.99)
     }
 
+    /// Whether `self` and `other` share a layout (same `lo`, same bucket
+    /// count), the precondition of [`Histogram::merge`].
+    pub fn same_layout(&self, other: &Histogram) -> bool {
+        self.lo == other.lo && self.buckets.len() == other.buckets.len()
+    }
+
     /// Adds `other`'s counts into `self`. Both sides must share a layout
-    /// (same `lo`, same bucket count).
+    /// (see [`Histogram::same_layout`]).
     pub fn merge(&mut self, other: &Histogram) {
         assert!(
-            self.lo == other.lo && self.buckets.len() == other.buckets.len(),
+            self.same_layout(other),
             "merging histograms with different layouts"
         );
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {

@@ -18,8 +18,8 @@
 //!    sink enabled vs [`NullSink`].
 //! 3. **~Free when disabled.** Event emission is gated by a bitmask
 //!    [`EventFilter`] checked before the event reaches a sink, and
-//!    wall-clock timing is sampled every [`ObsConfig::timing_stride`]
-//!    cycles, so the disabled configuration costs a predictable branch.
+//!    the checker samples wall-clock timing on one cycle in 64, so the
+//!    disabled configuration costs a predictable branch.
 //!
 //! The pieces:
 //!

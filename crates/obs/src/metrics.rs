@@ -189,8 +189,9 @@ pub struct MetricsSnapshot {
     pub guard_transitions: Vec<Transition>,
     /// Events that passed the filter and reached the sink.
     pub events_emitted: u64,
-    /// Wall-clock cycle-evaluation time, nanoseconds (sampled; see
-    /// `ObsConfig::timing_stride`). Non-deterministic by nature.
+    /// Wall-clock cycle-evaluation time, nanoseconds, sampled on one
+    /// cycle in 64. Non-deterministic by nature, so no checkpoint image
+    /// stores it.
     pub eval_cycle_ns: Histogram,
     /// Detection latency in simulation seconds (fault onset → first
     /// alarm). Sim-time, hence deterministic.
@@ -285,6 +286,20 @@ impl ObsSummary {
     /// An empty summary (what reports carry when observability is off).
     pub fn empty() -> Self {
         ObsSummary::default()
+    }
+
+    /// The summary as a full snapshot with an empty `eval_cycle_ns`: the
+    /// inverse of [`MetricsSnapshot::summary`] up to its wall-clock data.
+    pub fn into_snapshot(self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            cycles: self.cycles,
+            assertions: self.assertions,
+            health_transitions: self.health_transitions,
+            guard_transitions: self.guard_transitions,
+            events_emitted: self.events_emitted,
+            eval_cycle_ns: Histogram::nanos(),
+            detection_latency_s: self.detection_latency_s,
+        }
     }
 
     /// Adds `other` into `self` with the same semantics as
