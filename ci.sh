@@ -8,6 +8,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (adassure* packages, warnings are errors, so no dangling doc link) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p 'adassure*'
+
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 

@@ -2,6 +2,10 @@
 //! checker per control cycle as a function of catalog size, against the
 //! 10 ms cycle budget of a 100 Hz loop.
 //!
+//! The trace is grouped into cycles once, by the offline checker's own
+//! sweep (`checker::for_each_cycle`), so the timed loop is only the
+//! checker's `begin_cycle` / `update` / `end_cycle`.
+//!
 //! (Criterion micro-benchmarks of the same path live in `benches/checker.rs`;
 //! this binary prints the paper-style table.)
 //!
@@ -31,12 +35,12 @@ fn main() {
         seed: 1,
     };
     let (out, _) = execute(&spec, &full_catalog).expect("clean run");
-    let events = checker::events(&out.trace);
 
-    // Pre-group events into cycles so the measured loop is only the checker.
-    let cycles: Vec<(f64, Vec<(adassure_trace::SignalId, f64)>)> = checker::Cycles::new(&events)
-        .map(|(t, cycle)| (t, cycle.iter().map(|&(_, id, v)| (id.clone(), v)).collect()))
-        .collect();
+    // Pre-group samples into cycles so the measured loop is only the checker.
+    let mut cycles: Vec<(f64, Vec<(adassure_trace::SignalId, f64)>)> = Vec::new();
+    checker::for_each_cycle(&out.trace, |t, cycle| {
+        cycles.push((t, cycle.iter().map(|&(id, v)| (id.clone(), v)).collect()));
+    });
 
     println!(
         "F3: online checker cost per 100 Hz control cycle ({} cycles replayed)\n",

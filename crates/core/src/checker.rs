@@ -5,14 +5,11 @@
 //! per-cycle sample stream from a [`Trace`] and feeds it to
 //! [`OnlineChecker`].
 //!
-//! Two replay paths exist, with identical cycle boundaries:
-//!
-//! * one cursor sweep over the trace's per-series samples — no
-//!   flattening, no sort — backs every `check*` entry point (which
-//!   resolves each series to its checker slot once, up front),
-//!   [`for_each_cycle`] and [`replay`];
-//! * [`events`] + [`Cycles`] materialise a time-sorted event stream for
-//!   callers that need one (the overhead harnesses).
+//! One cursor sweep over the trace's per-series samples — no flattening,
+//! no sort — sets the cycle boundaries of every replay: [`check`] and
+//! [`check_observed`] (which resolve each series to its checker slot once,
+//! up front), [`for_each_cycle`] and [`replay`]. The lane engine
+//! ([`crate::lane`]) reads the same cycle grid from a columnar trace.
 
 use adassure_obs::{EventSink, MetricsSnapshot, ObsConfig};
 use adassure_trace::{Sample, SignalId, Trace};
@@ -21,68 +18,16 @@ use crate::assertion::Assertion;
 use crate::online::{HealthConfig, OnlineChecker};
 use crate::report::CheckReport;
 
-/// One flattened trace sample: `(time, signal, value)`.
-pub type Event<'t> = (f64, &'t SignalId, f64);
-
-/// The trace's samples flattened into [`Event`]s, sorted by time (ties
-/// resolved by signal name, so replay is deterministic).
-///
-/// No two events share a `(time, signal)` pair — a [`Trace`] rejects
-/// duplicate timestamps per signal — so the unstable sort is deterministic.
-pub fn events(trace: &Trace) -> Vec<Event<'_>> {
-    let mut out: Vec<Event<'_>> = Vec::with_capacity(trace.sample_count());
-    for series in trace.iter() {
-        for sample in series.samples() {
-            out.push((sample.time, series.id(), sample.value));
-        }
-    }
-    out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(b.1)));
-    out
-}
-
-/// Iterator over the control cycles of a time-sorted event stream: yields
-/// `(time, samples)` for each distinct timestamp, in order.
-///
-/// Its cycle boundaries and within-cycle order match [`for_each_cycle`]'s
-/// exactly (pinned by a test), so the overhead harnesses that consume it
-/// replay the same cycles [`check`] does.
-#[derive(Debug, Clone)]
-pub struct Cycles<'e, 't> {
-    rest: &'e [Event<'t>],
-}
-
-impl<'e, 't> Cycles<'e, 't> {
-    /// Wraps a time-sorted event stream (as produced by [`events`]).
-    pub fn new(events: &'e [Event<'t>]) -> Self {
-        Cycles { rest: events }
-    }
-}
-
-impl<'e, 't> Iterator for Cycles<'e, 't> {
-    type Item = (f64, &'e [Event<'t>]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let first = self.rest.first()?;
-        let t = first.0;
-        let n = self.rest.iter().take_while(|e| e.0 == t).count();
-        let (cycle, rest) = self.rest.split_at(n);
-        self.rest = rest;
-        Some((t, cycle))
-    }
-}
-
 /// Drives `f` over every cycle of `trace`, merging the per-series sample
 /// streams directly: each series is already time-sorted, so the cycles
 /// come out of a cursor sweep with no flattening, no sort and no
 /// allocation beyond one reusable per-cycle buffer.
 ///
 /// Within a cycle the samples arrive in signal-name order (the series
-/// iterate name-sorted), matching the tie order of [`events`] exactly —
-/// replays through this sweep and through a sorted event stream are
-/// byte-identical.
+/// iterate name-sorted), so a replay is deterministic.
 ///
-/// Both [`check`] and [`replay`] run on the same sweep, so their cycle
-/// boundaries agree by construction.
+/// [`check`], [`check_observed`] and [`replay`] run on the same sweep, so
+/// their cycle boundaries agree by construction.
 pub fn for_each_cycle(trace: &Trace, f: impl FnMut(f64, &[(&SignalId, f64)])) {
     sweep(
         trace.iter().map(|s| (Some(s.id()), s.samples())).collect(),
@@ -128,7 +73,7 @@ fn sweep<K: Copy>(mut cursors: Vec<(Option<K>, &[Sample])>, mut f: impl FnMut(f6
 }
 
 /// Drives `checker` through every cycle of `trace` and returns the trace's
-/// end time, the instant every `check*` entry point finishes at.
+/// end time, the instant both `check*` entry points finish at.
 ///
 /// Each series is resolved to its checker slot once; series no assertion
 /// reads still mark cycle boundaries but their samples are never applied.
@@ -138,8 +83,9 @@ fn drive(checker: &mut OnlineChecker, trace: &Trace) -> f64 {
         .map(|s| (checker.slot(s.id()), s.samples()))
         .collect();
     sweep(cursors, |t, cycle| {
-        // A Trace rejects non-monotone and non-finite times per series, and
-        // the sweep merges them in ascending order.
+        // Every series keeps its times strictly increasing and finite (a
+        // `Series` cannot be deserialized around that check), and the
+        // sweep merges them in ascending order.
         checker
             .begin_cycle(t)
             .expect("trace cycles are strictly time-ordered");
@@ -165,41 +111,28 @@ fn drive(checker: &mut OnlineChecker, trace: &Trace) -> f64 {
 /// assert!(report.is_clean());
 /// ```
 pub fn check(catalog: &[Assertion], trace: &Trace) -> CheckReport {
-    check_with_health(catalog, HealthConfig::default(), trace)
-}
-
-/// [`check`] with an explicit telemetry-health configuration, for callers
-/// (and differential tests) that exercise staleness degradation offline.
-pub fn check_with_health(
-    catalog: &[Assertion],
-    health: HealthConfig,
-    trace: &Trace,
-) -> CheckReport {
-    let mut checker = OnlineChecker::with_health(catalog.iter().cloned(), health);
+    let mut checker = OnlineChecker::new(catalog.iter().cloned());
     let end = drive(&mut checker, trace);
     checker.finish(end)
 }
 
-/// [`check`] with observability: replays `trace` through a checker whose
-/// events (stamped with run id `run`, filtered per `obs`) go to `sink`,
-/// and returns the report together with the final metrics and the sink.
+/// [`check`] with an explicit telemetry-health configuration and
+/// observability: replays `trace` through a checker whose events (stamped
+/// with run id `run`, filtered per `obs`) go to `sink`, and returns the
+/// report together with the final metrics and the sink.
 ///
-/// The replayed verdicts are identical to [`check`]'s by construction —
-/// observability only *reads* monitor state — which the campaign
-/// differential test asserts end to end.
+/// Under the default [`HealthConfig`] the replayed verdicts are identical
+/// to [`check`]'s by construction — observability only *reads* monitor
+/// state — which the campaign differential test asserts end to end.
 pub fn check_observed(
     catalog: &[Assertion],
+    health: HealthConfig,
     trace: &Trace,
     run: u64,
     obs: &ObsConfig,
     sink: Box<dyn EventSink>,
 ) -> (CheckReport, MetricsSnapshot, Option<Box<dyn EventSink>>) {
-    let mut checker = OnlineChecker::with_observability(
-        catalog.iter().cloned(),
-        HealthConfig::default(),
-        obs,
-        sink,
-    );
+    let mut checker = OnlineChecker::with_observability(catalog.iter().cloned(), health, obs, sink);
     checker.set_run_id(run);
     let end = drive(&mut checker, trace);
     checker.finish_observed(end)
@@ -235,19 +168,6 @@ mod tests {
                 limit,
             },
         )
-    }
-
-    #[test]
-    fn events_are_time_sorted_with_stable_ties() {
-        let mut trace = Trace::new();
-        trace.record("b", 0.0, 1.0);
-        trace.record("a", 0.0, 2.0);
-        trace.record("a", 0.1, 3.0);
-        let ev = events(&trace);
-        assert_eq!(ev.len(), 3);
-        assert_eq!(ev[0].1.as_str(), "a");
-        assert_eq!(ev[1].1.as_str(), "b");
-        assert_eq!(ev[2].0, 0.1);
     }
 
     #[test]
@@ -309,24 +229,9 @@ mod tests {
     }
 
     #[test]
-    fn cycles_group_by_distinct_timestamp() {
-        let mut trace = Trace::new();
-        trace.record("b", 0.0, 1.0);
-        trace.record("a", 0.0, 2.0);
-        trace.record("a", 0.1, 3.0);
-        let ev = events(&trace);
-        let cycles: Vec<_> = Cycles::new(&ev).collect();
-        assert_eq!(cycles.len(), 2);
-        assert_eq!(cycles[0].0, 0.0);
-        assert_eq!(cycles[0].1.len(), 2);
-        assert_eq!(cycles[1].0, 0.1);
-        assert_eq!(cycles[1].1.len(), 1);
-        assert_eq!(Cycles::new(&[]).count(), 0);
-    }
-
-    #[test]
-    fn cycle_sweep_matches_sorted_event_grouping() {
-        // Mixed-rate signals: "fast" every cycle, "slow" every third.
+    fn cycles_group_by_distinct_timestamp_in_name_order() {
+        // Mixed-rate signals: "fast" every cycle, "slow" every third, plus
+        // one off-grid timestamp.
         let mut trace = Trace::new();
         for i in 0..30 {
             let t = f64::from(i) * 0.01;
@@ -335,7 +240,7 @@ mod tests {
                 trace.record("slow", t, -f64::from(i));
             }
         }
-        trace.record("zz_late", 0.005, 7.0); // off-grid timestamp
+        trace.record("zz_late", 0.005, 7.0);
         let mut swept = Vec::new();
         for_each_cycle(&trace, |t, cycle| {
             swept.push((
@@ -346,19 +251,20 @@ mod tests {
                     .collect::<Vec<_>>(),
             ));
         });
-        let ev = events(&trace);
-        let grouped: Vec<_> = Cycles::new(&ev)
-            .map(|(t, cycle)| {
-                (
-                    t,
-                    cycle
-                        .iter()
-                        .map(|(_, id, v)| (id.as_str().to_owned(), *v))
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        assert_eq!(swept, grouped);
+        assert_eq!(swept.len(), 31, "30 grid cycles plus the off-grid one");
+        assert_eq!(
+            swept[0],
+            (
+                0.0,
+                vec![("fast".to_owned(), 0.0), ("slow".to_owned(), -0.0)]
+            )
+        );
+        assert_eq!(swept[1], (0.005, vec![("zz_late".to_owned(), 7.0)]));
+        assert_eq!(swept[2], (0.01, vec![("fast".to_owned(), 1.0)]));
+        assert!(swept.windows(2).all(|w| w[0].0 < w[1].0));
+        let samples: usize = swept.iter().map(|(_, c)| c.len()).sum();
+        assert_eq!(samples, trace.sample_count());
+        for_each_cycle(&Trace::new(), |_, _| panic!("an empty trace has no cycles"));
     }
 
     #[test]
@@ -374,6 +280,7 @@ mod tests {
         let baseline = check(&catalog, &trace);
         let (report, metrics, sink) = check_observed(
             &catalog,
+            HealthConfig::default(),
             &trace,
             7,
             &ObsConfig::enabled(),

@@ -5,7 +5,7 @@
 //! routing and per-monitor dispatch for every cycle of every trace. This
 //! module amortises that overhead across a *lane group*: up to [`LANES`]
 //! traces are checked together in two phases. First the group's
-//! sample-and-hold state is resolved slot by slot ([`History`]): dense
+//! sample-and-hold state is resolved slot by slot: dense
 //! controller-rate signals are read in place from the trace columns and
 //! only sparse remainders are materialised as per-cycle struct-of-arrays
 //! rows. Then each monitor sweeps the whole cycle range in one pass
@@ -13,6 +13,12 @@
 //! touches a `[f64; LANES]` column — a shape the compiler
 //! auto-vectorises — and per-lane validity is a bitmask, so "some signal
 //! unseen in lane 3" costs an AND instead of a branch.
+//!
+//! The catalog is lowered once, by [`CheckerPlan::compile`], exactly as
+//! for the scalar checker; the lane engine only derives its shape-matched
+//! kernel table and per-slot history needs from that plan. Telemetry
+//! health runs through the online checker's own per-monitor health
+//! machine, one per lane.
 //!
 //! # Semantics: bit-identical to the scalar path
 //!
@@ -35,9 +41,8 @@
 //! * health: offline traces cannot carry poisoned (non-finite) samples —
 //!   [`adassure_trace::Trace`] rejects them at record time — so with the
 //!   default infinite staleness horizon every monitor stays Active and the
-//!   health layer is skipped wholesale; with a finite horizon the
-//!   degradation/quarantine/recovery streaks run per lane, matching the
-//!   online checker state machine exactly.
+//!   health layer is skipped wholesale; with a finite horizon each lane
+//!   steps the online checker's health machine itself.
 
 // Lockstep per-lane index loops (`for l in 0..LANES`) mirror the
 // struct-of-arrays layout and keep every lane's op visibly identical;
@@ -50,9 +55,9 @@ use adassure_obs::{
 use adassure_trace::ColumnarTrace;
 
 use crate::assertion::{Assertion, Temporal};
-use crate::compile::{CompiledCondition, Op, SlotMask};
-use crate::expr::{wrap_angle, Env};
-use crate::online::HealthConfig;
+use crate::compile::{CompiledCondition, Op};
+use crate::expr::wrap_angle;
+use crate::online::{CheckerPlan, HealthConfig, HealthMachine};
 use crate::report::CheckReport;
 use crate::violation::Violation;
 
@@ -62,11 +67,6 @@ pub const LANES: usize = 8;
 
 /// One validity/selection bit per lane.
 type Mask = u8;
-
-/// Health-state encoding matching [`ObsHealth`]'s `index()` order.
-const ACTIVE: u8 = 0;
-const DEGRADED: u8 = 1;
-const SUSPENDED: u8 = 2;
 
 /// One signal's sample columns for one lane, consumed front-to-back
 /// during history materialisation. Empty slices mean "no such series in
@@ -190,15 +190,14 @@ impl History<'_> {
 /// like the derivative columns, that only affects the materialised
 /// remainder — the dense prefix always has timestamps in place.
 fn build_history<'t>(plan: &Plan, group: &'t [ColumnarTrace], health_on: bool) -> History<'t> {
-    let width = plan.env.table().len();
+    let width = plan.core.width;
     // Route each lane's series to the plan slot it feeds. Signals outside
-    // the compiled table are skipped — the scalar path interns them into
-    // fresh slots no assertion references, so dropping them here is
-    // observationally identical.
+    // the compiled table are skipped, as the scalar path ignores samples
+    // of signals no assertion reads.
     let mut series: Vec<[LaneSeries<'t>; LANES]> = vec![Default::default(); width];
     for (l, trace) in group.iter().enumerate() {
         for (i, id) in trace.signals().iter().enumerate() {
-            if let Some(slot) = plan.env.table().slot(id) {
+            if let Some(slot) = plan.core.env_proto.slot(id) {
                 let (times, values, cycles) = trace.series(i);
                 series[slot as usize][l] = LaneSeries {
                     times,
@@ -703,28 +702,13 @@ struct KernelEntry {
     limit: f64,
 }
 
-/// One catalog assertion lowered for lane execution — the cold half,
-/// touched only off the steady-state path (grace warm-up, health scans,
-/// violations, finalisation).
-struct PlanMonitor {
-    assertion: Assertion,
-    condition: CompiledCondition,
-    /// Dense list of slots the condition reads (for the health scan).
-    input_slots: Box<[u32]>,
-    /// `Fresh` conditions monitor staleness themselves and are exempt from
-    /// the health layer's staleness rule.
-    staleness_exempt: bool,
-}
-
-/// A catalog compiled for lane execution, reusable across lane groups.
+/// A catalog lowered for lane execution, reusable across lane groups: the
+/// shared [`CheckerPlan`] (conditions, input slots, staleness exemptions,
+/// signal table) plus what only the lane engine derives from it.
 struct Plan {
-    monitors: Vec<PlanMonitor>,
-    /// Dense evaluation table, parallel to `monitors`.
+    core: CheckerPlan,
+    /// Dense evaluation table, parallel to `core.monitors()`.
     kernels: Vec<KernelEntry>,
-    /// Scratch environment whose [`crate::compile::SignalTable`] maps
-    /// trace signal names to the slots the plan reads.
-    env: Env,
-    max_stack: usize,
     /// Per slot: some condition takes its (angular) derivative, so the
     /// history must materialise delta/dt/stepped columns for it.
     need_deriv: Vec<bool>,
@@ -736,66 +720,49 @@ struct Plan {
     is_input: Vec<bool>,
 }
 
-fn compile_plan(catalog: &[Assertion]) -> Plan {
-    let mut env = Env::new();
-    let mut kernels = Vec::with_capacity(catalog.len());
-    let mut monitors: Vec<PlanMonitor> = catalog
-        .iter()
-        .map(|assertion| {
-            let condition = CompiledCondition::compile(&assertion.condition, &mut env);
-            let staleness_exempt = condition.time_dependent();
-            let (at_least, limit) = match &condition {
-                CompiledCondition::AtMost { limit, .. } => (false, *limit),
-                CompiledCondition::AtLeast { limit, .. } => (true, *limit),
-                CompiledCondition::Fresh { max_age, .. } => (false, *max_age),
-            };
-            kernels.push(KernelEntry {
-                kernel: Kernel::recognise(&condition),
-                at_least,
-                limit,
-            });
-            PlanMonitor {
-                assertion: assertion.clone(),
-                condition,
-                input_slots: Box::new([]),
-                staleness_exempt,
-            }
-        })
-        .collect();
-    // Input lists need the final table width (compiling a later assertion
-    // can intern more slots), so fill them in a second pass.
-    let width = env.table().len();
-    let mut max_stack = 0;
-    let mut need_deriv = vec![false; width];
-    let mut need_time = vec![false; width];
-    let mut is_input = vec![false; width];
-    for monitor in &mut monitors {
-        let mut mask = SlotMask::with_capacity(width);
-        monitor.condition.mark_inputs(&mut mask);
-        monitor.input_slots = mask.iter().collect();
-        for &slot in monitor.input_slots.iter() {
-            is_input[slot as usize] = true;
-        }
-        max_stack = max_stack.max(monitor.condition.max_stack());
-        match &monitor.condition {
-            CompiledCondition::AtMost { expr, .. } | CompiledCondition::AtLeast { expr, .. } => {
-                for op in expr.ops() {
-                    if let Op::Derivative(s) | Op::AngularDerivative(s) = op {
-                        need_deriv[*s as usize] = true;
-                    }
+impl Plan {
+    fn compile(catalog: &[Assertion]) -> Plan {
+        let core = CheckerPlan::compile(catalog.iter().cloned());
+        let mut need_deriv = vec![false; core.width];
+        let mut need_time = vec![false; core.width];
+        let mut is_input = vec![false; core.width];
+        let kernels = core
+            .monitors()
+            .iter()
+            .map(|monitor| {
+                for &slot in monitor.input_slots.iter() {
+                    is_input[slot as usize] = true;
                 }
-            }
-            CompiledCondition::Fresh { slot, .. } => need_time[*slot as usize] = true,
+                match &monitor.condition {
+                    CompiledCondition::AtMost { expr, .. }
+                    | CompiledCondition::AtLeast { expr, .. } => {
+                        for op in expr.ops() {
+                            if let Op::Derivative(s) | Op::AngularDerivative(s) = op {
+                                need_deriv[*s as usize] = true;
+                            }
+                        }
+                    }
+                    CompiledCondition::Fresh { slot, .. } => need_time[*slot as usize] = true,
+                }
+                let (at_least, limit) = match &monitor.condition {
+                    CompiledCondition::AtMost { limit, .. } => (false, *limit),
+                    CompiledCondition::AtLeast { limit, .. } => (true, *limit),
+                    CompiledCondition::Fresh { max_age, .. } => (false, *max_age),
+                };
+                KernelEntry {
+                    kernel: Kernel::recognise(&monitor.condition),
+                    at_least,
+                    limit,
+                }
+            })
+            .collect();
+        Plan {
+            core,
+            kernels,
+            need_deriv,
+            need_time,
+            is_input,
         }
-    }
-    Plan {
-        monitors,
-        kernels,
-        env,
-        max_stack,
-        need_deriv,
-        need_time,
-        is_input,
     }
 }
 
@@ -826,15 +793,12 @@ struct HotLanes {
 }
 
 /// Per-monitor, per-lane state touched only off the steady-state path:
-/// episode bookkeeping, health streaks and observability counters.
+/// episode bookkeeping, health machines and observability counters.
 struct ColdLanes {
     episode_start: [f64; LANES],
     /// Per lane: index into that lane's violation list of the open alarm.
     open_idx: [u32; LANES],
-    /// Per-lane health state (`ACTIVE`/`DEGRADED`/`SUSPENDED`).
-    health: [u8; LANES],
-    degraded_streak: [u32; LANES],
-    clean_streak: [u32; LANES],
+    health: [HealthMachine; LANES],
     /// Per-lane observability counters.
     c_unknown: [u64; LANES],
     c_pass: [u64; LANES],
@@ -855,9 +819,7 @@ impl ColdLanes {
         ColdLanes {
             episode_start: [0.0; LANES],
             open_idx: [0; LANES],
-            health: [ACTIVE; LANES],
-            degraded_streak: [0; LANES],
-            clean_streak: [0; LANES],
+            health: [HealthMachine::default(); LANES],
             c_unknown: [0; LANES],
             c_pass: [0; LANES],
             c_inc: [0; LANES],
@@ -931,8 +893,9 @@ fn run_group<const METRICS: bool>(
 ) -> Vec<(CheckReport, Option<MetricsSnapshot>)> {
     let lanes = group.len();
     debug_assert!((1..=LANES).contains(&lanes));
-    let mut hots: Vec<HotLanes> = vec![HotLanes::default(); plan.monitors.len()];
-    let mut colds: Vec<ColdLanes> = plan.monitors.iter().map(|_| ColdLanes::new()).collect();
+    let monitors = plan.core.monitors();
+    let mut hots: Vec<HotLanes> = vec![HotLanes::default(); monitors.len()];
+    let mut colds: Vec<ColdLanes> = monitors.iter().map(|_| ColdLanes::new()).collect();
     // Violations tagged with their detection cycle: the monitor-major
     // sweep discovers them grouped by monitor, and the scalar replay
     // reports them in (cycle, monitor) order — a stable sort on the cycle
@@ -940,7 +903,7 @@ fn run_group<const METRICS: bool>(
     let mut violations: Vec<Vec<(u32, Violation)>> = vec![Vec::new(); lanes];
     let mut inconclusive = [0u64; LANES];
     let mut grids: Vec<TransitionGrid> = vec![TransitionGrid::new(); lanes];
-    let mut stack: Vec<LaneCell> = Vec::with_capacity(plan.max_stack);
+    let mut stack: Vec<LaneCell> = Vec::with_capacity(plan.core.max_stack);
 
     let cycle_counts: Vec<usize> = group.iter().map(ColumnarTrace::cycle_count).collect();
     // Offline traces carry no non-finite samples, so with an infinite
@@ -960,7 +923,7 @@ fn run_group<const METRICS: bool>(
     // order changes, and the cycle-tag sort at finalisation restores it.
     for m in 0..plan.kernels.len() {
         let ke = &plan.kernels[m];
-        let pm = &plan.monitors[m];
+        let pm = &monitors[m];
         let hot = &mut hots[m];
         let cold = &mut colds[m];
         let mut flush_in = FLUSH_PERIOD;
@@ -981,7 +944,7 @@ fn run_group<const METRICS: bool>(
             // monotone per lane, so only un-passed lanes need the compare.
             let pending = active & !hot.grace_passed;
             if pending != 0 {
-                let grace = pm.assertion.grace;
+                let grace = pm.assertion().grace;
                 for_each_lane(pending, |l| {
                     hot.grace_passed |= Mask::from(now[l] >= grace) << l;
                 });
@@ -991,8 +954,8 @@ fn run_group<const METRICS: bool>(
                 continue;
             }
 
-            // Health layer: per-lane streaks, exactly the online state
-            // machine (minus poisoning, impossible offline).
+            // Health layer: the online checker's machine, one per lane
+            // (minus poisoning, impossible offline).
             let mut inc: Mask = 0;
             if health_on {
                 for_each_lane(processed, |l| {
@@ -1006,32 +969,14 @@ fn run_group<const METRICS: bool>(
                             }
                         }
                     }
-                    let prev = cold.health[l];
-                    if missing > 0 {
-                        cold.clean_streak[l] = 0;
-                        cold.degraded_streak[l] = cold.degraded_streak[l].saturating_add(1);
-                        cold.health[l] = if cold.degraded_streak[l] >= health_cfg.quarantine_after {
-                            SUSPENDED
-                        } else {
-                            DEGRADED
-                        };
+                    let machine = &mut cold.health[l];
+                    let prev = machine.obs();
+                    if machine.step(missing, health_cfg) {
                         inc |= bit;
-                    } else {
-                        cold.degraded_streak[l] = 0;
-                        if cold.health[l] != ACTIVE {
-                            cold.clean_streak[l] = cold.clean_streak[l].saturating_add(1);
-                            if cold.clean_streak[l] >= health_cfg.recover_after {
-                                cold.health[l] = ACTIVE;
-                                cold.clean_streak[l] = 0;
-                            }
-                        }
-                        if cold.health[l] != ACTIVE {
-                            // Clean again but inside the hysteresis window.
-                            inc |= bit;
-                        }
                     }
-                    if cold.health[l] != prev {
-                        grids[l].record(prev as usize, cold.health[l] as usize);
+                    let new = machine.obs();
+                    if new != prev {
+                        grids[l].record(prev.index(), new.index());
                     }
                 });
             }
@@ -1099,7 +1044,7 @@ fn run_group<const METRICS: bool>(
 
             // Violated: open episodes, fire alarms per the temporal op.
             if viol != 0 {
-                let assertion = &pm.assertion;
+                let assertion = pm.assertion();
                 hot.saw_first_sample |= viol;
                 for_each_lane(viol & !hot.episode, |l| cold.episode_start[l] = now[l]);
                 hot.episode |= viol;
@@ -1163,19 +1108,20 @@ fn run_group<const METRICS: bool>(
         let mut lane_violations: Vec<Violation> = tagged.into_iter().map(|(_, v)| v).collect();
         let mut assertions = Vec::new();
         if METRICS {
-            assertions.reserve_exact(plan.monitors.len());
+            assertions.reserve_exact(monitors.len());
         }
-        for (m, pm) in plan.monitors.iter().enumerate() {
+        for (m, pm) in monitors.iter().enumerate() {
             let (hot, cold) = (&hots[m], &mut colds[m]);
-            if pm.assertion.temporal == Temporal::Eventually
+            let assertion = pm.assertion();
+            if assertion.temporal == Temporal::Eventually
                 && hot.saw_first_sample & bit != 0
                 && hot.ever_healthy & bit == 0
             {
                 cold.episodes[l] += 1;
                 lane_violations.push(Violation {
-                    assertion: pm.assertion.id.clone(),
-                    severity: pm.assertion.severity,
-                    onset: pm.assertion.grace,
+                    assertion: assertion.id.clone(),
+                    severity: assertion.severity,
+                    onset: assertion.grace,
                     detected: end_time,
                     value: f64::NAN,
                     cycle: group[l].cycle_count() as u64,
@@ -1184,7 +1130,7 @@ fn run_group<const METRICS: bool>(
             }
             if METRICS {
                 assertions.push(AssertionStats {
-                    id: pm.assertion.id.as_str().to_owned(),
+                    id: assertion.id.as_str().to_owned(),
                     verdicts: VerdictCounts {
                         unknown: cold.c_unknown[l],
                         pass: cold.c_pass[l],
@@ -1196,7 +1142,7 @@ fn run_group<const METRICS: bool>(
                 });
             }
         }
-        let mut report = CheckReport::new(lane_violations, end_time, plan.monitors.len());
+        let mut report = CheckReport::new(lane_violations, end_time, monitors.len());
         report.inconclusive_cycles = inconclusive[l];
         let metrics = METRICS.then(|| MetricsSnapshot {
             cycles: cycle_counts[l] as u64,
@@ -1234,22 +1180,11 @@ fn run_group<const METRICS: bool>(
 /// assert_eq!(reports[0], checker::check(&cat, &trace));
 /// ```
 pub fn check_columnar(catalog: &[Assertion], traces: &[ColumnarTrace]) -> Vec<CheckReport> {
-    check_columnar_with_health(catalog, HealthConfig::default(), traces)
-}
-
-/// [`check_columnar`] with an explicit telemetry-health configuration
-/// (matching [`crate::online::OnlineChecker::with_health`] per trace).
-/// Runs the report-only loop, which skips the metrics bookkeeping.
-pub fn check_columnar_with_health(
-    catalog: &[Assertion],
-    health: HealthConfig,
-    traces: &[ColumnarTrace],
-) -> Vec<CheckReport> {
-    let plan = compile_plan(catalog);
+    let plan = Plan::compile(catalog);
     let mut out = Vec::with_capacity(traces.len());
     for group in traces.chunks(LANES) {
         out.extend(
-            run_group::<false>(&plan, &health, group)
+            run_group::<false>(&plan, &HealthConfig::default(), group)
                 .into_iter()
                 .map(|(report, _)| report),
         );
@@ -1257,7 +1192,8 @@ pub fn check_columnar_with_health(
     out
 }
 
-/// Full-fat lane checking: per trace, the report *and* the final
+/// Full-fat lane checking under an explicit telemetry-health
+/// configuration: per trace, the report *and* the final
 /// [`MetricsSnapshot`] (cycles, per-assertion verdict counters, flips,
 /// episodes, health transitions) — what the scalar
 /// [`crate::checker::check_observed`] produces with events disabled.
@@ -1266,7 +1202,7 @@ pub fn check_columnar_observed(
     health: HealthConfig,
     traces: &[ColumnarTrace],
 ) -> Vec<(CheckReport, MetricsSnapshot)> {
-    let plan = compile_plan(catalog);
+    let plan = Plan::compile(catalog);
     let mut out = Vec::with_capacity(traces.len());
     for group in traces.chunks(LANES) {
         out.extend(
@@ -1410,6 +1346,7 @@ mod tests {
         for (trace, (lane_report, lane_metrics)) in traces.iter().zip(lane) {
             let (report, metrics, _) = checker::check_observed(
                 &catalog,
+                HealthConfig::default(),
                 trace,
                 0,
                 &ObsConfig::disabled(),
@@ -1423,6 +1360,8 @@ mod tests {
 
     #[test]
     fn staleness_health_matches_scalar() {
+        use adassure_obs::{NullSink, ObsConfig};
+
         // "x" goes dark while "clock" keeps cycles coming: the monitor
         // degrades, suspends, then recovers — all through the lane path.
         let cfg = HealthConfig {
@@ -1439,10 +1378,26 @@ mod tests {
             }
         }
         let catalog = [bound(1.0)];
-        let scalar = checker::check_with_health(&catalog, cfg, &trace);
+        let (scalar, scalar_metrics, _) = checker::check_observed(
+            &catalog,
+            cfg,
+            &trace,
+            0,
+            &ObsConfig::disabled(),
+            Box::new(NullSink),
+        );
         let columnar = ColumnarTrace::from_trace(&trace);
-        let lane = check_columnar_with_health(&catalog, cfg, std::slice::from_ref(&columnar));
-        assert_reports_bit_equal(&lane[0], &scalar);
-        assert!(lane[0].inconclusive_cycles > 0, "went dark at some point");
+        let lane = check_columnar_observed(&catalog, cfg, std::slice::from_ref(&columnar));
+        let (lane_report, lane_metrics) = &lane[0];
+        assert_reports_bit_equal(lane_report, &scalar);
+        assert_eq!(lane_metrics.summary(), scalar_metrics.summary());
+        assert!(
+            lane_report.inconclusive_cycles > 0,
+            "went dark at some point"
+        );
+        assert!(
+            !lane_metrics.health_transitions.is_empty(),
+            "the health machine moved"
+        );
     }
 }

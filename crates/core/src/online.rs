@@ -39,6 +39,10 @@
 //! poisoned inputs. The default [`HealthConfig`] disables the staleness
 //! horizon, so plain [`OnlineChecker::new`] behaviour is unchanged for
 //! finite-valued streams.
+//!
+//! The policy is one small machine, `HealthMachine`, that the lane engine
+//! ([`crate::lane`]) runs per lane as well, so both checking engines share
+//! one definition of when a monitor degrades, suspends and recovers.
 
 use std::fmt;
 use std::sync::Arc;
@@ -133,6 +137,69 @@ impl Default for HealthConfig {
     }
 }
 
+/// One monitor's health policy: the [`HealthState`] and the two streaks
+/// that move it. Both engines step it once per processed cycle — the
+/// online checker per monitor, the lane engine per monitor and lane.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct HealthMachine {
+    pub(crate) state: HealthState,
+    /// Consecutive degraded cycles (drives quarantine).
+    pub(crate) degraded_streak: u32,
+    /// Consecutive clean cycles (drives hysteretic recovery).
+    pub(crate) clean_streak: u32,
+}
+
+impl Default for HealthMachine {
+    fn default() -> Self {
+        HealthMachine {
+            state: HealthState::Active,
+            degraded_streak: 0,
+            clean_streak: 0,
+        }
+    }
+}
+
+impl HealthMachine {
+    /// Advances one cycle in which `missing` inputs are dark or poisoned,
+    /// and returns whether the cycle's verdict is inconclusive: some input
+    /// is missing, or the inputs are clean again but the hysteresis window
+    /// has not elapsed.
+    #[inline]
+    pub(crate) fn step(&mut self, missing: u32, config: &HealthConfig) -> bool {
+        if missing > 0 {
+            self.clean_streak = 0;
+            self.degraded_streak = self.degraded_streak.saturating_add(1);
+            self.state = if self.degraded_streak >= config.quarantine_after {
+                HealthState::Suspended
+            } else {
+                HealthState::Degraded(missing)
+            };
+            return true;
+        }
+        self.degraded_streak = 0;
+        if self.state != HealthState::Active {
+            self.clean_streak = self.clean_streak.saturating_add(1);
+            if self.clean_streak >= config.recover_after {
+                self.state = HealthState::Active;
+                self.clean_streak = 0;
+            }
+        }
+        self.state != HealthState::Active
+    }
+
+    /// The state projected onto the 3-state observability enum (degraded
+    /// levels collapse, so `Degraded(1) → Degraded(2)` is not a
+    /// transition).
+    #[inline]
+    pub(crate) fn obs(&self) -> ObsHealth {
+        match self.state {
+            HealthState::Active => ObsHealth::Active,
+            HealthState::Degraded(_) => ObsHealth::Degraded,
+            HealthState::Suspended => ObsHealth::Suspended,
+        }
+    }
+}
+
 /// One assertion's compiled, immutable evaluation plan: the condition
 /// lowered to postfix ops over interned slots, its input mask, and the
 /// derived flags the monitor loop consults every cycle. Owned by a
@@ -141,14 +208,14 @@ impl Default for HealthConfig {
 pub struct MonitorPlan {
     assertion: Assertion,
     /// The condition lowered to postfix ops over interned slots.
-    condition: CompiledCondition,
+    pub(crate) condition: CompiledCondition,
     /// Slots the condition reads; intersected with the cycle's dirty mask.
     inputs: SlotMask,
     /// The same input slots as a dense list, for the health scan.
-    input_slots: Box<[u32]>,
+    pub(crate) input_slots: Box<[u32]>,
     /// `Fresh` conditions monitor staleness themselves; the health layer's
     /// staleness rule would shadow them, so they are exempt from it.
-    staleness_exempt: bool,
+    pub(crate) staleness_exempt: bool,
     /// Assertion id as an inline label, so events carry no heap strings.
     label: Label,
 }
@@ -172,17 +239,20 @@ impl MonitorPlan {
 /// only its own mutable state (sample-and-hold `Env`, health machines,
 /// verdict caches). The plan is `Send + Sync` and never mutated after
 /// compilation, so sharing is free of synchronisation.
+///
+/// It is the catalog's one lowering: the lane engine ([`crate::lane`])
+/// builds its kernel table from the same plan.
 #[derive(Debug)]
 pub struct CheckerPlan {
     /// Prototype environment: the interned table with empty signal state.
     /// Each checker clones it, so slot indices agree across all streams.
-    env_proto: Env,
+    pub(crate) env_proto: Env,
     monitors: Vec<MonitorPlan>,
     /// Deepest evaluation stack in the catalog, so checkers pre-size their
     /// scratch stack and never allocate on the steady-state path.
-    max_stack: usize,
+    pub(crate) max_stack: usize,
     /// Width of the interned table, for dirty masks and poison tables.
-    width: usize,
+    pub(crate) width: usize,
 }
 
 impl CheckerPlan {
@@ -241,9 +311,7 @@ impl CheckerPlan {
 /// cycles close, parallel to the plan's [`MonitorPlan`] list.
 #[derive(Debug, Clone)]
 struct MonitorRt {
-    health: HealthState,
-    degraded_streak: u32,
-    clean_streak: u32,
+    health: HealthMachine,
     /// Verdict of the last evaluation, replayed while no input changes.
     cached: Option<Eval>,
     episode_start: Option<f64>,
@@ -260,9 +328,7 @@ struct MonitorRt {
 impl MonitorRt {
     fn new() -> Self {
         MonitorRt {
-            health: HealthState::Active,
-            degraded_streak: 0,
-            clean_streak: 0,
+            health: HealthMachine::default(),
             cached: None,
             episode_start: None,
             alarmed_this_episode: false,
@@ -513,16 +579,9 @@ impl OnlineChecker {
         sink: Box<dyn EventSink>,
     ) -> Self {
         let mut checker = OnlineChecker::with_health(catalog, health_config);
-        checker.set_event_sink(obs, sink);
+        checker.filter = obs.filter.clone();
+        checker.sink = obs.events.then_some(sink);
         checker
-    }
-
-    /// Attaches (or, with `obs.events` off, detaches) the event sink and
-    /// adopts `obs`'s filter. Call before the first cycle so the
-    /// `run_start` event is not lost.
-    pub fn set_event_sink(&mut self, obs: &ObsConfig, sink: Box<dyn EventSink>) {
-        self.filter = obs.filter.clone();
-        self.sink = obs.events.then_some(sink);
     }
 
     /// Stamps `run` on every subsequently emitted event (campaign cells
@@ -674,7 +733,7 @@ impl OnlineChecker {
             if t < mp.assertion.grace {
                 continue;
             }
-            let prev_health = obs_health(monitor.health);
+            let prev_health = monitor.health.obs();
             // Health pass: count inputs that are poisoned or (unless the
             // condition monitors staleness itself) dark past the horizon.
             // Slots never seen stay neutral — that is the existing Unknown
@@ -691,46 +750,25 @@ impl OnlineChecker {
                     }
                 }
             }
-            let eval = if missing > 0 {
-                monitor.clean_streak = 0;
-                monitor.degraded_streak = monitor.degraded_streak.saturating_add(1);
-                monitor.health = if monitor.degraded_streak >= health_config.quarantine_after {
-                    HealthState::Suspended
-                } else {
-                    HealthState::Degraded(missing)
-                };
-                // The held verdict was computed from data now known bad.
-                monitor.cached = None;
+            let eval = if monitor.health.step(missing, health_config) {
+                if missing > 0 {
+                    // The held verdict was computed from data now known bad.
+                    monitor.cached = None;
+                }
                 Eval::Inconclusive
+            } else if mp.condition.time_dependent()
+                || monitor.cached.is_none()
+                || mp.inputs.intersects(dirty)
+            {
+                let eval = mp.condition.eval(env, stack);
+                monitor.cached = Some(eval);
+                eval
             } else {
-                monitor.degraded_streak = 0;
-                if monitor.health != HealthState::Active {
-                    monitor.clean_streak = monitor.clean_streak.saturating_add(1);
-                    if monitor.clean_streak >= health_config.recover_after {
-                        monitor.health = HealthState::Active;
-                        monitor.clean_streak = 0;
-                    }
-                }
-                if monitor.health == HealthState::Active {
-                    if mp.condition.time_dependent()
-                        || monitor.cached.is_none()
-                        || mp.inputs.intersects(dirty)
-                    {
-                        let eval = mp.condition.eval(env, stack);
-                        monitor.cached = Some(eval);
-                        eval
-                    } else {
-                        // No input changed and the condition ignores the
-                        // clock: the verdict is unchanged by construction.
-                        monitor.cached.unwrap_or(Eval::Unknown)
-                    }
-                } else {
-                    // Inputs are clean again but the hysteresis window has
-                    // not elapsed: keep quarantining.
-                    Eval::Inconclusive
-                }
+                // No input changed and the condition ignores the clock: the
+                // verdict is unchanged by construction.
+                monitor.cached.unwrap_or(Eval::Unknown)
             };
-            let new_health = obs_health(monitor.health);
+            let new_health = monitor.health.obs();
             if new_health != prev_health {
                 health_grid.record(prev_health.index(), new_health.index());
                 let ev = ObsEvent::HealthTransition {
@@ -822,14 +860,14 @@ impl OnlineChecker {
 
     /// Health of the monitor at `index` (catalog order), if it exists.
     pub fn health(&self, index: usize) -> Option<HealthState> {
-        self.monitors.get(index).map(|m| m.health)
+        self.monitors.get(index).map(|m| m.health.state)
     }
 
     /// Whether every monitor is [`HealthState::Active`].
     pub fn all_active(&self) -> bool {
         self.monitors
             .iter()
-            .all(|m| m.health == HealthState::Active)
+            .all(|m| m.health.state == HealthState::Active)
     }
 
     /// Monitor-cycles that produced [`Eval::Inconclusive`] so far.
@@ -958,9 +996,9 @@ impl OnlineChecker {
             .monitors
             .iter()
             .map(|m| MonitorSnapshot {
-                health: m.health,
-                degraded_streak: m.degraded_streak,
-                clean_streak: m.clean_streak,
+                health: m.health.state,
+                degraded_streak: m.health.degraded_streak,
+                clean_streak: m.health.clean_streak,
                 cached: m.cached,
                 episode_start: m.episode_start,
                 alarmed_this_episode: m.alarmed_this_episode,
@@ -992,8 +1030,8 @@ impl OnlineChecker {
     /// restored checker produces bit-identical verdicts to one that ran
     /// uninterrupted.
     ///
-    /// No event sink is attached (the fleet path runs sinkless); attach
-    /// one afterwards with [`OnlineChecker::set_event_sink`] if needed.
+    /// No event sink is attached: the restored checker runs sinkless, as
+    /// every fleet stream does.
     /// The wall-clock timer is not part of the state, so it starts empty.
     ///
     /// # Errors
@@ -1062,9 +1100,11 @@ impl OnlineChecker {
         }
         for (rt, m) in checker.monitors.iter_mut().zip(&state.monitors) {
             *rt = MonitorRt {
-                health: m.health,
-                degraded_streak: m.degraded_streak,
-                clean_streak: m.clean_streak,
+                health: HealthMachine {
+                    state: m.health,
+                    degraded_streak: m.degraded_streak,
+                    clean_streak: m.clean_streak,
+                },
                 cached: m.cached,
                 episode_start: m.episode_start,
                 alarmed_this_episode: m.alarmed_this_episode,
@@ -1115,17 +1155,6 @@ fn emit_to(
             sink.emit(ev);
             *events_emitted += 1;
         }
-    }
-}
-
-/// Projects the counted [`HealthState`] onto the 3-state observability
-/// enum (degraded levels collapse, so `Degraded(1) → Degraded(2)` is not a
-/// transition).
-fn obs_health(h: HealthState) -> ObsHealth {
-    match h {
-        HealthState::Active => ObsHealth::Active,
-        HealthState::Degraded(_) => ObsHealth::Degraded,
-        HealthState::Suspended => ObsHealth::Suspended,
     }
 }
 

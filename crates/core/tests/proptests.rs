@@ -8,6 +8,7 @@ use adassure_core::expr::Env;
 use adassure_core::mining::{mine_bounds, MiningConfig};
 use adassure_core::violation::Violation;
 use adassure_core::{checker, lane, HealthConfig, OnlineChecker, SignalExpr};
+use adassure_obs::{NullSink, ObsConfig};
 use adassure_trace::{ColumnarTrace, SignalId, Trace};
 use proptest::prelude::*;
 
@@ -552,9 +553,9 @@ proptest! {
     /// present or absent per cycle, so every lane sits in a different
     /// unknown/derivative/staleness state — the struct-of-arrays columnar
     /// evaluator produces reports bit-identical to the scalar compiled
-    /// replay of each trace, including Inconclusive accounting and
-    /// quarantine/recovery health transitions under a finite staleness
-    /// horizon.
+    /// replay of each trace, and the same deterministic metrics summary,
+    /// including Inconclusive accounting and quarantine/recovery health
+    /// transitions under a finite staleness horizon.
     #[test]
     fn lane_batched_columnar_matches_scalar_replay(
         catalog in proptest::collection::vec(arb_diff_assertion(), 1..5),
@@ -595,14 +596,34 @@ proptest! {
             })
             .collect();
         let columnar: Vec<ColumnarTrace> = traces.iter().map(ColumnarTrace::from_trace).collect();
-        let lane_reports = lane::check_columnar_with_health(&catalog, health, &columnar);
-        prop_assert_eq!(lane_reports.len(), traces.len());
-        for (trace, lane_report) in traces.iter().zip(&lane_reports) {
-            let scalar = checker::check_with_health(&catalog, health, trace);
+        let lane_results = lane::check_columnar_observed(&catalog, health, &columnar);
+        prop_assert_eq!(lane_results.len(), traces.len());
+        // The report-only loop runs under the default configuration; with
+        // an infinite horizon (and no poisoned samples offline) the streak
+        // lengths cannot matter, so its reports must agree too.
+        let report_only = health
+            .stale_after
+            .is_infinite()
+            .then(|| lane::check_columnar(&catalog, &columnar));
+        for (i, (trace, (lane_report, lane_metrics))) in traces.iter().zip(&lane_results).enumerate() {
+            let (scalar, scalar_metrics, _) = checker::check_observed(
+                &catalog,
+                health,
+                trace,
+                0,
+                &ObsConfig::disabled(),
+                Box::new(NullSink),
+            );
             assert_same_violations(&lane_report.violations, &scalar.violations);
             prop_assert_eq!(lane_report.end_time.to_bits(), scalar.end_time.to_bits());
             prop_assert_eq!(lane_report.assertions_checked, scalar.assertions_checked);
             prop_assert_eq!(lane_report.inconclusive_cycles, scalar.inconclusive_cycles);
+            prop_assert_eq!(lane_metrics.summary(), scalar_metrics.summary());
+            if let Some(reports) = &report_only {
+                let report = &reports[i];
+                assert_same_violations(&report.violations, &scalar.violations);
+                prop_assert_eq!(report.inconclusive_cycles, scalar.inconclusive_cycles);
+            }
         }
     }
 }

@@ -14,7 +14,7 @@
 //!   fast-forward) where [`DebugSession::inspect`] dumps signals,
 //!   compiled-expression values, per-assertion verdicts/health and
 //!   violations;
-//! - [`minimize`] — a ddmin-style minimizer shrinking a violating attack
+//! - [`mod@minimize`] — a ddmin-style minimizer shrinking a violating attack
 //!   timeline (fewest entries, shortest windows, smallest magnitudes) to a
 //!   1-minimal repro, re-verified by re-execution and emitted as a
 //!   self-contained [`adassure_scenarios::ReproCase`] file the campaign

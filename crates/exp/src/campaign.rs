@@ -84,8 +84,14 @@ pub fn execute_observed(
     sink: Box<dyn EventSink>,
 ) -> Result<ObservedRun, SimError> {
     let output = simulate(spec)?;
-    let (mut report, metrics, sink) =
-        checker::check_observed(cat, &output.trace, spec.index as u64, obs, sink);
+    let (mut report, metrics, sink) = checker::check_observed(
+        cat,
+        HealthConfig::default(),
+        &output.trace,
+        spec.index as u64,
+        obs,
+        sink,
+    );
     report.context = Some(spec.context());
     Ok((output, report, metrics, sink))
 }

@@ -5,8 +5,8 @@
 //! and formatting. This crate owns the sweep so the harness binaries are
 //! thin declarative definitions:
 //!
-//! - [`grid`] declares the sweep as a [`Grid`](grid::Grid) and enumerates it
-//!   into indexed [`RunSpec`](grid::RunSpec) cells;
+//! - [`grid`] declares the sweep as a [`Grid`] and enumerates it
+//!   into indexed [`RunSpec`] cells;
 //! - [`runtime`] owns the shared worker pool ([`runtime::Runtime`]) used by
 //!   campaigns *and* the fleet monitor server; [`par`] is its campaign-facing
 //!   surface, executing cells with results keyed by cell index so output is

@@ -13,8 +13,7 @@
 //!   finite-difference queries;
 //! * [`Trace`] — a set of series recorded from one run, the unit that the
 //!   offline assertion checker consumes;
-//! * [`stats`] — summary statistics used by assertion mining;
-//! * [`window`] — sliding-window iteration used by temporal operators;
+//! * [`stats`] — summary statistics of a signal's values;
 //! * [`csv`] — flat-file import frontend so externally authored traces can
 //!   be ingested (and traces inspected outside Rust);
 //! * [`columnar`] — the `.adt` binary trace store ([`ColumnarTrace`]), the
@@ -49,7 +48,6 @@ mod series;
 mod signal;
 pub mod stats;
 mod trace;
-pub mod window;
 
 pub use columnar::ColumnarTrace;
 pub use error::TraceError;

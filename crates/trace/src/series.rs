@@ -33,7 +33,7 @@ impl Sample {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Series {
     id: SignalId,
     samples: Vec<Sample>,

@@ -1,8 +1,8 @@
 //! Summary statistics over signal values.
 //!
-//! Used by assertion mining (to derive thresholds from golden runs) and by
-//! the experiment harnesses (to summarise detection latencies and error
-//! magnitudes across seeds).
+//! [`SummaryStats`] condenses a series or any set of values into count,
+//! extremes, mean, spread and magnitude — e.g. to compare controllers'
+//! cross-track error across runs.
 
 use serde::{Deserialize, Serialize};
 
@@ -72,50 +72,6 @@ impl SummaryStats {
     }
 }
 
-/// The `q`-quantile (`0.0..=1.0`) of `values` using linear interpolation
-/// between order statistics.
-///
-/// Returns `None` for empty input, a `q` outside `[0, 1]`, or non-finite
-/// values.
-///
-/// # Example
-///
-/// ```
-/// let p95 = adassure_trace::stats::percentile([1.0, 2.0, 3.0, 4.0], 0.5);
-/// assert_eq!(p95, Some(2.5));
-/// ```
-pub fn percentile(values: impl IntoIterator<Item = f64>, q: f64) -> Option<f64> {
-    if !(0.0..=1.0).contains(&q) {
-        return None;
-    }
-    let mut v: Vec<f64> = values.into_iter().collect();
-    if v.is_empty() || v.iter().any(|x| !x.is_finite()) {
-        return None;
-    }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("values are finite"));
-    let pos = q * (v.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        Some(v[lo])
-    } else {
-        let alpha = pos - lo as f64;
-        Some(v[lo] + alpha * (v[hi] - v[lo]))
-    }
-}
-
-/// Largest absolute value in `values`, or `None` when empty/non-finite.
-pub fn max_abs(values: impl IntoIterator<Item = f64>) -> Option<f64> {
-    let mut out: Option<f64> = None;
-    for v in values {
-        if !v.is_finite() {
-            return None;
-        }
-        out = Some(out.map_or(v.abs(), |m| m.max(v.abs())));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,29 +100,6 @@ mod tests {
         assert_eq!(s.mean, 0.0);
         assert_eq!(s.mean_abs, 2.0);
         assert_eq!(s.rms, 2.0);
-    }
-
-    #[test]
-    fn percentile_boundaries() {
-        let v = [10.0, 20.0, 30.0];
-        assert_eq!(percentile(v, 0.0), Some(10.0));
-        assert_eq!(percentile(v, 1.0), Some(30.0));
-        assert_eq!(percentile(v, 0.5), Some(20.0));
-        assert_eq!(percentile(v, 1.5), None);
-        assert_eq!(percentile([], 0.5), None);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let v = [0.0, 10.0];
-        assert!((percentile(v, 0.25).unwrap() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_abs_behaviour() {
-        assert_eq!(max_abs([-3.0, 2.0]), Some(3.0));
-        assert_eq!(max_abs([]), None);
-        assert_eq!(max_abs([f64::INFINITY]), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{Series, SignalId, TraceError};
 
@@ -23,7 +23,17 @@ use crate::{Series, SignalId, TraceError};
 /// assert_eq!(trace.signal_count(), 2);
 /// assert_eq!(trace.series_by_name("speed").unwrap().len(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// A trace serializes (e.g. to JSON for inspection) but does not
+/// deserialize, so no sample can bypass [`Series::push`]'s checks: every
+/// series stays strictly time-ordered and finite, which the offline
+/// checker relies on.
+///
+/// ```compile_fail,E0277
+/// let json = r#"{"series":{}}"#;
+/// let _trace: adassure_trace::Trace = serde_json::from_str(json).unwrap();
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Trace {
     series: BTreeMap<SignalId, Series>,
 }

@@ -1,6 +1,6 @@
 //! Property-based tests of the trace substrate's invariants.
 
-use adassure_trace::{csv, stats, window, Series, Trace};
+use adassure_trace::{csv, stats, Series, Trace};
 use proptest::prelude::*;
 
 /// Strictly increasing time grid plus matching finite values.
@@ -70,21 +70,6 @@ proptest! {
     }
 
     #[test]
-    fn percentile_is_monotone_and_bounded(
-        values in proptest::collection::vec(-1e3f64..1e3, 1..50),
-        q1 in 0.0f64..1.0,
-        q2 in 0.0f64..1.0,
-    ) {
-        let (lo_q, hi_q) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-        let lo = stats::percentile(values.clone(), lo_q).unwrap();
-        let hi = stats::percentile(values.clone(), hi_q).unwrap();
-        prop_assert!(lo <= hi + 1e-9);
-        let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(lo >= min - 1e-9 && hi <= max + 1e-9);
-    }
-
-    #[test]
     fn csv_round_trip_preserves_aligned_traces(
         samples in samples_strategy(),
         n_signals in 1usize..5,
@@ -105,19 +90,6 @@ proptest! {
             for (a, b) in series.samples().iter().zip(round.samples()) {
                 prop_assert!((a.value - b.value).abs() <= 1e-9 * a.value.abs().max(1.0));
             }
-        }
-    }
-
-    #[test]
-    fn first_sustained_implies_long_enough_run(
-        samples in samples_strategy(),
-        duration in 0.0f64..1.0,
-        threshold in -1e5f64..1e5,
-    ) {
-        let series = Series::from_samples("s", samples).unwrap();
-        if window::first_sustained(&series, duration, |v| v > threshold).is_some() {
-            let run = window::longest_true_run(&series, |v| v > threshold);
-            prop_assert!(run + 1e-9 >= duration, "run {run} < required {duration}");
         }
     }
 }

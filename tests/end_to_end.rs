@@ -125,8 +125,8 @@ fn dense_signals_export_to_csv_and_back() {
 
 #[test]
 fn offline_report_matches_online_monitoring() {
-    // Replay the trace manually through an OnlineChecker in time order and
-    // compare with the offline convenience path.
+    // Replay the trace cycle by cycle through an OnlineChecker fed by name
+    // and compare with the offline convenience path.
     use adassure::core::OnlineChecker;
 
     let scenario = Scenario::of_kind(ScenarioKind::LaneChange).unwrap();
@@ -136,17 +136,13 @@ fn offline_report_matches_online_monitoring() {
     let offline = checker::check(&cat, &out.trace);
 
     let mut online = OnlineChecker::new(cat.iter().cloned());
-    let events = checker::events(&out.trace);
-    let mut i = 0;
-    while i < events.len() {
-        let t = events[i].0;
+    checker::for_each_cycle(&out.trace, |t, cycle| {
         online.begin_cycle(t).unwrap();
-        while i < events.len() && events[i].0 == t {
-            online.update(events[i].1.clone(), events[i].2);
-            i += 1;
+        for &(id, value) in cycle {
+            online.update(id.clone(), value);
         }
         online.end_cycle();
-    }
+    });
     let online = online.finish(out.trace.span().unwrap().1);
     assert_eq!(offline, online);
 }
