@@ -105,8 +105,12 @@ echo "== perfbench fmt and clippy (its own workspace, so the lints above skip it
 cargo fmt --check --manifest-path perfbench/Cargo.toml
 cargo clippy --offline --locked --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
 
-echo "== perfbench ingest smoke (oracle and exactly-once checks on both ingest workloads) =="
-# The bulk run is long enough for the 100 ops its p90 needs.
+echo "== perfbench smoke (offline oracle, and oracle and exactly-once checks on both ingest workloads) =="
+# offline_adt checks lane reports from decoded .adt files against scalar
+# checker::check, byte for byte. The bulk run is long enough for the 100
+# ops its p90 needs.
+cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload offline_adt --seconds 2 --trace 0
 cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload ingest_trips --seconds 2 --trace 0
 cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \

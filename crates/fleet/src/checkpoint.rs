@@ -289,8 +289,10 @@ impl Fleet {
     /// [`CheckpointError::Incompatible`] for another format version, when
     /// the catalog, health config or shard count does not match the
     /// checkpoint, when the retired latency histogram has a foreign
-    /// layout, or when a shard's free list names a live or a repeated
-    /// slot.
+    /// layout, when a shard's free list names a live or a repeated slot,
+    /// or when live streams share a sequence number, hold one at or above
+    /// the next, or sit in a shard other than the one
+    /// [`Fleet::open_stream`] would have picked.
     pub fn restore(
         catalog: impl IntoIterator<Item = Assertion>,
         config: FleetConfig,
@@ -467,6 +469,46 @@ mod tests {
             Fleet::restore(catalog(), config(), &bytes),
             Err(CheckpointError::Incompatible { .. })
         ));
+        assert!(Fleet::restore(catalog(), config(), &fleet.checkpoint()).is_ok());
+    }
+
+    #[test]
+    fn restore_rejects_stream_seqs_that_open_stream_never_hands_out() {
+        // Seqs 0..16 opened over two shards and 0..4 closed, so the next
+        // seq is 16 and shard 0 holds the live even seqs.
+        let fleet = fed_fleet();
+        let state = fleet.capture_state();
+        let live: Vec<u64> = state.shards[0]
+            .slots
+            .iter()
+            .filter_map(|slot| slot.stream.as_ref().map(|s| s.seq))
+            .collect();
+        assert_eq!(state.next_seq, 16);
+        assert_eq!(live, [4, 6, 8, 10, 12, 14]);
+        // The image with shard 0's second live stream (seq 6) renumbered.
+        let image_with = |seq: u64| {
+            let mut state = state.clone();
+            let mut live = state.shards[0]
+                .slots
+                .iter_mut()
+                .filter_map(|slot| slot.stream.as_mut());
+            live.nth(1).expect("live stream").seq = seq;
+            encode(&state, &[])
+        };
+        for (what, bytes) in [
+            ("shared seq", image_with(4)),
+            ("seq at next_seq", image_with(16)),
+            ("seq in the wrong shard", image_with(1)),
+        ] {
+            assert!(decode(&bytes).is_ok(), "{what}: the image is decodable");
+            assert!(
+                matches!(
+                    Fleet::restore(catalog(), config(), &bytes),
+                    Err(CheckpointError::Incompatible { .. })
+                ),
+                "{what}"
+            );
+        }
         assert!(Fleet::restore(catalog(), config(), &fleet.checkpoint()).is_ok());
     }
 

@@ -346,7 +346,8 @@ impl Fleet {
     /// `config` must match the state's shard count and health config —
     /// stream ids encode their shard, so the layout is part of the state.
     /// The retired latency histogram must have the layout
-    /// [`Fleet::metrics`] merges it into.
+    /// [`Fleet::metrics`] merges it into, and every live stream's seq must
+    /// be one [`Fleet::open_stream`] could have given it.
     pub(crate) fn restore_with_state(
         plan: Arc<CheckerPlan>,
         config: FleetConfig,
@@ -384,6 +385,31 @@ impl Fleet {
             .same_layout(&Histogram::seconds())
         {
             return Err("retired detection-latency histogram has a foreign layout".into());
+        }
+        // `open_stream` hands out each seq once, below `next_seq`, in shard
+        // `seq % shards`; `Fleet::metrics` merges live streams in seq order.
+        let mut seqs = Vec::new();
+        for (index, shard) in state.shards.iter().enumerate() {
+            for stream in shard.slots.iter().filter_map(|slot| slot.stream.as_ref()) {
+                let seq = stream.seq;
+                if seq >= state.next_seq {
+                    return Err(format!(
+                        "stream seq {seq} is not below the next seq {}",
+                        state.next_seq
+                    ));
+                }
+                let home = seq % state.shards.len() as u64;
+                if home != index as u64 {
+                    return Err(format!(
+                        "stream seq {seq} sits in shard {index}, not shard {home}"
+                    ));
+                }
+                seqs.push(seq);
+            }
+        }
+        seqs.sort_unstable();
+        if let Some(pair) = seqs.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(format!("two live streams share seq {}", pair[0]));
         }
         let mut fleet = Fleet::with_plan(plan, config);
         for (shard, shard_state) in fleet.shards.iter().zip(state.shards) {

@@ -1,10 +1,11 @@
 //! End-to-end integration: golden runs across the full workload matrix are
 //! clean, and the recorded traces are well-formed.
 
+use adassure::attacks::campaign::standard_attacks;
 use adassure::control::ControllerKind;
-use adassure::core::{catalog, checker};
+use adassure::core::{catalog, checker, lane};
 use adassure::scenarios::{run, Scenario, ScenarioKind};
-use adassure::trace::{csv, well_known as sig, Trace};
+use adassure::trace::{csv, well_known as sig, ColumnarTrace, Trace};
 
 fn catalog_for(scenario: &Scenario) -> Vec<adassure::core::Assertion> {
     let mut cfg = catalog::CatalogConfig::default();
@@ -145,4 +146,26 @@ fn offline_report_matches_online_monitoring() {
     });
     let online = online.finish(out.trace.span().unwrap().1);
     assert_eq!(offline, online);
+}
+
+#[test]
+fn adt_files_load_and_lane_check_like_the_recorded_drive() {
+    // The offline path: a recorded drive saved as `.adt`, loaded back and
+    // checked on the lane engine. An attacked drive, so the reports
+    // being compared carry violations.
+    let scenario = Scenario::of_kind(ScenarioKind::SCurve).unwrap();
+    let cat = catalog_for(&scenario);
+    let attack = standard_attacks(scenario.attack_start)[0];
+    let mut injector = attack.injector(4);
+    let out = run::with_tap(&scenario, ControllerKind::PurePursuit, 4, &mut injector)
+        .expect("simulation");
+
+    let columnar = ColumnarTrace::from_trace(&out.trace);
+    let decoded = ColumnarTrace::decode(&columnar.encode()).expect("own encoding decodes");
+    assert_eq!(decoded, columnar);
+
+    let scalar = checker::check(&cat, &out.trace);
+    assert!(!scalar.is_clean(), "{} went undetected", attack.name());
+    let lane = lane::check_columnar(&cat, std::slice::from_ref(&decoded));
+    assert_eq!(lane, [scalar]);
 }
