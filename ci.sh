@@ -14,8 +14,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p 'adassure*'
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
-echo "== table5_robustness smoke slice (seconds-scale, seeded) =="
+echo "== committed results regenerate byte-identical (fig1, table5 smoke slice, table1) =="
+# Every harness is bit-deterministic per seed, so any diff in results/ is
+# a change in checker, simulator or diagnosis semantics.
+cargo run --release -q -p adassure-bench --bin fig1_attack_anatomy > target/ci_fig1.txt
 cargo run --release -q -p adassure-bench --bin table5_robustness -- --smoke
+cargo run --release -q -p adassure-bench --bin table1_detection_matrix > target/ci_table1.txt
+git diff --exit-code --stat results/
 
 echo "== observability differential (JSONL vs NullSink, bit-identical reports) =="
 cargo test -q -p adassure-exp --test obs_differential

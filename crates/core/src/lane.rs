@@ -15,10 +15,11 @@
 //! unseen in lane 3" costs an AND instead of a branch.
 //!
 //! The catalog is lowered once, by [`CheckerPlan::compile`], exactly as
-//! for the scalar checker; the lane engine only derives its shape-matched
-//! kernel table and per-slot history needs from that plan. Telemetry
-//! health runs through the online checker's own per-monitor health
-//! machine, one per lane.
+//! for the scalar checker: each condition is a shape kernel (or a postfix
+//! program) from [`crate::compile`], and the lane engine evaluates those
+//! same kernels over lane columns, deriving only its per-slot history
+//! needs from the plan. Telemetry health runs through the online
+//! checker's own per-monitor health machine, one per lane.
 //!
 //! # Semantics: bit-identical to the scalar path
 //!
@@ -31,9 +32,9 @@
 //!
 //! * cycle boundaries: a [`ColumnarTrace`]'s cycle grid is exactly the set
 //!   of distinct timestamps [`crate::checker::for_each_cycle`] sweeps;
-//! * expression evaluation: the same [`Op`] sequence runs per lane with
-//!   the same operand order, and the validity mask AND mirrors the scalar
-//!   evaluator's `Option` short-circuit;
+//! * expression evaluation: the same kernel (or [`Op`] sequence) runs per
+//!   lane with the same operand order, and the validity mask AND mirrors
+//!   the scalar evaluator's `Option` short-circuit;
 //! * the verdict cache: the scalar path replays a cached verdict when no
 //!   input changed; all cached conditions are pure functions of stored
 //!   state, so the lane path's unconditional re-evaluation is
@@ -55,7 +56,7 @@ use adassure_obs::{
 use adassure_trace::ColumnarTrace;
 
 use crate::assertion::{Assertion, Temporal};
-use crate::compile::{CompiledCondition, Op};
+use crate::compile::{CompiledCondition, Kernel, Op};
 use crate::expr::wrap_angle;
 use crate::online::{CheckerPlan, HealthConfig, HealthMachine};
 use crate::report::CheckReport;
@@ -489,7 +490,8 @@ fn eval_expr_lanes(ops: &[Op], hist: &History, k: usize, stack: &mut Vec<LaneCel
 /// Evaluates a compiled condition over all lanes: `(payloads, valid,
 /// healthy)`. For lane `l`: `valid` bit clear ⇔ scalar `Eval::Unknown`;
 /// otherwise `healthy` bit set ⇔ `Eval::Healthy`, clear ⇔
-/// `Eval::Violated(payloads[l])`.
+/// `Eval::Violated(payloads[l])`. Each kernel does, per lane, the `f64`
+/// operations [`CompiledCondition::eval`] does.
 #[inline]
 fn eval_condition_lanes(
     cond: &CompiledCondition,
@@ -498,49 +500,7 @@ fn eval_condition_lanes(
     now: &[f64; LANES],
     stack: &mut Vec<LaneCell>,
 ) -> ([f64; LANES], Mask, Mask) {
-    match cond {
-        CompiledCondition::AtMost { expr, limit } => {
-            let (vals, valid) = eval_expr_lanes(expr.ops(), hist, k, stack);
-            let mut healthy: Mask = 0;
-            for l in 0..LANES {
-                healthy |= Mask::from(vals[l] <= *limit) << l;
-            }
-            (vals, valid, healthy)
-        }
-        CompiledCondition::AtLeast { expr, limit } => {
-            let (vals, valid) = eval_expr_lanes(expr.ops(), hist, k, stack);
-            let mut healthy: Mask = 0;
-            for l in 0..LANES {
-                healthy |= Mask::from(vals[l] >= *limit) << l;
-            }
-            (vals, valid, healthy)
-        }
-        CompiledCondition::Fresh { slot, max_age } => {
-            let (time, seen) = hist.time(*slot as usize, k);
-            let mut ages = [0.0; LANES];
-            let mut healthy: Mask = 0;
-            for l in 0..LANES {
-                ages[l] = now[l] - time[l];
-                healthy |= Mask::from(ages[l] <= *max_age) << l;
-            }
-            (ages, seen, healthy)
-        }
-    }
-}
-
-/// Evaluates a monitor's kernel over all lanes: `(payloads, valid,
-/// healthy)`, exactly what [`eval_condition_lanes`] returns. `cond` is
-/// only dereferenced on the [`Kernel::Generic`] fallback.
-#[inline]
-fn eval_kernel(
-    ke: &KernelEntry,
-    cond: &CompiledCondition,
-    hist: &History,
-    k: usize,
-    now: &[f64; LANES],
-    stack: &mut Vec<LaneCell>,
-) -> ([f64; LANES], Mask, Mask) {
-    let (vals, valid) = match ke.kernel {
+    let (vals, valid) = match cond.kernel {
         Kernel::Sig { slot, abs } => {
             let (mut vals, seen) = hist.value(slot as usize, k);
             if abs {
@@ -607,16 +567,16 @@ fn eval_kernel(
             }
             (ages, seen)
         }
-        Kernel::Generic => return eval_condition_lanes(cond, hist, k, now, stack),
+        Kernel::Program(ref expr) => eval_expr_lanes(expr.ops(), hist, k, stack),
     };
     let mut healthy: Mask = 0;
-    if ke.at_least {
+    if cond.at_least {
         for l in 0..LANES {
-            healthy |= Mask::from(vals[l] >= ke.limit) << l;
+            healthy |= Mask::from(vals[l] >= cond.limit) << l;
         }
     } else {
         for l in 0..LANES {
-            healthy |= Mask::from(vals[l] <= ke.limit) << l;
+            healthy |= Mask::from(vals[l] <= cond.limit) << l;
         }
     }
     (vals, valid, healthy)
@@ -633,82 +593,12 @@ fn for_each_lane(mask: Mask, mut f: impl FnMut(usize)) {
     }
 }
 
-/// A flattened fast path for the condition shapes the standard catalog
-/// uses. Sixteen heterogeneous postfix programs make the evaluator's
-/// per-op dispatch branch effectively random, and the misprediction cost
-/// dwarfs the arithmetic (measured ~6x over a homogeneous catalog).
-/// Recognising a monitor's whole shape up front reduces evaluation to one
-/// well-predicted branch per monitor per cycle. Every kernel performs the
-/// identical `f64` operations in the identical order as the stack
-/// machine, so results stay bit-identical; [`Kernel::Generic`] falls back
-/// to the stack machine for shapes not listed here.
-enum Kernel {
-    /// `signal(s)`, optionally `.abs()`.
-    Sig { slot: u32, abs: bool },
-    /// `derivative(s)`, optionally `.abs()`.
-    Deriv { slot: u32, abs: bool },
-    /// `(a - b).abs()`.
-    SubAbs { a: u32, b: u32 },
-    /// `a - b * c` (the A7-shaped consistency residual).
-    SubMulConst { a: u32, b: u32, c: f64 },
-    /// `(a * b).abs()`.
-    MulAbs { a: u32, b: u32 },
-    /// `(angular_derivative(d) - b).abs()` (the A14 compass check).
-    AngDerivSubAbs { d: u32, b: u32 },
-    /// `Fresh`: the payload is the signal's age.
-    Fresh { slot: u32 },
-    /// Anything else: run the compiled postfix program.
-    Generic,
-}
-
-impl Kernel {
-    /// Recognises the condition's shape, defaulting to [`Kernel::Generic`].
-    fn recognise(condition: &CompiledCondition) -> Kernel {
-        let ops = match condition {
-            CompiledCondition::AtMost { expr, .. } | CompiledCondition::AtLeast { expr, .. } => {
-                expr.ops()
-            }
-            CompiledCondition::Fresh { slot, .. } => return Kernel::Fresh { slot: *slot },
-        };
-        match *ops {
-            [Op::Signal(slot)] => Kernel::Sig { slot, abs: false },
-            [Op::Signal(slot), Op::Abs] => Kernel::Sig { slot, abs: true },
-            [Op::Derivative(slot)] => Kernel::Deriv { slot, abs: false },
-            [Op::Derivative(slot), Op::Abs] => Kernel::Deriv { slot, abs: true },
-            [Op::Signal(a), Op::Signal(b), Op::Sub, Op::Abs] => Kernel::SubAbs { a, b },
-            [Op::Signal(a), Op::Signal(b), Op::Const(c), Op::Mul, Op::Sub] => {
-                Kernel::SubMulConst { a, b, c }
-            }
-            [Op::Signal(a), Op::Signal(b), Op::Mul, Op::Abs] => Kernel::MulAbs { a, b },
-            [Op::AngularDerivative(d), Op::Signal(b), Op::Sub, Op::Abs] => {
-                Kernel::AngDerivSubAbs { d, b }
-            }
-            _ => Kernel::Generic,
-        }
-    }
-}
-
-/// The per-cycle evaluation parameters of one monitor, packed dense so
-/// the hot loop streams a small contiguous table instead of pulling each
-/// monitor's full [`Assertion`] (strings and all) through the cache every
-/// cycle.
-struct KernelEntry {
-    /// Shape-specialised evaluator for this condition.
-    kernel: Kernel,
-    /// `true` for `AtLeast` (healthy ⇔ value ≥ limit), `false` for
-    /// `AtMost` / `Fresh` (healthy ⇔ value ≤ limit).
-    at_least: bool,
-    /// The comparison bound (`Fresh`'s `max_age` counts).
-    limit: f64,
-}
-
 /// A catalog lowered for lane execution, reusable across lane groups: the
 /// shared [`CheckerPlan`] (conditions, input slots, staleness exemptions,
-/// signal table) plus what only the lane engine derives from it.
+/// signal table) plus the per-slot history needs the lane engine derives
+/// from its kernels.
 struct Plan {
     core: CheckerPlan,
-    /// Dense evaluation table, parallel to `core.monitors()`.
-    kernels: Vec<KernelEntry>,
     /// Per slot: some condition takes its (angular) derivative, so the
     /// history must materialise delta/dt/stepped columns for it.
     need_deriv: Vec<bool>,
@@ -726,39 +616,30 @@ impl Plan {
         let mut need_deriv = vec![false; core.width];
         let mut need_time = vec![false; core.width];
         let mut is_input = vec![false; core.width];
-        let kernels = core
-            .monitors()
-            .iter()
-            .map(|monitor| {
-                for &slot in monitor.input_slots.iter() {
-                    is_input[slot as usize] = true;
+        for monitor in core.monitors() {
+            for &slot in monitor.input_slots.iter() {
+                is_input[slot as usize] = true;
+            }
+            match &monitor.condition.kernel {
+                Kernel::Deriv { slot, .. } | Kernel::AngDerivSubAbs { d: slot, .. } => {
+                    need_deriv[*slot as usize] = true;
                 }
-                match &monitor.condition {
-                    CompiledCondition::AtMost { expr, .. }
-                    | CompiledCondition::AtLeast { expr, .. } => {
-                        for op in expr.ops() {
-                            if let Op::Derivative(s) | Op::AngularDerivative(s) = op {
-                                need_deriv[*s as usize] = true;
-                            }
+                Kernel::Fresh { slot } => need_time[*slot as usize] = true,
+                Kernel::Program(expr) => {
+                    for op in expr.ops() {
+                        if let Op::Derivative(s) | Op::AngularDerivative(s) = op {
+                            need_deriv[*s as usize] = true;
                         }
                     }
-                    CompiledCondition::Fresh { slot, .. } => need_time[*slot as usize] = true,
                 }
-                let (at_least, limit) = match &monitor.condition {
-                    CompiledCondition::AtMost { limit, .. } => (false, *limit),
-                    CompiledCondition::AtLeast { limit, .. } => (true, *limit),
-                    CompiledCondition::Fresh { max_age, .. } => (false, *max_age),
-                };
-                KernelEntry {
-                    kernel: Kernel::recognise(&monitor.condition),
-                    at_least,
-                    limit,
-                }
-            })
-            .collect();
+                Kernel::Sig { .. }
+                | Kernel::SubAbs { .. }
+                | Kernel::SubMulConst { .. }
+                | Kernel::MulAbs { .. } => {}
+            }
+        }
         Plan {
             core,
-            kernels,
             need_deriv,
             need_time,
             is_input,
@@ -921,8 +802,7 @@ fn run_group<const METRICS: bool>(
     // one-to-three slots. Monitors never read each other's state within a
     // cycle, so every verdict is identical; only the violation discovery
     // order changes, and the cycle-tag sort at finalisation restores it.
-    for m in 0..plan.kernels.len() {
-        let ke = &plan.kernels[m];
+    for m in 0..monitors.len() {
         let pm = &monitors[m];
         let hot = &mut hots[m];
         let cold = &mut colds[m];
@@ -984,7 +864,8 @@ fn run_group<const METRICS: bool>(
             // Evaluate the condition for every lane at once. Inconclusive
             // lanes ignore the result (evaluation has no side effects), so
             // no masking is needed before the class split.
-            let (vals, valid, healthy) = eval_kernel(ke, &pm.condition, &hist, k, now, &mut stack);
+            let (vals, valid, healthy) =
+                eval_condition_lanes(&pm.condition, &hist, k, now, &mut stack);
             let inc_lanes = processed & inc;
             let rest = processed & !inc;
             let unk = rest & !valid;

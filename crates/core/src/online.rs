@@ -9,10 +9,11 @@
 //! enforced by the counting-allocator test in `tests/alloc_steady_state.rs`.
 //!
 //! On construction the catalog is lowered through [`crate::compile`]: each
-//! condition becomes a postfix [`CompiledCondition`] over interned signal
-//! slots, with an input [`SlotMask`]. Per cycle the checker tracks which
-//! slots were updated; `end_cycle` re-evaluates an assertion only when one
-//! of its inputs changed (or its verdict depends on the clock, as
+//! condition becomes a [`CompiledCondition`], a shape kernel over interned
+//! signal slots (a postfix program only for shapes no kernel matches), with
+//! an input [`SlotMask`]. Per cycle the checker tracks which slots were
+//! updated; `end_cycle` re-evaluates an assertion only when one of its
+//! inputs changed (or its verdict depends on the clock, as
 //! [`crate::Condition::Fresh`] does), replaying the cached verdict
 //! otherwise. All other conditions are pure functions of stored signal
 //! state, so the cache preserves verdicts bit-for-bit.
@@ -201,13 +202,13 @@ impl HealthMachine {
 }
 
 /// One assertion's compiled, immutable evaluation plan: the condition
-/// lowered to postfix ops over interned slots, its input mask, and the
+/// lowered to a kernel over interned slots, its input mask, and the
 /// derived flags the monitor loop consults every cycle. Owned by a
 /// [`CheckerPlan`] and shared read-only by every checker built from it.
 #[derive(Debug)]
 pub struct MonitorPlan {
     assertion: Assertion,
-    /// The condition lowered to postfix ops over interned slots.
+    /// The condition lowered to a kernel over interned slots.
     pub(crate) condition: CompiledCondition,
     /// Slots the condition reads; intersected with the cycle's dirty mask.
     inputs: SlotMask,
@@ -232,7 +233,7 @@ impl MonitorPlan {
 /// [`MonitorPlan`].
 ///
 /// Compiling a catalog is the expensive part of checker construction —
-/// lowering conditions to postfix programs and interning signal names.
+/// lowering conditions to kernels and interning signal names.
 /// A fleet monitoring thousands of streams against one catalog compiles
 /// the plan **once**, wraps it in an [`Arc`], and stamps out per-stream
 /// checkers with [`OnlineChecker::from_plan`]; each checker then carries
@@ -241,7 +242,7 @@ impl MonitorPlan {
 /// compilation, so sharing is free of synchronisation.
 ///
 /// It is the catalog's one lowering: the lane engine ([`crate::lane`])
-/// builds its kernel table from the same plan.
+/// evaluates the same plan's kernels over lane columns.
 #[derive(Debug)]
 pub struct CheckerPlan {
     /// Prototype environment: the interned table with empty signal state.

@@ -13,7 +13,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use adassure_core::catalog::{self, CatalogConfig};
-use adassure_core::OnlineChecker;
+use adassure_core::compile::CompiledExpr;
+use adassure_core::expr::Env;
+use adassure_core::{OnlineChecker, SignalExpr};
 use adassure_obs::{JsonlWriter, ObsConfig};
 use adassure_trace::SignalId;
 
@@ -102,6 +104,34 @@ fn steady_state_cycles_do_not_allocate() {
         "steady-state begin_cycle/update/end_cycle allocated"
     );
     assert!(checker.violations().is_empty());
+}
+
+#[test]
+fn compiled_expr_reserves_its_whole_depth_before_evaluating() {
+    // A depth-6 program against a caller's stack that already holds two
+    // values in a capacity-2 buffer: `eval` must grow it once, up front,
+    // never again mid-program, and not at all on the next call.
+    let mut expr = SignalExpr::signal("a");
+    for _ in 0..5 {
+        expr = SignalExpr::signal("a").add(expr);
+    }
+    let mut env = Env::new();
+    env.set_time(0.0);
+    env.update(&SignalId::new("a"), 1.0);
+    let compiled = CompiledExpr::compile(&expr, &mut env);
+    assert_eq!(compiled.max_stack(), 6);
+    let mut stack = vec![9.0, 9.0];
+    stack.shrink_to_fit();
+    assert_eq!(stack.capacity(), 2);
+
+    let before = allocations();
+    assert_eq!(compiled.eval(&env, &mut stack), Some(6.0));
+    assert_eq!(allocations() - before, 1, "one up-front reservation");
+    assert!(stack.capacity() >= compiled.max_stack());
+
+    let before = allocations();
+    assert_eq!(compiled.eval(&env, &mut stack), Some(6.0));
+    assert_eq!(allocations() - before, 0, "a grown stack is reused");
 }
 
 #[test]

@@ -250,11 +250,39 @@ fn arb_diff_expr() -> impl Strategy<Value = SignalExpr> {
     })
 }
 
-fn arb_diff_condition() -> impl Strategy<Value = Condition> {
+/// Every expression shape the compiler lowers to a dedicated kernel
+/// (`compile::Kernel`), over [`DIFF_SIGNALS`] with random constants.
+/// Random trees rarely hit the multi-node shapes, so they are generated
+/// directly; `Fresh` is [`arb_diff_condition`]'s own choice.
+fn arb_kernel_expr() -> impl Strategy<Value = SignalExpr> {
+    let sig = (0..DIFF_SIGNALS.len())
+        .prop_map(|i| SignalExpr::signal(DIFF_SIGNALS[i]))
+        .boxed();
+    let deriv = (0..DIFF_SIGNALS.len())
+        .prop_map(|i| SignalExpr::derivative(DIFF_SIGNALS[i]))
+        .boxed();
+    let angular =
+        (0..DIFF_SIGNALS.len()).prop_map(|i| SignalExpr::angular_derivative(DIFF_SIGNALS[i]));
     prop_oneof![
-        (arb_diff_expr(), -5.0f64..5.0).prop_map(|(expr, limit)| Condition::AtMost { expr, limit }),
-        (arb_diff_expr(), -5.0f64..5.0)
-            .prop_map(|(expr, limit)| Condition::AtLeast { expr, limit }),
+        sig.clone(),
+        sig.clone().prop_map(SignalExpr::abs),
+        deriv.clone(),
+        deriv.prop_map(SignalExpr::abs),
+        (sig.clone(), sig.clone()).prop_map(|(a, b)| a.sub(b).abs()),
+        (sig.clone(), sig.clone(), -10.0f64..10.0)
+            .prop_map(|(a, b, c)| a.sub(b.mul(SignalExpr::constant(c)))),
+        (sig.clone(), sig.clone()).prop_map(|(a, b)| a.mul(b).abs()),
+        (angular, sig).prop_map(|(d, b)| d.sub(b).abs()),
+    ]
+}
+
+/// Conditions over random trees (the stack machine's `Program` kernel)
+/// and over every dedicated kernel shape.
+fn arb_diff_condition() -> impl Strategy<Value = Condition> {
+    let expr = prop_oneof![arb_diff_expr(), arb_kernel_expr()].boxed();
+    prop_oneof![
+        (expr.clone(), -5.0f64..5.0).prop_map(|(expr, limit)| Condition::AtMost { expr, limit }),
+        (expr, -5.0f64..5.0).prop_map(|(expr, limit)| Condition::AtLeast { expr, limit }),
         (0..DIFF_SIGNALS.len(), 0.0f64..0.3).prop_map(|(i, max_age)| Condition::Fresh {
             signal: SignalId::new(DIFF_SIGNALS[i]),
             max_age,
@@ -310,6 +338,12 @@ fn bounded_assertion(limit: f64, temporal: Temporal) -> Assertion {
 }
 
 proptest! {
+    // 256 cases rather than the default 64: a kernel shape is one choice
+    // in about two dozen per assertion, and a lane kernel's payload shows
+    // only at an alarm's first cycle, so 64 cases can miss a wrong lane
+    // kernel (a dropped `wrap_angle` in `AngDerivSubAbs` did).
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
     #[test]
     fn expressions_obey_algebraic_identities(
         a in -1e6f64..1e6,

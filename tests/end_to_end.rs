@@ -148,6 +148,31 @@ fn offline_report_matches_online_monitoring() {
     assert_eq!(offline, online);
 }
 
+/// The committed `.adt` image of `smoke.csv`. A deliberate change to the
+/// format bumps its version byte and regenerates this file in the same
+/// change (`trace-import crates/trace/testdata/smoke.csv`).
+const GOLDEN_ADT: &[u8] = include_bytes!("../crates/trace/testdata/smoke.adt");
+
+#[test]
+fn csv_import_encodes_to_the_committed_adt_image() {
+    // CSV parsing and encoding call no libm, so these bytes are the same
+    // on every platform: any drift is a format change.
+    let text = include_str!("../crates/trace/testdata/smoke.csv");
+    let trace = csv::from_csv(text).expect("smoke.csv parses");
+    let encoded = ColumnarTrace::from_trace(&trace).encode();
+    assert!(
+        encoded == GOLDEN_ADT,
+        "smoke.csv no longer encodes to smoke.adt"
+    );
+
+    let decoded = ColumnarTrace::decode(GOLDEN_ADT).expect("the golden image decodes");
+    assert_eq!(decoded.to_trace(), trace);
+    assert!(
+        decoded.encode() == GOLDEN_ADT,
+        "smoke.adt does not re-encode to itself"
+    );
+}
+
 #[test]
 fn adt_files_load_and_lane_check_like_the_recorded_drive() {
     // The offline path: a recorded drive saved as `.adt`, loaded back and
