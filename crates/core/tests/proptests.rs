@@ -583,28 +583,34 @@ proptest! {
     }
 
     /// Lane-batched differential property: for random catalogs and random
-    /// *batches* of sparse traces — each trace its own cycle grid, signals
-    /// present or absent per cycle, so every lane sits in a different
-    /// unknown/derivative/staleness state — the struct-of-arrays columnar
-    /// evaluator produces reports bit-identical to the scalar compiled
-    /// replay of each trace, and the same deterministic metrics summary,
-    /// including Inconclusive accounting and quarantine/recovery health
-    /// transitions under a finite staleness horizon.
+    /// *batches* of traces — each trace its own length and cycle grid,
+    /// each signal either present every cycle (a dense column) or present
+    /// or absent per cycle, so every trace sits in a different
+    /// unknown/derivative/staleness state — the columnar evaluator
+    /// produces reports bit-identical to the scalar compiled replay of
+    /// each trace, and the same deterministic metrics summary, including
+    /// Inconclusive accounting and quarantine/recovery health transitions
+    /// under a finite staleness horizon.
     #[test]
     fn lane_batched_columnar_matches_scalar_replay(
         catalog in proptest::collection::vec(arb_diff_assertion(), 1..5),
-        // A batch wider than one lane group (> 8 traces) so chunking is
-        // exercised; per trace, per cycle, each signal is independently
-        // present (Some) or absent (None).
+        // More than eight traces of unequal lengths, up to past two
+        // 64-cycle words, so episodes, alarms and grace periods cross
+        // word edges. Per trace, a bitmask of signals sampled every cycle;
+        // per cycle, every other signal is independently present or
+        // absent.
         traces in proptest::collection::vec(
-            proptest::collection::vec(
+            (
+                0u8..16,
                 proptest::collection::vec(
-                    prop_oneof![Just(None), (-3.0f64..3.0).prop_map(Some)],
-                    DIFF_SIGNALS.len(),
+                    proptest::collection::vec(
+                        (0u8..2, -3.0f64..3.0),
+                        DIFF_SIGNALS.len(),
+                    ),
+                    0..160,
                 ),
-                0..30,
             ),
-            1..12,
+            9..13,
         ),
         stale_after in prop_oneof![
             Just(f64::INFINITY),
@@ -616,13 +622,13 @@ proptest! {
         let health = HealthConfig { stale_after, quarantine_after, recover_after };
         let traces: Vec<Trace> = traces
             .iter()
-            .map(|cycles| {
+            .map(|(dense, cycles)| {
                 let mut trace = Trace::new();
                 for (i, cycle) in cycles.iter().enumerate() {
                     let t = i as f64 * 0.013;
-                    for (signal, value) in cycle.iter().enumerate() {
-                        if let Some(v) = value {
-                            trace.record(DIFF_SIGNALS[signal], t, *v);
+                    for (signal, &(present, v)) in cycle.iter().enumerate() {
+                        if present == 1 || dense & (1 << signal) != 0 {
+                            trace.record(DIFF_SIGNALS[signal], t, v);
                         }
                     }
                 }
