@@ -112,10 +112,14 @@ cargo clippy --offline --locked --all-targets --manifest-path perfbench/Cargo.to
 
 echo "== perfbench smoke (offline oracle, and oracle and exactly-once checks on both ingest workloads) =="
 # offline_adt checks lane reports from decoded .adt files against scalar
-# checker::check, byte for byte. The bulk run is long enough for the 100
-# ops its p90 needs.
+# checker::check, byte for byte, untraced and traced: the traced passes
+# read and decode each file separately under spans, the path the per-layer
+# lane-check and read figures come from. The bulk run is long enough for
+# the 100 ops its p90 needs.
 cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload offline_adt --seconds 2 --trace 0
+cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload offline_adt --seconds 2 --trace 1
 cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload ingest_trips --seconds 2 --trace 0
 cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \

@@ -9,8 +9,8 @@
 //!   standard catalog;
 //! * **offline** — `checker::check` of a clean 75 s Straight-scenario
 //!   trace against the standard catalog, plus the parallel many-trace
-//!   batch throughput of [`adassure_exp::check_traces`] and the columnar
-//!   lane-batched path ([`adassure_exp::check_columnar_traces`] over
+//!   batch throughput of [`adassure_exp::check_traces`] and the
+//!   columnar path ([`adassure_exp::check_columnar_traces`] over
 //!   pre-converted `.adt`-shaped traces).
 //!
 //! Baselines are the same workloads measured at the pre-compilation
@@ -76,7 +76,6 @@ struct Batch {
 #[derive(Serialize)]
 struct ColumnarBatch {
     traces: usize,
-    lanes: usize,
     workers: usize,
     wall_ms: f64,
     traces_per_sec: f64,
@@ -132,9 +131,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.offline_batch.traces_per_sec
     );
     println!(
-        "columnar: {} traces in {}-wide lanes on {} workers in {:.1} ms ({:.0} traces/sec, {:.1}x over {:.0}/sec)",
+        "columnar: {} traces on {} workers in {:.1} ms ({:.0} traces/sec, {:.1}x over {:.0}/sec)",
         report.offline_columnar.traces,
-        report.offline_columnar.lanes,
         report.offline_columnar.workers,
         report.offline_columnar.wall_ms,
         report.offline_columnar.traces_per_sec,
@@ -222,7 +220,7 @@ fn measure_online_with(
 }
 
 /// `offline_batch` (16 traces of one 75 s Straight run each) measured at
-/// the scalar per-trace batch path, before lane batching landed. The
+/// the scalar per-trace batch path, before the columnar engine landed. The
 /// columnar entry reports its speedup against this.
 const BASELINE_BATCH_TRACES_PER_SEC: f64 = 222.39;
 
@@ -256,10 +254,8 @@ fn measure_offline() -> Result<(f64, Batch, ColumnarBatch), String> {
         best = best.min(elapsed * 1e9);
     }
 
-    // Parallel batch: all traces across the campaign thread pool. The
-    // work items are lane groups, so the effective worker count is capped
-    // by the group count, not the trace count.
-    let groups = traces.len().div_ceil(adassure_core::lane::LANES);
+    // Parallel batch: all traces across the campaign thread pool, one
+    // work item per trace.
     let mut batch_best = f64::INFINITY;
     for _ in 0..5 {
         let start = Instant::now();
@@ -270,13 +266,13 @@ fn measure_offline() -> Result<(f64, Batch, ColumnarBatch), String> {
     }
     let batch = Batch {
         traces: traces.len(),
-        workers: Runtime::global().effective_workers(groups),
+        workers: Runtime::global().effective_workers(traces.len()),
         wall_ms: batch_best * 1e3,
         traces_per_sec: traces.len() as f64 / batch_best,
     };
 
     // Columnar batch: the `.adt` corpus fast path — documents already in
-    // columnar form, so the timed region is pure lane evaluation.
+    // columnar form, so the timed region is pure columnar checking.
     let columnar_traces: Vec<ColumnarTrace> =
         traces.iter().map(ColumnarTrace::from_trace).collect();
     let mut columnar_best = f64::INFINITY;
@@ -290,8 +286,7 @@ fn measure_offline() -> Result<(f64, Batch, ColumnarBatch), String> {
     let columnar_tps = traces.len() as f64 / columnar_best;
     let columnar = ColumnarBatch {
         traces: traces.len(),
-        lanes: adassure_core::lane::LANES,
-        workers: Runtime::global().effective_workers(groups),
+        workers: Runtime::global().effective_workers(traces.len()),
         wall_ms: columnar_best * 1e3,
         traces_per_sec: columnar_tps,
         baseline_traces_per_sec: BASELINE_BATCH_TRACES_PER_SEC,

@@ -417,8 +417,8 @@ fn flatten(expr: &SignalExpr, env: &mut Env, ops: &mut Vec<Op>) {
 /// postfix program it replaces, so results stay bit-identical;
 /// [`Kernel::Program`] keeps the stack machine for everything else. Both
 /// checking engines evaluate these kernels: the online checker through
-/// [`Env`]'s slot accessors, the lane engine ([`crate::lane`]) over lane
-/// columns.
+/// [`Env`]'s slot accessors, the lane engine ([`crate::lane`]) over a
+/// trace's columns.
 #[derive(Debug, Clone)]
 pub(crate) enum Kernel {
     /// `signal(s)`, optionally `.abs()`.

@@ -42,7 +42,7 @@
 //! finite-valued streams.
 //!
 //! The policy is one small machine, `HealthMachine`, that the lane engine
-//! ([`crate::lane`]) runs per lane as well, so both checking engines share
+//! ([`crate::lane`]) steps per cycle as well, so both checking engines share
 //! one definition of when a monitor degrades, suspends and recovers.
 
 use std::fmt;
@@ -140,7 +140,7 @@ impl Default for HealthConfig {
 
 /// One monitor's health policy: the [`HealthState`] and the two streaks
 /// that move it. Both engines step it once per processed cycle — the
-/// online checker per monitor, the lane engine per monitor and lane.
+/// online checker and the lane engine alike, per monitor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct HealthMachine {
     pub(crate) state: HealthState,
@@ -242,7 +242,7 @@ impl MonitorPlan {
 /// compilation, so sharing is free of synchronisation.
 ///
 /// It is the catalog's one lowering: the lane engine ([`crate::lane`])
-/// evaluates the same plan's kernels over lane columns.
+/// evaluates the same plan's kernels over whole trace columns.
 #[derive(Debug)]
 pub struct CheckerPlan {
     /// Prototype environment: the interned table with empty signal state.

@@ -98,8 +98,8 @@ pub fn execute_observed(
 
 /// Runs one grid cell's simulation (scenario, stack, engine, injected
 /// attack) without checking the trace. [`execute_observed`] couples it to
-/// the scalar checker; the campaign's lane-grouped batch path simulates
-/// all cells first and then checks them in lane groups.
+/// the scalar checker; a campaign run without events couples it to the
+/// columnar engine ([`lane`]).
 ///
 /// # Errors
 ///
@@ -212,15 +212,6 @@ impl<'a> Campaign<'a> {
                 catalogs.push((cell.scenario, (self.catalog)(&scenario)));
             }
         }
-        // With no event stream requested, checking is a pure function of
-        // the trace: simulate all cells in parallel, then check them in
-        // lane groups on the columnar engine. Verdicts and metrics are
-        // bit-identical to the per-cell scalar path (the embedded summary
-        // never includes wall-clock timing), so only event emission forces
-        // the scalar route.
-        if !obs.events {
-            return self.run_lane_grouped(&cells, &catalogs);
-        }
         // Events are only retained when they have somewhere to go; with no
         // JSONL path a NullSink keeps the filter/counter semantics (and
         // therefore the report bytes) identical while dropping the payload.
@@ -231,6 +222,24 @@ impl<'a> Campaign<'a> {
                 .find(|(kind, _)| *kind == spec.scenario)
                 .expect("catalog resolved for every scenario in the grid")
                 .1;
+            // With no event stream requested, checking is a pure function
+            // of the trace, so it runs on the columnar engine. Verdicts and
+            // metrics are bit-identical to the scalar path (the embedded
+            // summary never includes wall-clock timing); only event
+            // emission needs the scalar checker.
+            if !obs.events {
+                let output = simulate(spec)?;
+                let columnar = [ColumnarTrace::from_trace(&output.trace)];
+                let (mut report, metrics) =
+                    lane::check_columnar_observed(cat, HealthConfig::default(), &columnar)
+                        .remove(0);
+                report.context = Some(spec.context());
+                return Ok((
+                    RunRecord::from_run(spec, &output, &report),
+                    metrics,
+                    Vec::new(),
+                ));
+            }
             let sink: Box<dyn EventSink> = if collect_events {
                 Box::new(VecSink::default())
             } else {
@@ -254,7 +263,8 @@ impl<'a> Campaign<'a> {
             events.extend(cell_events);
             runs.push(record);
         }
-        if let Some(path) = &obs.jsonl_path {
+        // Only an event run writes the log; the columnar path emits none.
+        if let Some(path) = obs.jsonl_path.as_ref().filter(|_| obs.events) {
             if let Err(err) = write_jsonl(path, &events) {
                 eprintln!(
                     "warning: campaign {}: failed to write event log {}: {err}",
@@ -262,76 +272,6 @@ impl<'a> Campaign<'a> {
                     path.display()
                 );
             }
-        }
-        Ok(CampaignReport {
-            name: self.name.clone(),
-            runs,
-            summaries: Vec::new(),
-            obs: merged.summary(),
-        })
-    }
-
-    /// The event-free batch path: simulate every cell in parallel, group
-    /// the resulting traces into lanes *per catalog* (cells of the same
-    /// scenario kind share one compiled plan), check the groups on the
-    /// columnar engine across the same worker pool, and merge the
-    /// per-cell metrics strictly in cell order.
-    fn run_lane_grouped(
-        &self,
-        cells: &[RunSpec],
-        catalogs: &[(adassure_scenarios::ScenarioKind, Vec<Assertion>)],
-    ) -> Result<CampaignReport, SimError> {
-        let outputs = self.runtime.map(cells, simulate);
-        let mut sim_outputs: Vec<SimOutput> = Vec::with_capacity(cells.len());
-        for output in outputs {
-            sim_outputs.push(output?);
-        }
-
-        // Lane groups: for each catalog (in first-appearance order), the
-        // cells using it in ascending cell order, chunked by lane width.
-        // Results are scattered back by cell index, so grouping order
-        // never leaks into the report.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (cat_idx, (kind, _)) in catalogs.iter().enumerate() {
-            let indices: Vec<usize> = (0..cells.len())
-                .filter(|&i| cells[i].scenario == *kind)
-                .collect();
-            for chunk in indices.chunks(lane::LANES) {
-                groups.push((cat_idx, chunk.to_vec()));
-            }
-        }
-        let checked: Vec<Vec<(CheckReport, MetricsSnapshot)>> =
-            self.runtime.map(&groups, |(cat_idx, indices)| {
-                let columnar: Vec<ColumnarTrace> = indices
-                    .iter()
-                    .map(|&i| ColumnarTrace::from_trace(&sim_outputs[i].trace))
-                    .collect();
-                lane::check_columnar_observed(
-                    &catalogs[*cat_idx].1,
-                    HealthConfig::default(),
-                    &columnar,
-                )
-            });
-
-        let mut per_cell: Vec<Option<(CheckReport, MetricsSnapshot)>> =
-            std::iter::repeat_with(|| None).take(cells.len()).collect();
-        for ((_, indices), results) in groups.iter().zip(checked) {
-            for (&cell, result) in indices.iter().zip(results) {
-                per_cell[cell] = Some(result);
-            }
-        }
-
-        let mut merged = MetricsSnapshot::empty();
-        let mut runs: Vec<RunRecord> = Vec::with_capacity(cells.len());
-        for ((spec, output), slot) in cells.iter().zip(&sim_outputs).zip(per_cell) {
-            let (mut report, metrics) = slot.expect("every cell checked in exactly one lane group");
-            report.context = Some(spec.context());
-            merged.merge(&metrics);
-            let record = RunRecord::from_run(spec, output, &report);
-            if let Some(latency) = record.detection_latency {
-                merged.detection_latency_s.record(latency);
-            }
-            runs.push(record);
         }
         Ok(CampaignReport {
             name: self.name.clone(),

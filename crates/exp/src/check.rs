@@ -2,29 +2,23 @@
 //! deterministic campaign executor.
 //!
 //! Scenario-replay pipelines check thousands of traces against the same
-//! catalog. The batch path lane-groups the traces first — up to
-//! [`lane::LANES`] traces per group, converted to [`ColumnarTrace`] and
-//! evaluated together by the struct-of-arrays engine — and distributes the
-//! *groups* across [`par::map`] workers. Reports come back in input order
-//! and are bit-identical to the serial scalar loop for any worker count
-//! (the lane engine's differential property test pins this).
+//! catalog. The batch path converts each trace to [`ColumnarTrace`] and
+//! checks it on the columnar engine ([`lane`]), one trace per
+//! [`par::map`] work item. Reports come back in input order and are
+//! bit-identical to the serial scalar loop for any worker count (the
+//! columnar engine's differential property test pins this).
 
 use adassure_core::{checker, lane, Assertion, CheckReport};
 use adassure_trace::{ColumnarTrace, Trace};
 
 use crate::par;
 
-/// Checks every trace against `catalog`: traces are grouped into lanes and
-/// the groups fan out across the campaign thread pool.
+/// Checks every trace against `catalog` on the columnar engine, one trace
+/// per work item across the campaign thread pool.
 pub fn check_traces(catalog: &[Assertion], traces: &[Trace]) -> Vec<CheckReport> {
-    let groups: Vec<&[Trace]> = traces.chunks(lane::LANES).collect();
-    par::map(&groups, |group| {
-        let columnar: Vec<ColumnarTrace> = group.iter().map(ColumnarTrace::from_trace).collect();
-        lane::check_columnar(catalog, &columnar)
+    par::map(traces, |trace| {
+        lane::check_columnar(catalog, &[ColumnarTrace::from_trace(trace)]).remove(0)
     })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// Checks every trace against `catalog` with the scalar per-trace replay,
@@ -36,13 +30,11 @@ pub fn check_traces_scalar(catalog: &[Assertion], traces: &[Trace]) -> Vec<Check
 }
 
 /// Checks a batch already in columnar form — the `.adt` corpus fast path:
-/// no conversion, lane groups fan straight out across the pool.
+/// no conversion, the traces fan straight out across the pool.
 pub fn check_columnar_traces(catalog: &[Assertion], traces: &[ColumnarTrace]) -> Vec<CheckReport> {
-    let groups: Vec<&[ColumnarTrace]> = traces.chunks(lane::LANES).collect();
-    par::map(&groups, |group| lane::check_columnar(catalog, group))
-        .into_iter()
-        .flatten()
-        .collect()
+    par::map(traces, |trace| {
+        lane::check_columnar(catalog, std::slice::from_ref(trace)).remove(0)
+    })
 }
 
 #[cfg(test)]
@@ -75,7 +67,6 @@ mod tests {
     #[test]
     fn parallel_batch_matches_serial_checks() {
         let catalog = [bound(1.0)];
-        // 19 traces: two full lane groups plus a ragged tail.
         let traces: Vec<Trace> = (0..19)
             .map(|i| trace_with_peak(f64::from(i) * 0.4))
             .collect();

@@ -24,8 +24,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// extension), so a `Runtime` can be stored in configs and shared freely.
 /// Per-invocation spawning amortises over batch-sized work items; callers
 /// with per-item work in the microsecond range should batch items before
-/// mapping, which is exactly what the campaign engine (lane groups) and
-/// the fleet server (sample batches per shard) do.
+/// mapping, as the fleet server does with sample batches per shard. A
+/// campaign cell (simulate, then check one trace) is already milliseconds
+/// of work, so the campaign engine maps cells directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Runtime {
     workers: usize,

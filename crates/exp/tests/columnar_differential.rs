@@ -35,8 +35,9 @@ fn assert_reports_match(
 
 /// CSV leg: the interchange format carries cycle-aligned tables (every
 /// signal sampled every cycle — a controller-log shape), so this leg uses
-/// seeded synthetic tables over the well-known signal set. Ten traces span
-/// two lane groups, and the xorshift wobble trips some catalog bounds so
+/// seeded synthetic tables over the well-known signal set. Ten traces of
+/// 400 cycles cross several 64-cycle words, and the xorshift wobble trips
+/// some catalog bounds so
 /// the compared reports contain real violations.
 #[test]
 fn csv_adt_lane_pipeline_matches_scalar_replay() {

@@ -48,7 +48,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -268,6 +268,13 @@ impl SessionEntry {
 /// threads hold the gate shared while handling a windowed frame, a
 /// checkpoint holds it exclusively — so a checkpoint always observes the
 /// fleet and every session at a frame boundary.
+///
+/// A session whose connection thread panicked while holding its entry is
+/// *dead*: the frame it was handling may have reached the fleet without
+/// advancing the expected sequence, so resending it could apply it twice.
+/// A dead session cannot be attached, is left out of checkpoints, and
+/// at the cap is evicted like a detached one; the table's own operations
+/// never panic on it.
 #[derive(Debug)]
 struct SessionTable {
     inner: Mutex<TableInner>,
@@ -279,6 +286,12 @@ struct SessionTable {
 struct TableInner {
     sessions: BTreeMap<u64, Arc<Mutex<SessionEntry>>>,
     next_token: u64,
+}
+
+/// The entry's guard, or `None` if the session is dead (see
+/// [`SessionTable`]).
+fn live(entry: &Mutex<SessionEntry>) -> Option<MutexGuard<'_, SessionEntry>> {
+    entry.lock().ok()
 }
 
 impl SessionTable {
@@ -315,15 +328,15 @@ impl SessionTable {
         table
     }
 
-    /// Allocates a fresh session, evicting the oldest detached one at
-    /// the cap. `None` when the table is full of live sessions.
+    /// Allocates a fresh session, evicting the oldest detached or dead
+    /// one at the cap. `None` when the table is full of attached sessions.
     fn create(&self) -> Option<(u64, Arc<Mutex<SessionEntry>>)> {
         let mut inner = self.inner.lock().expect("session table lock");
         if self.max_sessions > 0 && inner.sessions.len() >= self.max_sessions {
             let victim = inner
                 .sessions
                 .iter()
-                .find(|(_, e)| !e.lock().expect("session lock").attached)
+                .find(|(_, e)| live(e).is_none_or(|e| !e.attached))
                 .map(|(token, _)| *token);
             match victim {
                 Some(token) => {
@@ -345,11 +358,11 @@ impl SessionTable {
     }
 
     /// Attaches to an existing detached session. `None` for unknown
-    /// tokens or sessions another connection still owns.
+    /// tokens, dead sessions, or sessions another connection still owns.
     fn attach(&self, token: u64) -> Option<Arc<Mutex<SessionEntry>>> {
         let inner = self.inner.lock().expect("session table lock");
         let entry = inner.sessions.get(&token)?;
-        let mut locked = entry.lock().expect("session lock");
+        let mut locked = live(entry)?;
         if locked.attached {
             return None;
         }
@@ -357,15 +370,17 @@ impl SessionTable {
         Some(Arc::clone(entry))
     }
 
-    /// Captures every session for a checkpoint. Returns the seed entries
-    /// plus `(token, expected_seq)` marks for the post-write durable
-    /// bump. Caller must hold the gate exclusively.
+    /// Captures every live session for a checkpoint. Returns the seed
+    /// entries plus `(token, expected_seq)` marks for the post-write
+    /// durable bump. Caller must hold the gate exclusively.
     fn snapshot(&self) -> (Vec<SessionSeedEntry>, Vec<(u64, u64)>) {
         let inner = self.inner.lock().expect("session table lock");
         let mut seed = Vec::with_capacity(inner.sessions.len());
         let mut marks = Vec::with_capacity(inner.sessions.len());
         for (&token, entry) in &inner.sessions {
-            let e = entry.lock().expect("session lock");
+            let Some(e) = live(entry) else {
+                continue;
+            };
             seed.push(SessionSeedEntry {
                 token,
                 expected_seq: e.expected_seq,
@@ -381,8 +396,7 @@ impl SessionTable {
     fn bump_durable(&self, marks: &[(u64, u64)]) {
         let inner = self.inner.lock().expect("session table lock");
         for (token, expected) in marks {
-            if let Some(entry) = inner.sessions.get(token) {
-                let mut e = entry.lock().expect("session lock");
+            if let Some(mut e) = inner.sessions.get(token).and_then(|e| live(e)) {
                 e.durable_seq = e.durable_seq.max(expected.saturating_sub(1));
             }
         }
@@ -845,7 +859,9 @@ fn serve_conn<C: Read + Write>(mut conn: C, shared: &ConnShared) {
     // The session outlives the connection: detach so a reconnecting
     // producer can claim it.
     if let Some(entry) = &state.entry {
-        entry.lock().expect("session lock").attached = false;
+        if let Some(mut e) = live(entry) {
+            e.attached = false;
+        }
     }
 }
 
@@ -1677,4 +1693,50 @@ pub fn connect_unix(
 ) -> Result<IngestProducer<UnixStream>, ProducerError> {
     let conn = UnixStream::connect(path)?;
     IngestProducer::connect(conn, config)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::FleetConfig;
+
+    #[test]
+    fn a_dead_session_neither_blocks_new_sessions_nor_checkpoints() {
+        let sessions = Arc::new(SessionTable::new(1));
+        let (dead, entry) = sessions.create().expect("an empty table opens a session");
+        let holder = std::thread::spawn(move || {
+            let _held = entry.lock().expect("unpoisoned");
+            panic!("connection thread dies holding its session");
+        });
+        assert!(holder.join().is_err());
+
+        assert!(
+            sessions.attach(dead).is_none(),
+            "a dead session is not resumed"
+        );
+        let (token, _entry) = sessions
+            .create()
+            .expect("the dead session makes room at the cap");
+        assert_ne!(token, dead);
+
+        let checkpointer = Checkpointer {
+            fleet: Arc::new(Mutex::new(Fleet::new(Vec::new(), FleetConfig::default()))),
+            sessions: Arc::clone(&sessions),
+            stats: Arc::new(IngestStats::default()),
+            io_lock: Arc::new(Mutex::new(())),
+        };
+        let dir =
+            std::env::temp_dir().join(format!("adassure-dead-session-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("fleet.adckpt");
+        checkpointer
+            .checkpoint_to(&path)
+            .expect("a checkpoint still writes");
+        let bytes = std::fs::read(&path).expect("checkpoint on disk");
+        std::fs::remove_dir_all(&dir).expect("temp dir removed");
+        let (_, seed) = checkpoint::restore_server(Vec::new(), FleetConfig::default(), &bytes)
+            .expect("decodes");
+        let tokens: Vec<u64> = seed.sessions.iter().map(|e| e.token).collect();
+        assert_eq!(tokens, [token], "only the live session is checkpointed");
+    }
 }
