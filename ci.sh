@@ -74,6 +74,9 @@ cargo run --release -q -p adassure-bench --bin net_soak -- \
 echo "== wire framing properties (any fragmentation/truncation reassembles) =="
 cargo test -q -p adassure-fleet --test wire_props
 
+echo "== golden ADWIRE frames (encoders match testdata/frames.adwire byte for byte) =="
+cargo test -q -p adassure-fleet --test golden_wire
+
 echo "== checkpoint properties (restore continues bit-identically, any split) =="
 cargo test -q -p adassure-fleet --test checkpoint_props
 
@@ -99,8 +102,8 @@ cargo run --release -q -p adassure-debug --bin addebug -- minimize \
     --out target/ci_repro.json
 cargo run --release -q -p adassure-debug --bin addebug -- rerun target/ci_repro.json
 
-echo "== cargo bench --no-run (benchmarks stay compilable) =="
-cargo bench --workspace --no-run
+echo "== F3 overhead (observability leaves violations unchanged on a simulated drive) =="
+cargo run --release -q -p adassure-bench --bin fig3_overhead > target/ci_fig3.txt
 
 echo "== perfbench build and unit tests (its own workspace; BENCHMARK.json runs it) =="
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml

@@ -306,6 +306,14 @@ mod tests {
     use adassure_scenarios::ScenarioKind;
 
     #[test]
+    fn catalog_config_matches_topology() {
+        let open = Scenario::of_kind(ScenarioKind::Straight).unwrap();
+        assert!(catalog_config_for(&open).goal_distance.is_some());
+        let closed = Scenario::of_kind(ScenarioKind::Circle).unwrap();
+        assert!(catalog_config_for(&closed).goal_distance.is_none());
+    }
+
+    #[test]
     fn execute_detects_a_standard_attack() {
         let grid = Grid::new()
             .attacks(AttackSet::Standard)

@@ -44,7 +44,6 @@
 
 pub mod agg;
 pub mod campaign;
-pub mod check;
 pub mod grid;
 pub mod par;
 pub mod record;
@@ -52,7 +51,6 @@ pub mod rerun;
 pub mod runtime;
 
 pub use campaign::Campaign;
-pub use check::{check_columnar_traces, check_traces, check_traces_scalar};
 pub use grid::{AttackSet, Grid, RunSpec};
 pub use record::{CampaignReport, GroupSummary, RunRecord};
 pub use runtime::Runtime;

@@ -57,7 +57,7 @@ impl Runtime {
     /// The number of workers a batch of `items` work items actually
     /// occupies: the configured count, capped by the item count (a pool
     /// never spawns more workers than there are items to claim).
-    pub fn effective_workers(&self, items: usize) -> usize {
+    fn effective_workers(&self, items: usize) -> usize {
         self.workers.clamp(1, items.max(1))
     }
 

@@ -8,22 +8,23 @@
 //! `adassure-core/tests/proptests.rs`: instead of synthetic generators it
 //! exercises the exact artefact flows a campaign uses — the CSV
 //! interchange leg `trace-import` consumes, and the `.adt` corpus leg
-//! `check_columnar_traces` consumes.
+//! `lane::check_columnar` consumes.
 
 use adassure_control::pipeline::EstimatorKind;
 use adassure_control::ControllerKind;
+use adassure_core::{checker, lane, Assertion, CheckReport};
 use adassure_exp::campaign::{execute, standard_catalog};
 use adassure_exp::grid::RunSpec;
-use adassure_exp::{check_columnar_traces, check_traces_scalar};
 use adassure_scenarios::{Scenario, ScenarioKind};
 use adassure_trace::{csv, well_known, ColumnarTrace, Trace};
 
-fn assert_reports_match(
-    lane_reports: &[adassure_core::CheckReport],
-    scalar_reports: &[adassure_core::CheckReport],
-) {
+/// Checks `columnar` on the lane engine and `traces` with the scalar
+/// replay, and requires the two report lists to serialize identically.
+fn assert_reports_match(cat: &[Assertion], columnar: &[ColumnarTrace], traces: &[Trace]) {
+    let lane_reports = lane::check_columnar(cat, columnar);
+    let scalar_reports: Vec<CheckReport> = traces.iter().map(|t| checker::check(cat, t)).collect();
     assert_eq!(lane_reports.len(), scalar_reports.len());
-    for (i, (lane, scalar)) in lane_reports.iter().zip(scalar_reports).enumerate() {
+    for (i, (lane, scalar)) in lane_reports.iter().zip(&scalar_reports).enumerate() {
         let lane_json = serde_json::to_string(lane).expect("serialize");
         let scalar_json = serde_json::to_string(scalar).expect("serialize");
         assert_eq!(
@@ -76,10 +77,7 @@ fn csv_adt_lane_pipeline_matches_scalar_replay() {
         })
         .collect();
 
-    assert_reports_match(
-        &check_columnar_traces(&cat, &columnar),
-        &check_traces_scalar(&cat, &traces),
-    );
+    assert_reports_match(&cat, &columnar, &traces);
 }
 
 /// `.adt` leg: real simulator traces (multi-rate — GNSS and wheel series
@@ -113,8 +111,5 @@ fn sim_traces_through_adt_match_scalar_replay() {
         })
         .collect();
 
-    assert_reports_match(
-        &check_columnar_traces(&cat, &columnar),
-        &check_traces_scalar(&cat, &traces),
-    );
+    assert_reports_match(&cat, &columnar, &traces);
 }

@@ -89,7 +89,10 @@ impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SubmitError::Saturated { shard, .. } => {
-                write!(f, "shard {shard} ingestion queue is full")
+                write!(
+                    f,
+                    "shard {shard} saturated (never returned: batches are applied on submit)"
+                )
             }
             SubmitError::UnknownShard { batch } => {
                 write!(f, "stream addresses unknown shard {}", batch.stream.shard())

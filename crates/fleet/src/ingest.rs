@@ -1164,8 +1164,8 @@ impl Default for ProducerConfig {
 pub struct ProducerStats {
     /// Batches acknowledged as applied.
     pub acked_batches: u64,
-    /// Always 0: the server stalls a full queue instead of refusing it.
-    /// Kept because the benchmark reports it.
+    /// Always 0: batches are applied on submit, so there is no queue to
+    /// fill. Kept only because the benchmark compiles against it.
     pub saturated_nacks: u64,
     /// Always 0: an out-of-sequence frame closes the connection. Kept
     /// because the benchmark reports it.

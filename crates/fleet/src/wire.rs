@@ -240,7 +240,8 @@ pub enum AckBody {
         /// The new stream's id, to address subsequent batches.
         stream: StreamId,
     },
-    /// The batch was queued on its shard.
+    /// The batch was applied to its stream: the server applies each batch
+    /// before it acks it.
     BatchApplied {
         /// Highest sequence of this session covered by a persisted
         /// checkpoint; frames at or below it can never be asked for again
