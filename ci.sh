@@ -71,11 +71,8 @@ echo "== network ingest soak smoke (loopback TCP, zero lost samples) =="
 cargo run --release -q -p adassure-bench --bin net_soak -- \
     --smoke --out target/ci_net_soak.json
 
-echo "== wire framing properties (any fragmentation/truncation reassembles) =="
+echo "== wire framing properties and golden ADWIRE frames (testdata/frames.adwire) =="
 cargo test -q -p adassure-fleet --test wire_props
-
-echo "== golden ADWIRE frames (encoders match testdata/frames.adwire byte for byte) =="
-cargo test -q -p adassure-fleet --test golden_wire
 
 echo "== checkpoint properties (restore continues bit-identically, any split) =="
 cargo test -q -p adassure-fleet --test checkpoint_props

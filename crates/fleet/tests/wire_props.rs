@@ -2,16 +2,38 @@
 //! multi-frame byte stream decodes to the same frames no matter how the
 //! transport fragments it, and truncating it anywhere yields the intact
 //! prefix and a clean need-more-bytes state — never an error.
+//!
+//! One fixed test pins the bytes themselves: the committed
+//! `testdata/frames.adwire` holds one frame of every kind, every ack body
+//! and every nack reason, and must decode to [`golden_frames`] and
+//! re-encode to exactly itself. Its values are integers and exactly
+//! representable floats and encoding calls no libm, so the file is the
+//! same on every platform; a deliberate format change bumps
+//! `wire::VERSION` and replaces the file in the same change.
 
 use adassure_fleet::wire::{
-    encode_ack, encode_close_stream, encode_get_metrics, encode_hello_session, encode_nack,
-    encode_open_stream, encode_resume, encode_sample_batch, AckBody, Frame, FrameDecoder,
-    NackReason, VERSION,
+    encode_ack, encode_close_stream, encode_get_metrics, encode_hello, encode_hello_session,
+    encode_nack, encode_open_stream, encode_resume, encode_sample_batch, AckBody, Frame,
+    FrameDecoder, NackReason, DEFAULT_MAX_FRAME_LEN, VERSION,
 };
 use adassure_fleet::{SampleBatch, StreamId};
 use proptest::prelude::*;
 
 const CHANNELS: [&str; 4] = ["xtrack", "speed", "gnss_x", "yaw"];
+
+const NACK_REASONS: [NackReason; 9] = [
+    NackReason::UnknownShard,
+    NackReason::StaleGeneration,
+    NackReason::UnknownSlot,
+    NackReason::Malformed,
+    NackReason::Unsupported,
+    NackReason::ShuttingDown,
+    NackReason::UnknownSession,
+    NackReason::ResumeGap,
+    NackReason::ConnectionLimit,
+];
+
+const GOLDEN: &[u8] = include_bytes!("../testdata/frames.adwire");
 
 fn batch_strategy() -> impl Strategy<Value = SampleBatch> {
     (
@@ -32,17 +54,6 @@ fn batch_strategy() -> impl Strategy<Value = SampleBatch> {
 }
 
 fn frame_strategy() -> impl Strategy<Value = Frame> {
-    let nack_reasons = [
-        NackReason::UnknownShard,
-        NackReason::StaleGeneration,
-        NackReason::UnknownSlot,
-        NackReason::Malformed,
-        NackReason::Unsupported,
-        NackReason::ShuttingDown,
-        NackReason::UnknownSession,
-        NackReason::ResumeGap,
-        NackReason::ConnectionLimit,
-    ];
     prop_oneof![
         (0u64..1_000_000).prop_map(|session| Frame::Hello {
             version: VERSION,
@@ -76,24 +87,25 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
                 body: AckBody::StreamClosed { report_json },
             }
         ),
-        (0u64..1_000_000, 0..nack_reasons.len(), 0u32..5000).prop_map(
-            move |(seq, reason, retry)| {
-                Frame::Nack {
-                    seq,
-                    reason: nack_reasons[reason],
-                    retry_after_us: retry,
-                }
+        (0u64..1_000_000, 0..NACK_REASONS.len(), 0u32..5000).prop_map(|(seq, reason, retry)| {
+            Frame::Nack {
+                seq,
+                reason: NACK_REASONS[reason],
+                retry_after_us: retry,
             }
-        ),
+        }),
     ]
 }
 
+/// Encodes `frame` with its encoder. A Hello with session 0 takes the bare
+/// form, which decodes to the same frame.
 fn encode_frame(out: &mut Vec<u8>, frame: &Frame) {
     match frame {
+        Frame::Hello { session: 0, .. } => encode_hello(out),
         Frame::Hello { session, .. } => encode_hello_session(out, *session),
         Frame::OpenStream { seq, .. } => encode_open_stream(out, *seq),
         Frame::SampleBatch { seq, batch } => {
-            encode_sample_batch(out, *seq, batch).expect("generated channels encode");
+            encode_sample_batch(out, *seq, batch).expect("test channels encode");
         }
         Frame::CloseStream { seq, stream } => encode_close_stream(out, *seq, *stream),
         Frame::GetMetrics { seq } => encode_get_metrics(out, *seq),
@@ -116,6 +128,92 @@ fn drain(decoder: &mut FrameDecoder) -> Vec<Frame> {
         frames.push(frame);
     }
     frames
+}
+
+/// The frames of `testdata/frames.adwire`, with hand-picked values.
+fn golden_frames() -> Vec<Frame> {
+    let session = 0x0123_4567_89ab_cdef;
+    let stream = StreamId::from_raw(3, 17, 2);
+    let mut batch = SampleBatch::new(stream);
+    batch.push(0.25, "speed", 12.5);
+    batch.push(0.25, "yaw", -0.125);
+    batch.push(0.5, "speed", 12.75);
+
+    let mut frames = vec![
+        Frame::Hello {
+            version: VERSION,
+            session: 0,
+        },
+        Frame::Hello {
+            version: VERSION,
+            session,
+        },
+        Frame::Resume {
+            session,
+            last_acked: 41,
+        },
+        Frame::OpenStream { seq: 42, flags: 0 },
+        Frame::SampleBatch { seq: 43, batch },
+        Frame::CloseStream { seq: 44, stream },
+        Frame::GetMetrics { seq: 45 },
+    ];
+    let bodies = [
+        AckBody::Hello {
+            version: VERSION,
+            session,
+        },
+        AckBody::StreamOpened { stream },
+        AckBody::BatchApplied { durable_seq: 40 },
+        AckBody::StreamClosed {
+            report_json: br#"{"violations":[]}"#.to_vec(),
+        },
+        AckBody::Metrics {
+            summary_json: br#"{"cycles":3}"#.to_vec(),
+        },
+        AckBody::Resumed { next_seq: 42 },
+    ];
+    frames.extend(
+        bodies
+            .into_iter()
+            .zip(0..)
+            .map(|(body, seq)| Frame::Ack { seq, body }),
+    );
+    frames.extend(NACK_REASONS.into_iter().zip(100..).map(|(reason, seq)| {
+        let retry_after_us = if reason == NackReason::ConnectionLimit {
+            250_000
+        } else {
+            0
+        };
+        Frame::Nack {
+            seq,
+            reason,
+            retry_after_us,
+        }
+    }));
+    frames
+}
+
+#[test]
+fn golden_bytes_decode_to_the_frames_and_re_encode_to_themselves() {
+    let mut decoder = FrameDecoder::new(DEFAULT_MAX_FRAME_LEN);
+    decoder.feed(GOLDEN);
+    let decoded = drain(&mut decoder);
+    assert_eq!(decoder.pending(), 0, "trailing bytes after the last frame");
+    assert_eq!(decoded, golden_frames());
+    let mut encoded = Vec::new();
+    for frame in &decoded {
+        encode_frame(&mut encoded, frame);
+    }
+    if let Some(at) =
+        (0..encoded.len().max(GOLDEN.len())).find(|&i| encoded.get(i) != GOLDEN.get(i))
+    {
+        panic!(
+            "re-encoding testdata/frames.adwire differs from it at byte {at} \
+             ({} bytes encoded, {} committed)",
+            encoded.len(),
+            GOLDEN.len()
+        );
+    }
 }
 
 proptest! {
