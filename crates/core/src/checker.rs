@@ -80,7 +80,7 @@ fn sweep<K: Copy>(mut cursors: Vec<(Option<K>, &[Sample])>, mut f: impl FnMut(f6
 fn drive(checker: &mut OnlineChecker, trace: &Trace) -> f64 {
     let cursors = trace
         .iter()
-        .map(|s| (checker.slot(s.id()), s.samples()))
+        .map(|s| (checker.slot(s.id().as_str()), s.samples()))
         .collect();
     sweep(cursors, |t, cycle| {
         // Every series keeps its times strictly increasing and finite (a

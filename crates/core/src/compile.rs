@@ -128,19 +128,33 @@ impl SignalTable {
     #[inline]
     pub fn slot(&self, signal: &SignalId) -> Option<u32> {
         match signal.well_known_index() {
-            Some(i) => {
-                let slot = self.wk_slots[i];
-                (slot != NO_SLOT).then_some(slot)
-            }
-            None => self.slot_by_name(signal),
+            Some(i) => self.well_known_slot(i),
+            None => self.dynamic_slot(signal.as_str()),
         }
     }
 
-    /// The dynamic-name half of [`SignalTable::slot`], kept out of line so
-    /// the inlined well-known path stays small.
+    /// The slot of the signal named `name`, if already interned: the
+    /// well-known index first, then the dynamic-name map. The lookup
+    /// allocates nothing.
+    pub fn slot_by_name(&self, name: &str) -> Option<u32> {
+        match well_known::index_of(name) {
+            Some(i) => self.well_known_slot(i),
+            None => self.dynamic_slot(name),
+        }
+    }
+
+    /// The dynamic-name half of both lookups, probed through
+    /// `SignalId: Borrow<str>` and kept out of line so the inlined
+    /// well-known path of [`SignalTable::slot`] stays small.
     #[cold]
-    fn slot_by_name(&self, signal: &SignalId) -> Option<u32> {
-        self.by_name.get(signal).copied()
+    fn dynamic_slot(&self, name: &str) -> Option<u32> {
+        self.by_name.get(name).copied()
+    }
+
+    #[inline]
+    fn well_known_slot(&self, index: usize) -> Option<u32> {
+        let slot = self.wk_slots[index];
+        (slot != NO_SLOT).then_some(slot)
     }
 
     /// The id interned at `slot`.

@@ -645,29 +645,39 @@ impl OnlineChecker {
     ///
     /// A sample of a signal that no assertion reads is ignored: it is not
     /// stored, so unknown channel names cannot grow the checker.
-    // Forced: the fleet's shard loop calls this once per sample, and an
-    // out-of-line call there measurably slowed fleet ingest.
+    ///
+    /// A caller feeding many samples of few channels resolves each channel
+    /// once with [`OnlineChecker::slot`] and feeds
+    /// [`OnlineChecker::update_slot`] instead.
+    // Forced: per-sample callers (traced replays, the F3 harness) loop
+    // on this, so it stays inlined into their loops.
     #[inline(always)]
     pub fn update(&mut self, signal: impl Into<SignalId>, value: f64) {
-        if let Some(slot) = self.slot(&signal.into()) {
+        if let Some(slot) = self.plan.env_proto.slot(&signal.into()) {
             self.update_slot(slot, value);
         }
     }
 
-    /// The slot of `signal` if some assertion reads it: the plan's table
-    /// holds exactly the catalog's signals and is never written after
-    /// compilation. It is shared by every checker built from the plan, so
-    /// the lookup stays in cache across a fleet's streams. Resolving once
-    /// and updating by slot skips the per-sample name lookup.
+    /// The slot of the signal named `name` if some assertion reads it,
+    /// `None` for a signal no assertion reads. The plan's table holds
+    /// exactly the catalog's signals and is never written after
+    /// compilation, so a slot stays valid for the checker's lifetime and
+    /// for every checker built from the same plan. The lookup allocates
+    /// nothing.
     #[inline]
-    pub(crate) fn slot(&self, signal: &SignalId) -> Option<u32> {
-        self.plan.env_proto.slot(signal)
+    pub fn slot(&self, name: &str) -> Option<u32> {
+        self.plan.env_proto.table().slot_by_name(name)
     }
 
     /// [`OnlineChecker::update`] for a slot returned by
     /// [`OnlineChecker::slot`].
+    ///
+    /// # Panics
+    ///
+    /// If `slot` did not come from [`OnlineChecker::slot`] on a checker of
+    /// the same plan.
     #[inline]
-    pub(crate) fn update_slot(&mut self, slot: u32, value: f64) {
+    pub fn update_slot(&mut self, slot: u32, value: f64) {
         debug_assert!(self.cycle_open, "update outside begin_cycle/end_cycle");
         let poisoned = &mut self.poisoned[slot as usize];
         if value.is_finite() {

@@ -8,8 +8,9 @@ use adassure_core::{Assertion, CheckReport, CheckerPlan, HealthConfig};
 use adassure_exp::Runtime;
 use adassure_obs::{Histogram, MetricsSnapshot, ObsSummary};
 
-use crate::shard::{Shard, ShardState, StreamError};
-use crate::stream::{SampleBatch, StreamId};
+use crate::shard::{Columns, Shard, ShardState, StreamError};
+use crate::stream::{IndexedBatch, SampleBatch, StreamId};
+use crate::wire::BatchFrame;
 
 /// Plain-data snapshot of a whole fleet. The binary encoding lives in
 /// [`crate::checkpoint`].
@@ -119,16 +120,44 @@ impl FleetHandle {
     pub fn submit(&self, batch: SampleBatch) -> Result<(), SubmitError> {
         submit(&self.shards, batch)
     }
+
+    /// [`FleetHandle::submit`] for a batch still in its decoded wire
+    /// frame: the samples are read in place, with no owned copy. The
+    /// ingest server applies every batch this way.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::UnknownShard`] for a foreign [`StreamId`], carrying
+    /// the batch made owned.
+    pub fn submit_frame(&self, batch: &BatchFrame<'_>) -> Result<(), SubmitError> {
+        if apply(&self.shards, batch) {
+            Ok(())
+        } else {
+            Err(SubmitError::UnknownShard {
+                batch: batch.to_batch(),
+            })
+        }
+    }
 }
 
-/// The one submit path behind [`Fleet::submit`] and
+/// The owned-batch submit path behind [`Fleet::submit`] and
 /// [`FleetHandle::submit`].
 fn submit(shards: &[Mutex<Shard>], batch: SampleBatch) -> Result<(), SubmitError> {
-    let Some(shard) = shards.get(batch.stream.shard()) else {
-        return Err(SubmitError::UnknownShard { batch });
+    if apply(shards, &IndexedBatch::new(&batch)) {
+        Ok(())
+    } else {
+        Err(SubmitError::UnknownShard { batch })
+    }
+}
+
+/// Applies `batch` under its shard's lock; `false` if the fleet has no
+/// such shard.
+fn apply(shards: &[Mutex<Shard>], batch: &impl Columns) -> bool {
+    let Some(shard) = shards.get(batch.stream().shard()) else {
+        return false;
     };
-    shard.lock().expect("shard lock poisoned").apply(&batch);
-    Ok(())
+    shard.lock().expect("shard lock poisoned").apply(batch);
+    true
 }
 
 /// Aggregate counters over the fleet's lifetime.

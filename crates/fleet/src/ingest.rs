@@ -48,7 +48,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -61,7 +61,7 @@ use crate::stream::{SampleBatch, StreamId};
 use crate::wire::{
     encode_ack, encode_close_stream, encode_get_metrics, encode_hello, encode_hello_session,
     encode_nack, encode_open_stream, encode_resume, encode_sample_batch, AckBody, Frame,
-    FrameDecoder, NackReason, WireError, DEFAULT_MAX_FRAME_LEN, VERSION,
+    FrameDecoder, FrameRef, NackReason, WireError, DEFAULT_MAX_FRAME_LEN, VERSION,
 };
 
 /// Sample the per-frame decode latency every `DECODE_TIMING_MASK + 1`
@@ -234,7 +234,13 @@ impl IngestStats {
             malformed: self.malformed.load(Ordering::Relaxed),
             truncated: self.truncated.load(Ordering::Relaxed),
             bytes_rx: self.bytes_rx.load(Ordering::Relaxed),
-            decode_ns: self.decode_ns.lock().expect("decode hist lock").clone(),
+            // A histogram is consistent after any panic elsewhere: its
+            // recorders only add to it.
+            decode_ns: self
+                .decode_ns
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone(),
         }
     }
 }
@@ -815,14 +821,14 @@ fn serve_conn<C: Read + Write>(mut conn: C, shared: &ConnShared) {
         decoder.feed(&rbuf[..n]);
         loop {
             let timed = (state.frame_counter & DECODE_TIMING_MASK == 0).then(Instant::now);
-            match decoder.next_frame() {
+            match decoder.next_frame_ref() {
                 Ok(None) => break,
                 Ok(Some(frame)) => {
                     if let Some(t0) = timed {
                         stats
                             .decode_ns
                             .lock()
-                            .expect("decode hist lock")
+                            .unwrap_or_else(PoisonError::into_inner)
                             .record(t0.elapsed().as_nanos() as f64);
                     }
                     state.frame_counter += 1;
@@ -865,10 +871,15 @@ fn serve_conn<C: Read + Write>(mut conn: C, shared: &ConnShared) {
     }
 }
 
-fn handle_frame(frame: Frame, state: &mut Conn, shared: &ConnShared, out: &mut Vec<u8>) -> Step {
+fn handle_frame(
+    frame: FrameRef<'_>,
+    state: &mut Conn,
+    shared: &ConnShared,
+    out: &mut Vec<u8>,
+) -> Step {
     let stats = &shared.stats;
     match frame {
-        Frame::Hello { version, session } => {
+        FrameRef::Other(Frame::Hello { version, session }) => {
             if state.phase != Phase::AwaitHello || version != VERSION {
                 stats.malformed.fetch_add(1, Ordering::Relaxed);
                 encode_nack(out, 0, NackReason::Unsupported, 0);
@@ -911,10 +922,10 @@ fn handle_frame(frame: Frame, state: &mut Conn, shared: &ConnShared, out: &mut V
             }
             Step::Continue
         }
-        Frame::Resume {
+        FrameRef::Other(Frame::Resume {
             session,
             last_acked,
-        } => {
+        }) => {
             if state.phase != Phase::AwaitResume || session != state.token {
                 stats.malformed.fetch_add(1, Ordering::Relaxed);
                 encode_nack(out, 0, NackReason::Malformed, 0);
@@ -955,7 +966,7 @@ fn handle_frame(frame: Frame, state: &mut Conn, shared: &ConnShared, out: &mut V
             encode_nack(out, 0, NackReason::Malformed, 0);
             Step::Close
         }
-        Frame::Ack { .. } | Frame::Nack { .. } => {
+        FrameRef::Other(Frame::Ack { .. } | Frame::Nack { .. }) => {
             // Server-to-client frames arriving at the server are a
             // protocol violation.
             stats.malformed.fetch_add(1, Ordering::Relaxed);
@@ -977,19 +988,27 @@ fn handle_frame(frame: Frame, state: &mut Conn, shared: &ConnShared, out: &mut V
 /// advances the expected sequence and is stored in the session's ack
 /// ring for resume replay.
 fn handle_windowed(
-    frame: Frame,
+    frame: FrameRef<'_>,
     e: &mut SessionEntry,
     shared: &ConnShared,
     out: &mut Vec<u8>,
 ) -> Step {
     let stats = &shared.stats;
     let seq = match &frame {
-        Frame::OpenStream { seq, .. }
-        | Frame::SampleBatch { seq, .. }
-        | Frame::CloseStream { seq, .. }
-        | Frame::GetMetrics { seq } => *seq,
-        Frame::Hello { .. } | Frame::Resume { .. } | Frame::Ack { .. } | Frame::Nack { .. } => {
-            unreachable!("routed by handle_frame")
+        FrameRef::SampleBatch(batch) => batch.seq,
+        FrameRef::Other(
+            Frame::OpenStream { seq, .. }
+            | Frame::CloseStream { seq, .. }
+            | Frame::GetMetrics { seq },
+        ) => *seq,
+        FrameRef::Other(
+            Frame::Hello { .. }
+            | Frame::Resume { .. }
+            | Frame::Ack { .. }
+            | Frame::Nack { .. }
+            | Frame::SampleBatch { .. },
+        ) => {
+            unreachable!("routed by handle_frame; batches decode borrowed")
         }
     };
     if seq != e.expected_seq {
@@ -999,7 +1018,7 @@ fn handle_windowed(
     }
     let mark = out.len();
     match frame {
-        Frame::OpenStream { flags, .. } => {
+        FrameRef::Other(Frame::OpenStream { flags, .. }) => {
             if flags != 0 {
                 stats.malformed.fetch_add(1, Ordering::Relaxed);
                 encode_nack(out, seq, NackReason::Unsupported, 0);
@@ -1009,10 +1028,11 @@ fn handle_windowed(
             stats.opens.fetch_add(1, Ordering::Relaxed);
             encode_ack(out, seq, &AckBody::StreamOpened { stream });
         }
-        Frame::SampleBatch { batch, .. } => {
-            let samples = batch.samples.len() as u64;
-            // Applied here, under gate → session → shard, before the ack.
-            match shared.handle.submit(batch) {
+        FrameRef::SampleBatch(batch) => {
+            let samples = batch.len() as u64;
+            // Applied here, straight from the decoder's buffer, under
+            // gate → session → shard, before the ack.
+            match shared.handle.submit_frame(&batch) {
                 Ok(()) => {
                     stats.batches.fetch_add(1, Ordering::Relaxed);
                     stats.samples.fetch_add(samples, Ordering::Relaxed);
@@ -1031,7 +1051,7 @@ fn handle_windowed(
                 }
             }
         }
-        Frame::CloseStream { stream, .. } => {
+        FrameRef::Other(Frame::CloseStream { stream, .. }) => {
             let closed = shared
                 .fleet
                 .lock()
@@ -1053,7 +1073,7 @@ fn handle_windowed(
                 }
             }
         }
-        Frame::GetMetrics { .. } => {
+        FrameRef::Other(Frame::GetMetrics { .. }) => {
             let summary = shared.fleet.lock().expect("fleet lock").metrics().summary();
             let summary_json = serde_json::to_vec(&summary).expect("summary serializes");
             encode_ack(out, seq, &AckBody::Metrics { summary_json });
@@ -1699,6 +1719,21 @@ pub fn connect_unix(
 mod tests {
     use super::*;
     use crate::FleetConfig;
+
+    #[test]
+    fn a_poisoned_decode_histogram_still_snapshots() {
+        let stats = Arc::new(IngestStats::default());
+        stats.decode_ns.lock().expect("unpoisoned").record(700.0);
+        let held = Arc::clone(&stats);
+        let holder = std::thread::spawn(move || {
+            let _hist = held.decode_ns.lock().expect("unpoisoned");
+            panic!("a thread dies holding the decode histogram");
+        });
+        assert!(holder.join().is_err());
+        assert!(stats.decode_ns.is_poisoned());
+        let snapshot = stats.snapshot();
+        assert_eq!(snapshot.decode_ns.mean(), Some(700.0));
+    }
 
     #[test]
     fn a_dead_session_neither_blocks_new_sessions_nor_checkpoints() {

@@ -1,6 +1,13 @@
 //! One shard: a generational slab of stream states, and the apply step
 //! that turns one sample batch into checker cycles.
 //!
+//! The apply step reads a batch in columns (`Columns`): a channel table,
+//! and per sample a table index, a time and a value. A wire batch
+//! ([`crate::wire::BatchFrame`]) is read in place from the frame bytes;
+//! an owned [`crate::SampleBatch`] is indexed first (`IndexedBatch`).
+//! Either way each table entry is resolved to a checker slot once per
+//! batch, and the samples are fed by slot.
+//!
 //! A shard owns its streams exclusively. The fleet wraps each shard in a
 //! `Mutex`, and every submitter applies its batch under that lock, so two
 //! threads never touch the same stream at once. Everything an apply
@@ -13,7 +20,52 @@ use std::sync::Arc;
 use adassure_core::{CheckReport, CheckerPlan, CheckerState, HealthConfig, OnlineChecker};
 use adassure_obs::MetricsSnapshot;
 
-use crate::stream::{SampleBatch, StreamId};
+use crate::stream::{IndexedBatch, StreamId};
+
+/// A sample batch as the shard's apply loop reads it: the target stream,
+/// a table of channel names, and per sample the index of its channel in
+/// that table, its time and its value. Every index is below the table's
+/// length.
+pub(crate) trait Columns {
+    /// Target stream.
+    fn stream(&self) -> StreamId;
+    /// The channel table, in index order.
+    fn channels(&self) -> impl Iterator<Item = &str>;
+    /// Number of samples.
+    fn len(&self) -> usize;
+    /// Table index of sample `i`'s channel.
+    fn channel(&self, i: usize) -> usize;
+    /// Timestamp of sample `i`.
+    fn time(&self, i: usize) -> f64;
+    /// Value of sample `i`.
+    fn value(&self, i: usize) -> f64;
+}
+
+impl Columns for IndexedBatch<'_> {
+    fn stream(&self) -> StreamId {
+        self.batch.stream
+    }
+
+    fn channels(&self) -> impl Iterator<Item = &str> {
+        self.channels.iter().map(|c| c.as_str())
+    }
+
+    fn len(&self) -> usize {
+        self.indices.len()
+    }
+
+    fn channel(&self, i: usize) -> usize {
+        self.indices[i] as usize
+    }
+
+    fn time(&self, i: usize) -> f64 {
+        self.batch.samples[i].t
+    }
+
+    fn value(&self, i: usize) -> f64 {
+        self.batch.samples[i].value
+    }
+}
 
 /// What one stream carries at runtime.
 #[derive(Debug)]
@@ -107,6 +159,9 @@ pub(crate) struct Shard {
     live: usize,
     /// Cumulative apply counters since construction.
     totals: ShardTotals,
+    /// The checker slot of each channel-table entry of the batch being
+    /// applied; reused across batches.
+    resolved: Vec<Option<u32>>,
 }
 
 impl Shard {
@@ -117,6 +172,7 @@ impl Shard {
             free: Vec::new(),
             live: 0,
             totals: ShardTotals::default(),
+            resolved: Vec::new(),
         }
     }
 
@@ -185,25 +241,38 @@ impl Shard {
     /// Applies one batch to its stream's checker, one cycle per run of
     /// equal timestamps, and adds the counts to the shard totals. A batch
     /// for a closed generation is counted stale and dropped.
-    pub(crate) fn apply(&mut self, batch: &SampleBatch) {
-        let Shard { slots, totals, .. } = self;
+    ///
+    /// Each channel-table entry is resolved to its checker slot once, so
+    /// no per-sample work touches a channel name. A NaN timestamp equals
+    /// nothing, so each NaN-stamped sample is a cycle of its own, and
+    /// `begin_cycle` rejects it.
+    pub(crate) fn apply(&mut self, batch: &impl Columns) {
+        let Shard {
+            slots,
+            totals,
+            resolved,
+            ..
+        } = self;
         totals.batches += 1;
+        let id = batch.stream();
         let Some(stream) = slots
-            .get_mut(batch.stream.slot as usize)
-            .filter(|slab| slab.gen == batch.stream.gen)
+            .get_mut(id.slot as usize)
+            .filter(|slab| slab.gen == id.gen)
             .and_then(|slab| slab.state.as_mut())
         else {
             totals.stale_batches += 1;
             return;
         };
-        let samples = &batch.samples;
-        totals.samples += samples.len() as u64;
+        let len = batch.len();
+        totals.samples += len as u64;
+        resolved.clear();
+        resolved.extend(batch.channels().map(|name| stream.checker.slot(name)));
         let mut i = 0;
-        while i < samples.len() {
-            let t = samples[i].t;
+        while i < len {
+            let t = batch.time(i);
             // One cycle = the run of equal timestamps starting here.
-            let mut end = i;
-            while end < samples.len() && samples[end].t == t {
+            let mut end = i + 1;
+            while end < len && batch.time(end) == t {
                 end += 1;
             }
             if stream.checker.begin_cycle(t).is_err() {
@@ -211,8 +280,10 @@ impl Shard {
                 i = end;
                 continue;
             }
-            for sample in &samples[i..end] {
-                stream.checker.update(sample.channel.clone(), sample.value);
+            for k in i..end {
+                if let Some(slot) = resolved.get(batch.channel(k)).copied().flatten() {
+                    stream.checker.update_slot(slot, batch.value(k));
+                }
             }
             let new_violations = stream.checker.end_cycle();
             totals.cycles += 1;

@@ -1,4 +1,6 @@
-//! Stream identity and the sample-batch wire format.
+//! Stream identity, and the sample batch that producers submit: owned
+//! samples in cycle order. The batch's wire encoding lives in
+//! [`crate::wire`].
 
 use adassure_trace::SignalId;
 
@@ -80,5 +82,49 @@ impl SampleBatch {
             channel: channel.into(),
             value,
         });
+    }
+}
+
+/// An owned batch in the wire's columnar shape: its distinct channels in
+/// first-appearance order, and per sample the index of its channel among
+/// them. The encoder writes these as a frame's name table and index
+/// column; the shard resolves each table entry to a checker slot once per
+/// batch.
+#[derive(Debug)]
+pub(crate) struct IndexedBatch<'a> {
+    pub(crate) batch: &'a SampleBatch,
+    pub(crate) channels: Vec<&'a SignalId>,
+    pub(crate) indices: Vec<u32>,
+}
+
+impl<'a> IndexedBatch<'a> {
+    /// Indexes `batch` in one pass. Cycles repeat their channel order, so
+    /// the entry after the previous sample's (wrapping to the first) is
+    /// tried before the table is scanned.
+    pub(crate) fn new(batch: &'a SampleBatch) -> Self {
+        let mut channels: Vec<&SignalId> = Vec::new();
+        let mut indices = Vec::with_capacity(batch.samples.len());
+        let mut next = 0;
+        for sample in &batch.samples {
+            let guess = if next == channels.len() { 0 } else { next };
+            let idx = match channels.get(guess) {
+                Some(&c) if *c == sample.channel => guess,
+                _ => match channels.iter().position(|&c| *c == sample.channel) {
+                    Some(i) => i,
+                    None => {
+                        channels.push(&sample.channel);
+                        channels.len() - 1
+                    }
+                },
+            };
+            #[allow(clippy::cast_possible_truncation)] // bounded by sample count < u32::MAX
+            indices.push(idx as u32);
+            next = idx + 1;
+        }
+        IndexedBatch {
+            batch,
+            channels,
+            indices,
+        }
     }
 }

@@ -51,16 +51,19 @@
 //! v1 encoding, so old producers keep working unchanged.
 //!
 //! Sample batches are columnar inside the frame (index run, then time
-//! run, then value run) so the decoder reads each section with one bulk
-//! pass. Times and values are *not* semantically
-//! validated here: the shard applies the same monotonicity and
-//! finiteness rules to wire batches as to in-process ones, so the two
-//! paths stay bit-identical.
+//! run, then value run). The decoder validates a batch's structure once
+//! and hands it out in place as a [`BatchFrame`]
+//! ([`FrameDecoder::next_frame_ref`]); the server applies it from there,
+//! and [`FrameDecoder::next_frame`] makes it an owned [`SampleBatch`].
+//! Times and values are *not* semantically validated here: the shard
+//! applies the same monotonicity and finiteness rules to wire batches as
+//! to in-process ones, so the two paths stay bit-identical.
 
 use adassure_trace::binary::{put_count, put_header, Cur, DecodeError};
 use adassure_trace::SignalId;
 
-use crate::stream::{Sample, SampleBatch, StreamId};
+use crate::shard::Columns;
+use crate::stream::{IndexedBatch, Sample, SampleBatch, StreamId};
 
 /// Magic bytes opening every [`Frame::Hello`].
 pub const MAGIC: &[u8; 6] = b"ADWIRE";
@@ -337,6 +340,104 @@ pub enum Frame {
     },
 }
 
+/// A decoded sample batch, borrowed from the decoder's buffer: the
+/// frame's channel names, and its index, time and value columns still in
+/// their little-endian wire bytes.
+///
+/// The body parser validates it whole before handing it out: the name
+/// table, every count against the bytes present, the frame's exact end,
+/// and every channel index against the table. A batch that reaches the
+/// fleet therefore cannot fail halfway through its samples.
+#[derive(Debug, PartialEq)]
+pub struct BatchFrame<'a> {
+    /// Sequence number.
+    pub seq: u64,
+    /// Target stream.
+    pub stream: StreamId,
+    channels: Vec<&'a str>,
+    indices: &'a [[u8; 4]],
+    times: &'a [[u8; 8]],
+    values: &'a [[u8; 8]],
+}
+
+impl BatchFrame<'_> {
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.indices.len()
+    }
+
+    /// Whether the batch holds no samples.
+    pub fn is_empty(&self) -> bool {
+        self.indices.is_empty()
+    }
+
+    /// The batch as an owned [`SampleBatch`], one [`SignalId`] per sample.
+    pub fn to_batch(&self) -> SampleBatch {
+        let channels: Vec<SignalId> = self.channels.iter().map(SignalId::new).collect();
+        let samples = (0..self.len())
+            .map(|i| Sample {
+                t: self.time(i),
+                channel: channels[self.channel(i)].clone(),
+                value: self.value(i),
+            })
+            .collect();
+        SampleBatch {
+            stream: self.stream,
+            samples,
+        }
+    }
+}
+
+impl Columns for BatchFrame<'_> {
+    fn stream(&self) -> StreamId {
+        self.stream
+    }
+
+    fn channels(&self) -> impl Iterator<Item = &str> {
+        self.channels.iter().copied()
+    }
+
+    fn len(&self) -> usize {
+        self.indices.len()
+    }
+
+    fn channel(&self, i: usize) -> usize {
+        u32::from_le_bytes(self.indices[i]) as usize
+    }
+
+    fn time(&self, i: usize) -> f64 {
+        f64::from_le_bytes(self.times[i])
+    }
+
+    fn value(&self, i: usize) -> f64 {
+        f64::from_le_bytes(self.values[i])
+    }
+}
+
+/// One decoded frame as [`FrameDecoder::next_frame_ref`] returns it: a
+/// sample batch stays borrowed in its wire columns, every other frame is
+/// small and decoded owned.
+#[derive(Debug, PartialEq)]
+pub enum FrameRef<'a> {
+    /// A sample batch, validated and borrowed.
+    SampleBatch(BatchFrame<'a>),
+    /// Any other frame; never [`Frame::SampleBatch`].
+    Other(Frame),
+}
+
+impl FrameRef<'_> {
+    /// The owned frame, as [`FrameDecoder::next_frame`] returns it.
+    pub fn into_frame(self) -> Frame {
+        match self {
+            FrameRef::SampleBatch(batch) => Frame::SampleBatch {
+                seq: batch.seq,
+                batch: batch.to_batch(),
+            },
+            FrameRef::Other(frame) => frame,
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
@@ -397,7 +498,7 @@ pub fn encode_open_stream(out: &mut Vec<u8>, seq: u64) {
 
 /// Appends an encoded [`Frame::SampleBatch`] to `out`. The per-frame
 /// channel table is built from the batch's channels in first-appearance
-/// order.
+/// order, in one pass over the samples.
 ///
 /// # Errors
 ///
@@ -408,24 +509,17 @@ pub fn encode_sample_batch(
     seq: u64,
     batch: &SampleBatch,
 ) -> Result<(), WireError> {
-    let mut channels: Vec<&SignalId> = Vec::new();
-    let mut indices: Vec<u32> = Vec::with_capacity(batch.samples.len());
-    for sample in &batch.samples {
-        let name = sample.channel.as_str();
-        if name.is_empty() || name.contains('\n') {
-            return Err(WireError::Malformed {
-                message: format!("channel name {name:?} cannot be encoded"),
-            });
-        }
-        let idx = match channels.iter().position(|c| **c == sample.channel) {
-            Some(i) => i,
-            None => {
-                channels.push(&sample.channel);
-                channels.len() - 1
-            }
-        };
-        #[allow(clippy::cast_possible_truncation)] // bounded by sample count < u32::MAX
-        indices.push(idx as u32);
+    let IndexedBatch {
+        channels, indices, ..
+    } = IndexedBatch::new(batch);
+    if let Some(name) = channels
+        .iter()
+        .map(|c| c.as_str())
+        .find(|name| name.is_empty() || name.contains('\n'))
+    {
+        return Err(WireError::Malformed {
+            message: format!("channel name {name:?} cannot be encoded"),
+        });
     }
     with_frame(out, |out| {
         out.push(TYPE_SAMPLE_BATCH);
@@ -533,10 +627,10 @@ fn read_stream(c: &mut Cur<'_>) -> Result<StreamId, DecodeError> {
 }
 
 /// Parses one complete frame body (type byte + payload).
-fn parse_body(body: &[u8]) -> Result<Frame, WireError> {
+fn parse_body(body: &[u8]) -> Result<FrameRef<'_>, WireError> {
     let mut c = Cur::new(body);
     let frame_type = c.u8("frame type")?;
-    match frame_type {
+    let frame = match frame_type {
         TYPE_HELLO => {
             // Any version decodes: judging it is the server's job (it
             // nacks `Unsupported`).
@@ -549,13 +643,13 @@ fn parse_body(body: &[u8]) -> Result<Frame, WireError> {
                 c.u64("hello session")?
             };
             c.expect_end("hello")?;
-            Ok(Frame::Hello { version, session })
+            Frame::Hello { version, session }
         }
         TYPE_OPEN_STREAM => {
             let seq = c.u64("open seq")?;
             let flags = c.u32("open flags")?;
             c.expect_end("open-stream")?;
-            Ok(Frame::OpenStream { seq, flags })
+            Frame::OpenStream { seq, flags }
         }
         TYPE_SAMPLE_BATCH => {
             let seq = c.u64("batch seq")?;
@@ -563,52 +657,48 @@ fn parse_body(body: &[u8]) -> Result<Frame, WireError> {
             let channel_count = c.u32("channel count")? as usize;
             let sample_count = c.u32("sample count")? as usize;
             let table_len = c.u32("name table length")? as usize;
-            let channels: Vec<SignalId> = c
-                .names(table_len, channel_count, "name table")?
-                .into_iter()
-                .map(SignalId::new)
-                .collect();
-            let indices = c.u32s(sample_count, "channel indices")?;
-            let times = c.f64s(sample_count, "sample times")?;
-            let values = c.f64s(sample_count, "sample values")?;
+            let channels = c.names(table_len, channel_count, "name table")?;
+            let indices = c.chunks::<4>(sample_count, "channel indices")?;
+            let times = c.chunks::<8>(sample_count, "sample times")?;
+            let values = c.chunks::<8>(sample_count, "sample values")?;
             c.expect_end("sample batch")?;
-            let mut samples = Vec::with_capacity(sample_count);
-            for ((idx, t), value) in indices.zip(times).zip(values) {
-                let channel = channels
-                    .get(idx as usize)
-                    .ok_or_else(|| WireError::Malformed {
-                        message: format!("channel index {idx} out of range ({channel_count})"),
-                    })?;
-                samples.push(Sample {
-                    t,
-                    channel: channel.clone(),
-                    value,
+            if let Some(idx) = indices
+                .iter()
+                .map(|&b| u32::from_le_bytes(b))
+                .find(|&idx| idx as usize >= channel_count)
+            {
+                return Err(WireError::Malformed {
+                    message: format!("channel index {idx} out of range ({channel_count})"),
                 });
             }
-            Ok(Frame::SampleBatch {
+            return Ok(FrameRef::SampleBatch(BatchFrame {
                 seq,
-                batch: SampleBatch { stream, samples },
-            })
+                stream,
+                channels,
+                indices,
+                times,
+                values,
+            }));
         }
         TYPE_CLOSE_STREAM => {
             let seq = c.u64("close seq")?;
             let stream = read_stream(&mut c)?;
             c.expect_end("close-stream")?;
-            Ok(Frame::CloseStream { seq, stream })
+            Frame::CloseStream { seq, stream }
         }
         TYPE_GET_METRICS => {
             let seq = c.u64("metrics seq")?;
             c.expect_end("get-metrics")?;
-            Ok(Frame::GetMetrics { seq })
+            Frame::GetMetrics { seq }
         }
         TYPE_RESUME => {
             let session = c.u64("resume session")?;
             let last_acked = c.u64("resume last-acked")?;
             c.expect_end("resume")?;
-            Ok(Frame::Resume {
+            Frame::Resume {
                 session,
                 last_acked,
-            })
+            }
         }
         TYPE_ACK => {
             let seq = c.u64("ack seq")?;
@@ -642,30 +732,33 @@ fn parse_body(body: &[u8]) -> Result<Frame, WireError> {
                 other => return Err(c.bad(format!("unknown ack kind {other}")).into()),
             };
             c.expect_end("ack")?;
-            Ok(Frame::Ack { seq, body })
+            Frame::Ack { seq, body }
         }
         TYPE_NACK => {
             let seq = c.u64("nack seq")?;
             let reason = NackReason::from_byte(c.u8("nack reason")?)?;
             let retry_after_us = c.u32("nack retry-after")?;
             c.expect_end("nack")?;
-            Ok(Frame::Nack {
+            Frame::Nack {
                 seq,
                 reason,
                 retry_after_us,
-            })
+            }
         }
-        other => Err(c.bad(format!("unknown frame type {other:#04x}")).into()),
-    }
+        other => return Err(c.bad(format!("unknown frame type {other:#04x}")).into()),
+    };
+    Ok(FrameRef::Other(frame))
 }
 
 /// A streaming frame decoder over an arbitrary byte-chunk sequence.
 ///
 /// Feed it whatever the socket yields ([`FrameDecoder::feed`]) and pull
-/// complete frames with [`FrameDecoder::next_frame`]; partial frames stay
-/// buffered until their remaining bytes arrive. Errors are sticky: a
-/// malformed or oversized frame poisons the connection (framing can no
-/// longer be trusted), so every later call returns the same error.
+/// complete frames with [`FrameDecoder::next_frame`], or borrowed from
+/// the decoder's buffer with [`FrameDecoder::next_frame_ref`]; partial
+/// frames stay buffered until their remaining bytes arrive. Errors are
+/// sticky: a malformed or oversized frame poisons the connection
+/// (framing can no longer be trusted), so every later call returns the
+/// same error.
 #[derive(Debug)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -703,50 +796,74 @@ impl FrameDecoder {
     }
 
     /// Decodes the next complete frame, `Ok(None)` if more bytes are
-    /// needed.
+    /// needed: [`FrameDecoder::next_frame_ref`] with the frame made
+    /// owned.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameDecoder::next_frame_ref`].
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        Ok(self.next_frame_ref()?.map(FrameRef::into_frame))
+    }
+
+    /// Decodes the next complete frame without copying a sample batch
+    /// out of the buffer, `Ok(None)` if more bytes are needed. The frame
+    /// borrows the decoder until the next call.
     ///
     /// # Errors
     ///
     /// [`WireError::FrameTooLong`] for a declared body beyond the cap,
     /// [`WireError::Malformed`] for structural violations. Errors are
     /// sticky — the stream cannot be re-synchronised after one.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        if let Some(err) = &self.poisoned {
+    pub fn next_frame_ref(&mut self) -> Result<Option<FrameRef<'_>>, WireError> {
+        let FrameDecoder {
+            buf,
+            start,
+            max_frame_len,
+            poisoned,
+        } = self;
+        if let Some(err) = poisoned {
             return Err(err.clone());
         }
-        let avail = &self.buf[self.start..];
+        let avail = &buf[*start..];
         if avail.len() < 4 {
             return Ok(None);
         }
         let body_len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
         if body_len == 0 {
-            return Err(self.poison(WireError::Malformed {
-                message: "empty frame body".into(),
-            }));
+            return Err(poison(
+                poisoned,
+                WireError::Malformed {
+                    message: "empty frame body".into(),
+                },
+            ));
         }
-        if body_len > self.max_frame_len {
-            return Err(self.poison(WireError::FrameTooLong {
-                len: body_len,
-                max: self.max_frame_len,
-            }));
+        if body_len > *max_frame_len {
+            return Err(poison(
+                poisoned,
+                WireError::FrameTooLong {
+                    len: body_len,
+                    max: *max_frame_len,
+                },
+            ));
         }
         if avail.len() < 4 + body_len {
             return Ok(None);
         }
-        let body = &avail[4..4 + body_len];
-        match parse_body(body) {
+        match parse_body(&avail[4..4 + body_len]) {
             Ok(frame) => {
-                self.start += 4 + body_len;
+                *start += 4 + body_len;
                 Ok(Some(frame))
             }
-            Err(err) => Err(self.poison(err)),
+            Err(err) => Err(poison(poisoned, err)),
         }
     }
+}
 
-    fn poison(&mut self, err: WireError) -> WireError {
-        self.poisoned = Some(err.clone());
-        err
-    }
+/// Makes `err` the decoder's sticky error and returns it.
+fn poison(poisoned: &mut Option<WireError>, err: WireError) -> WireError {
+    *poisoned = Some(err.clone());
+    err
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! Property-based tests of the wire codec's framing invariants: a valid
 //! multi-frame byte stream decodes to the same frames no matter how the
 //! transport fragments it, and truncating it anywhere yields the intact
-//! prefix and a clean need-more-bytes state — never an error.
+//! prefix and a clean need-more-bytes state — never an error. The
+//! borrowed accessor the server decodes with, `next_frame_ref`, yields
+//! exactly the frames `next_frame` does once made owned.
 //!
 //! One fixed test pins the bytes themselves: the committed
 //! `testdata/frames.adwire` holds one frame of every kind, every ack body
@@ -14,7 +16,7 @@
 use adassure_fleet::wire::{
     encode_ack, encode_close_stream, encode_get_metrics, encode_hello, encode_hello_session,
     encode_nack, encode_open_stream, encode_resume, encode_sample_batch, AckBody, Frame,
-    FrameDecoder, NackReason, DEFAULT_MAX_FRAME_LEN, VERSION,
+    FrameDecoder, FrameRef, NackReason, DEFAULT_MAX_FRAME_LEN, VERSION,
 };
 use adassure_fleet::{SampleBatch, StreamId};
 use proptest::prelude::*;
@@ -217,6 +219,36 @@ fn golden_bytes_decode_to_the_frames_and_re_encode_to_themselves() {
 }
 
 proptest! {
+    #[test]
+    fn borrowed_decode_made_owned_equals_owned_decode(
+        frames in proptest::collection::vec(frame_strategy(), 1..20),
+    ) {
+        let mut bytes = Vec::new();
+        for frame in &frames {
+            encode_frame(&mut bytes, frame);
+        }
+        let mut owned = FrameDecoder::new(1 << 20);
+        owned.feed(&bytes);
+        let mut borrowed = FrameDecoder::new(1 << 20);
+        borrowed.feed(&bytes);
+        for frame in &frames {
+            let via_ref = borrowed
+                .next_frame_ref()
+                .expect("valid stream decodes")
+                .expect("a whole frame is buffered");
+            prop_assert_eq!(
+                matches!(via_ref, FrameRef::SampleBatch(_)),
+                matches!(frame, Frame::SampleBatch { .. }),
+                "only a sample batch decodes borrowed"
+            );
+            let via_ref = via_ref.into_frame();
+            prop_assert_eq!(owned.next_frame().expect("valid stream decodes"), Some(via_ref.clone()));
+            prop_assert_eq!(&via_ref, frame);
+        }
+        prop_assert_eq!(borrowed.next_frame_ref().expect("at a frame boundary"), None);
+        prop_assert_eq!(borrowed.pending(), 0);
+    }
+
     #[test]
     fn any_fragmentation_reassembles_the_same_frames(
         frames in proptest::collection::vec(frame_strategy(), 1..20),

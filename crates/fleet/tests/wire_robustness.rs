@@ -2,6 +2,10 @@
 //! flipped bytes, bad magic/version, oversize declared lengths, garbage
 //! streams and mid-frame disconnects must yield typed errors and counted
 //! drops — never a panic, never a hang, never a wedged server.
+//!
+//! The byte sweeps run every input through both decoder accessors, the
+//! owned `next_frame` and the borrowed `next_frame_ref` the server
+//! uses, and require the same outcome from both.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -63,25 +67,69 @@ fn drain_all(decoder: &mut FrameDecoder) -> Result<usize, WireError> {
     Ok(n)
 }
 
+fn drain_all_ref(decoder: &mut FrameDecoder) -> Result<usize, WireError> {
+    let mut n = 0;
+    while decoder.next_frame_ref()?.is_some() {
+        n += 1;
+    }
+    Ok(n)
+}
+
+/// Two decoders fed the same bytes, one drained through `next_frame` and
+/// the other through `next_frame_ref`.
+struct Twin {
+    owned: FrameDecoder,
+    borrowed: FrameDecoder,
+}
+
+impl Twin {
+    fn new(max_frame_len: usize) -> Self {
+        Twin {
+            owned: FrameDecoder::new(max_frame_len),
+            borrowed: FrameDecoder::new(max_frame_len),
+        }
+    }
+
+    fn feed(&mut self, bytes: &[u8]) {
+        self.owned.feed(bytes);
+        self.borrowed.feed(bytes);
+    }
+
+    /// Drains both decoders; they must agree on the frame count or the
+    /// error. `at` names the input in the failure message.
+    fn drain(&mut self, at: &str) -> Result<usize, WireError> {
+        let owned = drain_all(&mut self.owned);
+        let borrowed = drain_all_ref(&mut self.borrowed);
+        assert_eq!(owned, borrowed, "accessors disagree on {at}");
+        assert_eq!(self.owned.pending(), self.borrowed.pending(), "{at}");
+        owned
+    }
+}
+
 /// Every prefix of a valid byte stream decodes cleanly: complete frames
 /// come out, the truncated tail waits for more bytes, and nothing errors.
 #[test]
 fn every_truncation_point_is_need_more_bytes_not_an_error() {
     let bytes = valid_session_bytes();
-    let mut full = FrameDecoder::new(wire::DEFAULT_MAX_FRAME_LEN);
+    let mut full = Twin::new(wire::DEFAULT_MAX_FRAME_LEN);
     full.feed(&bytes);
-    let total = drain_all(&mut full).expect("the untruncated stream is valid");
+    let total = full
+        .drain("the whole stream")
+        .expect("the untruncated stream is valid");
     assert_eq!(total, 5);
 
     for cut in 0..bytes.len() {
-        let mut decoder = FrameDecoder::new(wire::DEFAULT_MAX_FRAME_LEN);
+        let mut decoder = Twin::new(wire::DEFAULT_MAX_FRAME_LEN);
         decoder.feed(&bytes[..cut]);
-        let got = drain_all(&mut decoder)
+        let got = decoder
+            .drain(&format!("a prefix of {cut} bytes"))
             .unwrap_or_else(|e| panic!("prefix of {cut} bytes errored: {e}"));
         assert!(got <= total);
         // Feeding the remainder always completes the session.
         decoder.feed(&bytes[cut..]);
-        let rest = drain_all(&mut decoder).expect("suffix completes cleanly");
+        let rest = decoder
+            .drain(&format!("the suffix after {cut} bytes"))
+            .expect("suffix completes cleanly");
         assert_eq!(got + rest, total, "reassembly at cut {cut} lost frames");
     }
 }
@@ -95,10 +143,10 @@ fn single_byte_corruption_never_panics() {
         for flip in [0xFFu8, 0x80, 0x01] {
             let mut corrupt = bytes.clone();
             corrupt[at] ^= flip;
-            let mut decoder = FrameDecoder::new(wire::DEFAULT_MAX_FRAME_LEN);
+            let mut decoder = Twin::new(wire::DEFAULT_MAX_FRAME_LEN);
             decoder.feed(&corrupt);
-            // Either outcome is fine; what matters is it returns.
-            let _ = drain_all(&mut decoder);
+            // Either outcome is fine, as long as both accessors reach it.
+            let _ = decoder.drain(&format!("byte {at} flipped by {flip:#04x}"));
         }
     }
 }
@@ -125,7 +173,7 @@ fn oversize_declared_length_is_rejected_up_front() {
 fn random_garbage_fuzz_never_panics() {
     let mut state = 0x243F6A8885A308D3u64;
     for round in 0..64 {
-        let mut decoder = FrameDecoder::new(64 * 1024);
+        let mut decoder = Twin::new(64 * 1024);
         let mut bytes = Vec::with_capacity(512);
         for _ in 0..(64 + round * 8) {
             state = state
@@ -134,7 +182,7 @@ fn random_garbage_fuzz_never_panics() {
             bytes.extend_from_slice(&state.to_le_bytes());
         }
         decoder.feed(&bytes);
-        let _ = drain_all(&mut decoder);
+        let _ = decoder.drain(&format!("garbage round {round}"));
     }
 }
 
@@ -374,4 +422,64 @@ fn unknown_shard_is_nacked_and_counted() {
 
     let stats = server.shutdown();
     assert_eq!(stats.rejected_unknown_shard, 1);
+}
+
+/// A batch naming a channel index past its table is malformed: the
+/// server nacks it, counts it and closes the connection, and none of its
+/// samples reaches a checker, because the parser checks every index
+/// before anything is applied.
+#[test]
+fn out_of_range_channel_index_is_nacked_before_any_sample_applies() {
+    let server = spawn_server();
+
+    let mut bytes = Vec::new();
+    wire::encode_hello(&mut bytes);
+    wire::encode_open_stream(&mut bytes, 1);
+    let batch_at = bytes.len();
+    let mut batch = SampleBatch::new(StreamId::from_raw(0, 0, 0));
+    batch.push(0.1, "x", 5.0);
+    batch.push(0.2, "x", 5.0);
+    batch.push(0.2, "y", 5.0);
+    wire::encode_sample_batch(&mut bytes, 2, &batch).expect("encode batch");
+    // Frame layout: length, type, seq, stream (3 x u32), channel count,
+    // sample count, table length, table, then the index column. Point the
+    // last sample past the two-entry table, so the good ones come first.
+    let table_len_at = batch_at + 4 + 1 + 8 + 12 + 4 + 4;
+    let table_len = u32::from_le_bytes(bytes[table_len_at..table_len_at + 4].try_into().unwrap());
+    let last_index_at = table_len_at + 4 + table_len as usize + 2 * 4;
+    bytes[last_index_at..last_index_at + 4].copy_from_slice(&2u32.to_le_bytes());
+
+    let mut conn = connect(&server);
+    conn.write_all(&bytes).expect("write");
+    let response = read_to_close(&mut conn);
+    let mut decoder = FrameDecoder::new(wire::DEFAULT_MAX_FRAME_LEN);
+    decoder.feed(&response);
+    assert!(matches!(
+        decoder.next_frame(),
+        Ok(Some(wire::Frame::Ack { seq: 0, .. }))
+    ));
+    assert!(matches!(
+        decoder.next_frame(),
+        Ok(Some(wire::Frame::Ack { seq: 1, .. }))
+    ));
+    assert_eq!(
+        decoder.next_frame().expect("valid response"),
+        Some(wire::Frame::Nack {
+            seq: 0,
+            reason: adassure_fleet::NackReason::Malformed,
+            retry_after_us: 0,
+        })
+    );
+    assert_eq!(decoder.next_frame().expect("valid response"), None);
+
+    wait_for(&server, "malformed count", |s| s.malformed >= 1);
+    let fleet = server.fleet().lock().expect("fleet lock").stats();
+    assert_eq!(fleet.open_streams, 1);
+    assert_eq!(fleet.batches, 0, "the batch never reached its shard");
+    assert_eq!(fleet.samples, 0);
+    assert_eq!(fleet.cycles, 0);
+    let stats = server.shutdown();
+    assert_eq!(stats.malformed, 1);
+    assert_eq!(stats.batches, 0);
+    assert_eq!(stats.samples, 0);
 }

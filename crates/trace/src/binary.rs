@@ -244,8 +244,10 @@ impl<'a> Cur<'a> {
         n: usize,
         what: &str,
     ) -> Result<impl ExactSizeIterator<Item = u32> + 'a, DecodeError> {
-        let (words, _) = self.take_n(n, 4, what)?.as_chunks::<4>();
-        Ok(words.iter().map(|&b| u32::from_le_bytes(b)))
+        Ok(self
+            .chunks::<4>(n, what)?
+            .iter()
+            .map(|&b| u32::from_le_bytes(b)))
     }
 
     /// Reads `n` `f64`s from raw IEEE-754 bits.
@@ -254,8 +256,21 @@ impl<'a> Cur<'a> {
         n: usize,
         what: &str,
     ) -> Result<impl ExactSizeIterator<Item = f64> + 'a, DecodeError> {
-        let (words, _) = self.take_n(n, 8, what)?.as_chunks::<8>();
-        Ok(words.iter().map(|&b| f64::from_bits(u64::from_le_bytes(b))))
+        Ok(self
+            .chunks::<8>(n, what)?
+            .iter()
+            .map(|&b| f64::from_bits(u64::from_le_bytes(b))))
+    }
+
+    /// Consumes `n` elements of `N` bytes each and returns them undecoded,
+    /// for a caller that reads the column in place later.
+    pub fn chunks<const N: usize>(
+        &mut self,
+        n: usize,
+        what: &str,
+    ) -> Result<&'a [[u8; N]], DecodeError> {
+        let (words, _) = self.take_n(n, N, what)?.as_chunks::<N>();
+        Ok(words)
     }
 
     /// Skips padding up to the next 8-byte boundary, requiring zero bytes.
