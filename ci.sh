@@ -35,6 +35,8 @@ echo "== trace-import smoke (CSV corpus -> .adt, verified round trip) =="
 rm -rf target/ci_adt && mkdir -p target/ci_adt
 cargo run --release -q -p adassure-trace --bin trace-import -- \
     --verify --out target/ci_adt crates/trace/testdata/smoke.csv
+# The CLI's save path must write the committed golden image byte for byte.
+cmp target/ci_adt/smoke.adt crates/trace/testdata/smoke.adt
 
 echo "== observability smoke: obs_dump event log + jsonl_check validation =="
 ADASSURE_OBS=1 ADASSURE_OBS_PATH=target/ci_events.jsonl \

@@ -33,8 +33,10 @@ use adassure_trace::ColumnarTrace;
 pub const MAGIC: &[u8; 5] = b"ADSIM";
 /// Current format version (2: the shared container header replaced
 /// version 1's `u16` version field; 3: the checker section dropped its
-/// wall-clock latency histogram, so equal states encode to equal bytes).
-pub const VERSION: u8 = 3;
+/// wall-clock latency histogram, so equal states encode to equal bytes;
+/// 4: the embedded trace is `.adt` version 2, whose full-rate series
+/// store only their values).
+pub const VERSION: u8 = 4;
 
 /// The driver half of a checkpoint: whichever control loop was producing
 /// commands when the snapshot was taken.
@@ -724,7 +726,9 @@ mod tests {
             SimCheckpoint::decode(&wrong_magic),
             Err(CodecError::Malformed { .. })
         ));
-        for version in [2, 99] {
+        // Version 3 images embed a version-1 `.adt` trace: they are
+        // refused at the header, before the trace is read.
+        for version in [2, 3, 99] {
             let mut wrong_version = bytes.clone();
             wrong_version[5] = version;
             assert!(matches!(

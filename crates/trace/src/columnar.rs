@@ -8,7 +8,7 @@
 //! on-disk serialisation — a flat, little-endian, 8-byte-aligned layout a
 //! reader could `mmap` and index directly.
 //!
-//! # `.adt` layout (version 1)
+//! # `.adt` layout (version 2)
 //!
 //! All integers and floats are little-endian; every numeric section starts
 //! on an 8-byte boundary (the variable-length sections are zero-padded up
@@ -17,7 +17,7 @@
 //! | offset | field |
 //! |--------|-------|
 //! | 0      | magic `b"ADTRAC"` (6 bytes) |
-//! | 6      | format version byte (`1`) |
+//! | 6      | format version byte (`2`) |
 //! | 7      | endianness byte (`1` = little-endian) |
 //! | 8      | `u32` signal count |
 //! | 12     | `u32` reserved (must be 0) |
@@ -25,20 +25,27 @@
 //! | 24     | `u64` total sample count |
 //! | 32     | `u64` name-table byte length (before padding) |
 //! | 40     | name table: signal names joined by `\n`, zero-padded to ×8 |
-//! | …      | per-signal sample counts: `u64` × signal count |
+//! | …      | per-signal sample counts nᵢ: `u64` × signal count |
 //! | …      | cycle times: `f64` × cycle count (strictly increasing) |
-//! | …      | per signal, in name order: times `f64`×nᵢ, then values `f64`×nᵢ |
-//! | …      | cycle indices: `u32` × total samples, zero-padded to ×8 |
+//! | …      | per signal, in name order: values `f64`×nᵢ if nᵢ is the cycle count, else times `f64`×nᵢ then values `f64`×nᵢ |
+//! | …      | cycle indices of the signals whose nᵢ is not the cycle count, in name order: `u32` each, zero-padded to ×8 |
 //!
 //! The *cycle times* array is the merged grid of every distinct timestamp
 //! across all signals — exactly the cycle boundaries the offline checker
 //! replays — and each sample's cycle index points at the grid entry whose
-//! time equals the sample's own. Decoding reads through the workspace's
-//! shared bounds-checked reader ([`crate::binary::Cur`], which also owns the
-//! `magic | version | endian` header), validates every invariant (monotone
-//! finite times, index/time agreement, exact section lengths, counts capped
-//! by the bytes remaining) and returns a typed [`TraceError`] rather than
-//! panicking on corrupt input.
+//! time equals the sample's own. A *full-rate* series, one sample per
+//! cycle, stores only its values: its timestamps strictly increase and all
+//! lie on the grid, so with as many of them as there are cycles they are
+//! the grid, and its cycle indices are `0..n`. Nothing is lost, and no flag
+//! marks such a series; every other series stores its times and indices.
+//!
+//! Decoding reads through the workspace's shared bounds-checked reader
+//! ([`crate::binary::Cur`], which also owns the `magic | version | endian`
+//! header), validates every invariant (monotone finite times, index/time
+//! agreement, exact section lengths, counts capped by the bytes remaining)
+//! and returns a typed [`TraceError`] rather than panicking on corrupt
+//! input. Version 1, which stored times and indices for full-rate series
+//! too, is refused as an unsupported version.
 //!
 //! The per-value checks are folds over whole columns that never stop at
 //! the first bad value, so the compiler vectorises them; the index/time
@@ -53,12 +60,15 @@ use crate::{SignalId, Trace, TraceError};
 /// `.adt` magic bytes.
 const MAGIC: &[u8; 6] = b"ADTRAC";
 /// Current format version.
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 /// Fixed-size header length in bytes (through `name_table_len`).
 const HEADER_LEN: usize = 40;
 
 /// A trace transposed into columnar form: per-signal contiguous sample
 /// arrays plus a shared cycle grid.
+///
+/// A full-rate series (one sample per cycle) keeps only its values; its
+/// times are the grid and its cycle indices the identity, both shared.
 ///
 /// Conversion from and back to [`Trace`] is lossless
 /// ([`ColumnarTrace::from_trace`] / [`ColumnarTrace::to_trace`]), and the
@@ -82,16 +92,30 @@ const HEADER_LEN: usize = 40;
 pub struct ColumnarTrace {
     /// Signal ids, sorted by name (the [`Trace`] iteration order).
     signals: Vec<SignalId>,
-    /// Per-signal `(start, len)` range into the sample arrays.
-    ranges: Vec<(usize, usize)>,
-    /// All sample timestamps, signal-major (signal 0's samples, then 1's…).
-    times: Vec<f64>,
-    /// All sample values, parallel to `times`.
+    /// Per signal, where its columns start.
+    columns: Vec<Columns>,
+    /// All sample values, signal-major (signal 0's samples, then 1's…).
     values: Vec<f64>,
-    /// Per sample: index into `cycle_times` of the replay cycle it lands on.
+    /// Sample timestamps of the series that are not full-rate,
+    /// signal-major.
+    times: Vec<f64>,
+    /// Per entry of `times`: index into `cycle_times` of the replay cycle
+    /// the sample lands on.
     cycle_idx: Vec<u32>,
     /// The merged, strictly increasing grid of distinct timestamps.
     cycle_times: Vec<f64>,
+    /// `0..cycle_count`: the cycle indices of every full-rate series.
+    identity: Vec<u32>,
+}
+
+/// Where one series' columns start, and its sample count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Columns {
+    /// Start in `values`.
+    value: usize,
+    /// Start in `times` and `cycle_idx` (unused by a full-rate series).
+    sparse: usize,
+    len: usize,
 }
 
 impl ColumnarTrace {
@@ -126,29 +150,23 @@ impl ColumnarTrace {
             merged.extend(samples[j..].iter().map(|s| s.time));
             cycle_times = merged;
         }
-        assert!(
-            u32::try_from(cycle_times.len()).is_ok(),
-            "more than u32::MAX distinct timestamps"
-        );
+        let n = u32::try_from(cycle_times.len()).expect("more than u32::MAX distinct timestamps");
 
-        let total = trace.sample_count();
         let mut signals = Vec::with_capacity(trace.signal_count());
-        let mut ranges = Vec::with_capacity(trace.signal_count());
-        let mut times = Vec::with_capacity(total);
-        let mut values = Vec::with_capacity(total);
-        let mut cycle_idx = Vec::with_capacity(total);
+        let mut columns = Vec::with_capacity(trace.signal_count());
+        let mut values = Vec::with_capacity(trace.sample_count());
+        let (mut times, mut cycle_idx) = (Vec::new(), Vec::new());
         for series in trace.iter() {
-            let start = times.len();
             let samples = series.samples();
-            if samples.len() == cycle_times.len() {
-                // Dense series: an equal-length strictly-increasing subset
-                // of the grid is the grid itself, so cycle indices are the
-                // identity — no per-sample grid walk.
-                times.extend(samples.iter().map(|s| s.time));
-                values.extend(samples.iter().map(|s| s.value));
-                #[allow(clippy::cast_possible_truncation)] // bounded by the assert above
-                cycle_idx.extend(0..samples.len() as u32);
-            } else {
+            columns.push(Columns {
+                value: values.len(),
+                sparse: times.len(),
+                len: samples.len(),
+            });
+            values.extend(samples.iter().map(|s| s.value));
+            // A full-rate series' times are the grid: an equal-length
+            // strictly increasing subset of it is all of it.
+            if samples.len() != cycle_times.len() {
                 // Series timestamps ascend, so one forward cursor over the
                 // grid resolves every sample's cycle without a binary search.
                 let mut grid = 0usize;
@@ -158,21 +176,20 @@ impl ColumnarTrace {
                     }
                     debug_assert_eq!(cycle_times[grid], sample.time);
                     times.push(sample.time);
-                    values.push(sample.value);
-                    #[allow(clippy::cast_possible_truncation)] // bounded by the assert above
+                    #[allow(clippy::cast_possible_truncation)] // bounded by `n`
                     cycle_idx.push(grid as u32);
                 }
             }
             signals.push(series.id().clone());
-            ranges.push((start, times.len() - start));
         }
         ColumnarTrace {
             signals,
-            ranges,
-            times,
+            columns,
             values,
+            times,
             cycle_idx,
             cycle_times,
+            identity: (0..n).collect(),
         }
     }
 
@@ -204,7 +221,7 @@ impl ColumnarTrace {
 
     /// Total number of samples across all signals.
     pub fn sample_count(&self) -> usize {
-        self.times.len()
+        self.values.len()
     }
 
     /// Signal ids in storage (name-sorted) order.
@@ -224,14 +241,20 @@ impl ColumnarTrace {
     }
 
     /// The sample columns of signal `i` (storage order):
-    /// `(times, values, cycle indices)`, all the same length.
+    /// `(times, values, cycle indices)`, all the same length. A full-rate
+    /// series returns [`Self::cycle_times`] and the indices `0..n`.
     pub fn series(&self, i: usize) -> (&[f64], &[f64], &[u32]) {
-        let (start, len) = self.ranges[i];
-        (
-            &self.times[start..start + len],
-            &self.values[start..start + len],
-            &self.cycle_idx[start..start + len],
-        )
+        let Columns { value, sparse, len } = self.columns[i];
+        let values = &self.values[value..value + len];
+        if len == self.cycle_times.len() {
+            (&self.cycle_times, values, &self.identity)
+        } else {
+            (
+                &self.times[sparse..sparse + len],
+                values,
+                &self.cycle_idx[sparse..sparse + len],
+            )
+        }
     }
 
     /// Serialises to `.adt` bytes (see the module docs for the layout).
@@ -249,29 +272,32 @@ impl ColumnarTrace {
                 + pad8(name_table.len())
                 + 8 * self.signals.len()
                 + 8 * self.cycle_times.len()
-                + 16 * self.times.len()
+                + 8 * self.values.len()
+                + 8 * self.times.len()
                 + pad8(4 * self.cycle_idx.len()),
         );
         put_header(&mut out, MAGIC, VERSION);
         put_count(&mut out, self.signals.len());
         out.extend_from_slice(&0u32.to_le_bytes()); // reserved
         out.extend_from_slice(&(self.cycle_times.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.times.len() as u64).to_le_bytes());
+        out.extend_from_slice(&(self.values.len() as u64).to_le_bytes());
         out.extend_from_slice(&(name_table.len() as u64).to_le_bytes());
         debug_assert_eq!(out.len(), HEADER_LEN);
 
         out.extend_from_slice(&name_table);
         out.resize(pad8(out.len()), 0);
-        for &(_, len) in &self.ranges {
-            out.extend_from_slice(&(len as u64).to_le_bytes());
+        for c in &self.columns {
+            out.extend_from_slice(&(c.len as u64).to_le_bytes());
         }
         for &t in &self.cycle_times {
             out.extend_from_slice(&t.to_le_bytes());
         }
-        for (i, _) in self.signals.iter().enumerate() {
+        for (i, c) in self.columns.iter().enumerate() {
             let (times, values, _) = self.series(i);
-            for &t in times {
-                out.extend_from_slice(&t.to_le_bytes());
+            if c.len != self.cycle_times.len() {
+                for &t in times {
+                    out.extend_from_slice(&t.to_le_bytes());
+                }
             }
             for &v in values {
                 out.extend_from_slice(&v.to_le_bytes());
@@ -303,11 +329,15 @@ impl ColumnarTrace {
             return Err(bad(12, "reserved field must be zero"));
         }
         // Cap each count by the bytes it needs before anything is sized
-        // from it: 8 per cycle time, 20 per sample (time, value, index).
+        // from it: 8 per cycle time, and at least 8 per sample (a
+        // full-rate sample is its value alone).
         let cycle_count = r.usize64("cycle count")?;
         let cycle_count = r.fits(cycle_count, 8, "cycle count")?;
+        // Cycle indices are `u32`, as in `from_trace`.
+        let grid_len =
+            u32::try_from(cycle_count).map_err(|_| bad(16, "more than u32::MAX cycles"))?;
         let total_samples = r.usize64("total sample count")?;
-        let total_samples = r.fits(total_samples, 20, "total sample count")?;
+        let total_samples = r.fits(total_samples, 8, "total sample count")?;
         let name_table_len = r.usize64("name table length")?;
 
         let names = r.names(name_table_len, signal_count, "name table")?;
@@ -340,14 +370,18 @@ impl ColumnarTrace {
             return Err(r.bad("non-finite cycle time").into());
         }
 
-        let mut times = Vec::with_capacity(total_samples);
+        let sparse_samples: usize = counts.iter().filter(|&&n| n != cycle_count).sum();
         let mut values = Vec::with_capacity(total_samples);
-        let mut ranges = Vec::with_capacity(signal_count);
+        let mut times = Vec::with_capacity(sparse_samples);
+        let mut columns = Vec::with_capacity(signal_count);
         for (&n, name) in counts.iter().zip(&names) {
-            let start = times.len();
-            times.extend(r.f64s(n, "signal times")?);
+            let (value, sparse) = (values.len(), times.len());
+            // A full-rate series' times are the grid, checked above.
+            if n != cycle_count {
+                times.extend(r.f64s(n, "signal times")?);
+            }
             values.extend(r.f64s(n, "signal values")?);
-            let (t, v) = (&times[start..], &values[start..]);
+            let (t, v) = (&times[sparse..], &values[value..]);
             if !strictly_increasing(t) {
                 return Err(r
                     .bad(format!(
@@ -360,10 +394,14 @@ impl ColumnarTrace {
                     .bad(format!("non-finite sample on signal `{name}`"))
                     .into());
             }
-            ranges.push((start, n));
+            columns.push(Columns {
+                value,
+                sparse,
+                len: n,
+            });
         }
 
-        let cycle_idx: Vec<u32> = r.u32s(total_samples, "cycle indices")?.collect();
+        let cycle_idx: Vec<u32> = r.u32s(sparse_samples, "cycle indices")?.collect();
         r.align8("cycle index padding")?;
         r.expect_end("the cycle index section")?;
         if !indices_agree(&times, &cycle_idx, &cycle_times) {
@@ -387,11 +425,12 @@ impl ColumnarTrace {
 
         Ok(ColumnarTrace {
             signals: names.into_iter().map(SignalId::new).collect(),
-            ranges,
-            times,
+            columns,
             values,
+            times,
             cycle_idx,
             cycle_times,
+            identity: (0..grid_len).collect(),
         })
     }
 
@@ -597,6 +636,8 @@ mod tests {
         }
         let col = ColumnarTrace::from_trace(&t);
         assert_eq!((col.cycle_count(), col.sample_count()), (21, 32));
+        // Only the lower-rate series keeps times and cycle indices.
+        assert_eq!((col.times.len(), col.cycle_idx.len()), (11, 11));
         col
     }
 
@@ -612,8 +653,9 @@ mod tests {
         )
     }
 
-    /// Moves cycle `cycle` to time `t` in the grid and in every sample on
-    /// it, so the cycle indices still agree with the grid.
+    /// Moves cycle `cycle` to time `t` in the grid, which full-rate series
+    /// share, and in every lower-rate sample on it, so the cycle indices
+    /// still agree with the grid.
     fn set_cycle_time(col: &mut ColumnarTrace, cycle: usize, t: f64) {
         col.cycle_times[cycle] = t;
         for (time, &c) in col.times.iter_mut().zip(&col.cycle_idx) {
@@ -623,20 +665,26 @@ mod tests {
         }
     }
 
+    /// One ulp up.
+    fn nudge(x: &mut f64) {
+        *x = f64::from_bits(x.to_bits() + 1);
+    }
+
     #[test]
     fn non_finite_values_are_rejected_at_every_chunk_edge() {
         let base = boundary_trace();
         assert!(!rejected(&base));
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            for (s, &(start, n)) in base.ranges.iter().enumerate() {
-                for p in edges(n) {
+            for (s, c) in base.columns.iter().enumerate() {
+                let cycles = base.series(s).2;
+                for p in edges(c.len) {
                     let mut col = base.clone();
-                    col.values[start + p] = bad;
+                    col.values[c.value + p] = bad;
                     assert!(rejected(&col), "value {bad} at {p} of signal {s}");
-                    // A time column and the grid move together, so only
+                    // A sample's time moves with its grid entry, so only
                     // the finiteness and order passes can see it.
                     let mut col = base.clone();
-                    set_cycle_time(&mut col, base.cycle_idx[start + p] as usize, bad);
+                    set_cycle_time(&mut col, cycles[p] as usize, bad);
                     assert!(rejected(&col), "time {bad} at {p} of signal {s}");
                 }
             }
@@ -657,10 +705,22 @@ mod tests {
             let mut col = base.clone();
             set_cycle_time(&mut col, b, base.cycle_times[a]);
             assert!(rejected(&col), "grid cycles {a} and {b}");
-            // In the full-rate series alone.
+        }
+        let sparse = base.columns[1];
+        let last = sparse.len - 1;
+        for (a, b) in [(7, 8), (last - 1, last)] {
+            let (a, b) = (sparse.sparse + a, sparse.sparse + b);
+            // In the lower-rate series alone, with its index still on the
+            // grid entry, so only the order pass can see it.
             let mut col = base.clone();
             col.times[b] = col.times[a];
-            assert!(rejected(&col), "dense samples {a} and {b}");
+            col.cycle_idx[b] = col.cycle_idx[a];
+            assert!(rejected(&col), "sparse samples {a} and {b}");
+            // Two samples swapped together with their indices.
+            let mut col = base.clone();
+            col.times.swap(a, b);
+            col.cycle_idx.swap(a, b);
+            assert!(rejected(&col), "sparse samples {a} and {b} swapped");
         }
     }
 
@@ -668,41 +728,102 @@ mod tests {
     fn cycle_indices_that_disagree_with_the_grid_are_rejected() {
         let base = boundary_trace();
         let cycles = base.cycle_count();
-        let (dense, sparse) = (base.ranges[0], base.ranges[1]);
-        assert_eq!(dense.1, cycles, "signal 0 is the full-rate one");
-        for p in edges(dense.1) {
-            // A full-rate series whose index swaps two entries.
-            let q = if p + 1 < cycles { p + 1 } else { p - 1 };
+        let (dense, sparse) = (base.columns[0], base.columns[1]);
+        assert_eq!(dense.len, cycles, "signal 0 is the full-rate one");
+        for p in edges(sparse.len) {
+            let j = sparse.sparse + p;
+            // A lower-rate index that swaps two entries.
+            let q = if p + 1 < sparse.len { j + 1 } else { j - 1 };
             let mut col = base.clone();
-            col.cycle_idx.swap(dense.0 + p, dense.0 + q);
-            assert!(rejected(&col), "dense swap {p} and {q}");
-            // A time one ulp off its grid entry, still in order.
-            let mut col = base.clone();
-            let t = &mut col.times[dense.0 + p];
-            *t = f64::from_bits(t.to_bits() + 1);
-            assert!(rejected(&col), "dense time {p} off the grid");
-            // Out of range.
-            let mut col = base.clone();
-            col.cycle_idx[dense.0 + p] = u32::MAX;
-            assert!(rejected(&col), "dense index {p} out of range");
-        }
-        for p in edges(sparse.1) {
-            let j = sparse.0 + p;
-            // A sparse index pointing at the neighbouring grid entry.
+            col.cycle_idx.swap(j, q);
+            assert!(rejected(&col), "sparse swap {p} and {}", q - sparse.sparse);
+            // An index pointing at the neighbouring grid entry.
             let c = base.cycle_idx[j] as usize;
             let neighbour = if c + 1 < cycles { c + 1 } else { c - 1 };
             let mut col = base.clone();
             col.cycle_idx[j] = neighbour as u32;
             assert!(rejected(&col), "sparse {p} points at cycle {neighbour}");
+            // A time one ulp off its grid entry, still in order.
             let mut col = base.clone();
-            let t = &mut col.times[j];
-            *t = f64::from_bits(t.to_bits() + 1);
+            nudge(&mut col.times[j]);
             assert!(rejected(&col), "sparse time {p} off the grid");
+            // The grid entry one ulp off the sample on it, still in order.
+            let mut col = base.clone();
+            nudge(&mut col.cycle_times[c]);
+            assert!(rejected(&col), "grid under sparse {p} off the sample");
             // Out of range, just past the grid.
             let mut col = base.clone();
             col.cycle_idx[j] = cycles as u32;
             assert!(rejected(&col), "sparse index {p} out of range");
         }
+        // A grid entry no lower-rate sample sits on carries only the
+        // full-rate series, whose times are the grid: moving it moves them.
+        let mut col = base.clone();
+        nudge(&mut col.cycle_times[7]);
+        let back = ColumnarTrace::decode(&col.encode()).expect("still a valid trace");
+        assert_eq!(back.series(0).0[7].to_bits(), col.cycle_times[7].to_bits());
+    }
+
+    #[test]
+    fn version_1_documents_are_refused() {
+        // The version-1 image of a full-rate `x` sampled at t = 0 and 1,
+        // which stored its times and cycle indices as well as its values.
+        let mut bytes = Vec::new();
+        put_header(&mut bytes, MAGIC, 1);
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // signal count
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // reserved
+        bytes.extend_from_slice(&2u64.to_le_bytes()); // cycle count
+        bytes.extend_from_slice(&2u64.to_le_bytes()); // total samples
+        bytes.extend_from_slice(&1u64.to_le_bytes()); // name table length
+        bytes.extend_from_slice(b"x\0\0\0\0\0\0\0"); // name table + padding
+        bytes.extend_from_slice(&2u64.to_le_bytes()); // count of `x`
+        for f in [0.0f64, 1.0, 0.0, 1.0, 5.0, 6.0] {
+            bytes.extend_from_slice(&f.to_le_bytes()); // grid, times, values
+        }
+        for c in [0u32, 1] {
+            bytes.extend_from_slice(&c.to_le_bytes()); // cycle indices
+        }
+        match ColumnarTrace::decode(&bytes) {
+            Err(TraceError::BadBinary { offset, message }) => {
+                assert_eq!(offset, 6);
+                assert_eq!(message, "unsupported format version 1");
+            }
+            other => panic!("a version-1 document gave {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sample_counts_beyond_8_bytes_each_are_rejected_before_allocating() {
+        // One full-rate signal `x` with one sample: 40 bytes follow the
+        // total sample count, room for at most 5 samples of 8 bytes, and
+        // `slack` more bytes.
+        let document = |total: u64, slack: usize| {
+            let mut bytes = Vec::new();
+            put_header(&mut bytes, MAGIC, VERSION);
+            bytes.extend_from_slice(&1u32.to_le_bytes()); // signal count
+            bytes.extend_from_slice(&0u32.to_le_bytes()); // reserved
+            bytes.extend_from_slice(&1u64.to_le_bytes()); // cycle count
+            bytes.extend_from_slice(&total.to_le_bytes()); // total samples
+            bytes.extend_from_slice(&1u64.to_le_bytes()); // name table length
+            bytes.extend_from_slice(b"x\0\0\0\0\0\0\0"); // name table + padding
+            bytes.extend_from_slice(&total.to_le_bytes()); // count of `x`
+            bytes.extend_from_slice(&0.0f64.to_le_bytes()); // cycle time
+            bytes.extend_from_slice(&4.0f64.to_le_bytes()); // value
+            assert_eq!(bytes.len(), 32 + 40);
+            bytes.resize(bytes.len() + slack, 0);
+            ColumnarTrace::decode(&bytes)
+        };
+        assert!(document(1, 0).is_ok());
+        let message = |total, slack| match document(total, slack) {
+            Err(TraceError::BadBinary { message, .. }) => message,
+            other => panic!("total {total} gave {other:?}"),
+        };
+        // Six samples cannot fit in 47 bytes: refused at the header, before
+        // the sample columns are sized from the count.
+        assert!(message(6, 7).starts_with("total sample count: count 6 exceeds"));
+        assert!(message(1 << 61, 0).starts_with("total sample count"));
+        // Five fit 40 bytes and fail later, at the short value column.
+        assert!(!message(5, 0).starts_with("total sample count"));
     }
 
     #[test]

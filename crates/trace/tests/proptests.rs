@@ -1,6 +1,6 @@
 //! Property-based tests of the trace substrate's invariants.
 
-use adassure_trace::{csv, stats, Series, Trace};
+use adassure_trace::{csv, stats, ColumnarTrace, Series, Trace};
 use proptest::prelude::*;
 
 /// Strictly increasing time grid plus matching finite values.
@@ -21,6 +21,88 @@ fn samples_strategy() -> impl Strategy<Value = Vec<(f64, f64)>> {
                     .collect()
             })
     })
+}
+
+/// How one series of a generated trace samples the base grid.
+#[derive(Debug, Clone)]
+enum Rate {
+    /// Every grid time: a full-rate series unless an off-grid one exists.
+    Full,
+    /// Every `k`-th grid time from the `phase`-th.
+    Every { k: usize, phase: usize },
+    /// Every grid time from the `from`-th on.
+    Late { from: usize },
+    /// The midpoint of every `k`-th grid gap, a time no other series has.
+    OffGrid { k: usize },
+}
+
+/// Full-rate 3 in 8, every `k`-th and late 2 in 8 each, off-grid 1 in 8.
+fn rate_strategy() -> impl Strategy<Value = Rate> {
+    (0u8..8, 2usize..5, 0usize..30).prop_map(|(pick, k, x)| match pick {
+        0..=2 => Rate::Full,
+        3 | 4 => Rate::Every { k, phase: x % 4 },
+        5 | 6 => Rate::Late { from: x + 1 },
+        _ => Rate::OffGrid { k: k - 1 },
+    })
+}
+
+/// A trace whose series mix full-rate, lower-rate, late-starting and
+/// off-grid sampling of one random grid.
+fn mixed_rate_trace_strategy() -> impl Strategy<Value = Trace> {
+    (
+        samples_strategy(),
+        proptest::collection::vec(rate_strategy(), 1..6),
+    )
+        .prop_map(|(grid, rates)| {
+            let mut trace = Trace::new();
+            for (s, rate) in rates.iter().enumerate() {
+                let name = format!("sig_{s}");
+                for (i, &(t, v)) in grid.iter().enumerate() {
+                    let v = v + s as f64;
+                    match *rate {
+                        Rate::Full => trace.record(name.as_str(), t, v),
+                        Rate::Every { k, phase } if i % k == phase => {
+                            trace.record(name.as_str(), t, v);
+                        }
+                        Rate::Late { from } if i >= from => trace.record(name.as_str(), t, v),
+                        Rate::OffGrid { k } if i % k == 0 && i + 1 < grid.len() => {
+                            trace.record(name.as_str(), (t + grid[i + 1].0) / 2.0, v);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            trace
+        })
+}
+
+/// The `.adt` v2 length of `trace`: a full-rate series (as many samples as
+/// the trace has distinct timestamps) costs 8 bytes per sample, any other
+/// 16 plus a 4-byte cycle index.
+fn adt_v2_len(trace: &Trace) -> usize {
+    let pad8 = |n: usize| n.div_ceil(8) * 8;
+    // Generated times are positive, so their bit patterns sort like them.
+    let mut grid: Vec<u64> = trace
+        .iter()
+        .flat_map(|s| s.samples().iter().map(|x| x.time.to_bits()))
+        .collect();
+    grid.sort_unstable();
+    grid.dedup();
+    let names: usize = trace.signals().map(|id| id.as_str().len() + 1).sum();
+    let (mut columns, mut indexed) = (0, 0);
+    for series in trace.iter() {
+        if series.len() == grid.len() {
+            columns += 8 * series.len();
+        } else {
+            columns += 16 * series.len();
+            indexed += series.len();
+        }
+    }
+    40 + pad8(names.saturating_sub(1))
+        + 8 * trace.signal_count()
+        + 8 * grid.len()
+        + columns
+        + pad8(4 * indexed)
 }
 
 proptest! {
@@ -89,6 +171,27 @@ proptest! {
             let round = back.series(series.id()).unwrap();
             for (a, b) in series.samples().iter().zip(round.samples()) {
                 prop_assert!((a.value - b.value).abs() <= 1e-9 * a.value.abs().max(1.0));
+            }
+        }
+    }
+
+    #[test]
+    fn adt_stores_a_full_rate_series_as_its_values_alone(trace in mixed_rate_trace_strategy()) {
+        let col = ColumnarTrace::from_trace(&trace);
+        let bytes = col.encode();
+        prop_assert_eq!(bytes.len(), adt_v2_len(&trace));
+        let back = ColumnarTrace::decode(&bytes).expect("own encoding decodes");
+        prop_assert_eq!(&back, &col);
+        prop_assert!(back.encode() == bytes, "decode then encode changed the bytes");
+        prop_assert_eq!(&back.to_trace(), &trace);
+        let n = back.cycle_count();
+        for (i, id) in back.signals().iter().enumerate() {
+            let (times, values, cycles) = back.series(i);
+            let samples = trace.series(id).expect("same signals").samples();
+            prop_assert!(values.iter().map(|v| v.to_bits()).eq(samples.iter().map(|s| s.value.to_bits())));
+            if values.len() == n {
+                prop_assert_eq!(times, back.cycle_times());
+                prop_assert!(cycles.iter().copied().eq(0..n as u32), "full-rate {} index", id);
             }
         }
     }
