@@ -47,10 +47,6 @@ cargo run --release -q -p adassure-bench --bin jsonl_check -- target/ci_events.j
 echo "== fleet differential (sharded vs serial, bit-identical for any layout) =="
 cargo test -q -p adassure-fleet --test differential
 
-echo "== fleet soak smoke (10k+ concurrent streams on the sharded checker) =="
-cargo run --release -q -p adassure-bench --bin fleet_soak -- \
-    --smoke --out target/ci_fleet_soak.json
-
 echo "== monitor-server smoke (one Prometheus page, one per-cycle latency series) =="
 page=target/ci_monitor_page.txt
 cargo run --release -q -p adassure-fleet --bin monitor-server -- \
@@ -69,10 +65,6 @@ cargo test -q -p adassure-fleet --test ingest_differential
 echo "== wire robustness (truncation/corruption/disconnect: typed, counted, no panics) =="
 cargo test -q -p adassure-fleet --test wire_robustness
 
-echo "== network ingest soak smoke (loopback TCP, zero lost samples) =="
-cargo run --release -q -p adassure-bench --bin net_soak -- \
-    --smoke --out target/ci_net_soak.json
-
 echo "== wire framing properties and golden ADWIRE frames (testdata/frames.adwire) =="
 cargo test -q -p adassure-fleet --test wire_props
 
@@ -82,9 +74,8 @@ cargo test -q -p adassure-fleet --test checkpoint_props
 echo "== crash resilience (seeded cuts, checkpointed restart, connection cap) =="
 cargo test -q -p adassure-fleet --test resilience
 
-echo "== chaos soak smoke (faulted sockets + server crash, byte-identical) =="
-cargo run --release -q -p adassure-bench --bin chaos_soak -- \
-    --smoke --out target/ci_chaos_soak.json
+echo "== fleet soak (10k+ streams in-process, loopback TCP, chaos + crash: byte-identical, every assertion fires) =="
+cargo run --release -q -p adassure-fleet --bin fleet-soak
 
 echo "== debug replay (bit-identical time travel + checkpoint resume) =="
 cargo test -q -p adassure-debug --test replay

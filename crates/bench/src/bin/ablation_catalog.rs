@@ -7,7 +7,7 @@
 
 use adassure_control::ControllerKind;
 use adassure_exp::campaign::{execute, standard_catalog};
-use adassure_exp::{par, AttackSet, Grid};
+use adassure_exp::{AttackSet, Grid, Runtime};
 use adassure_scenarios::{Scenario, ScenarioKind};
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
         .attacks(AttackSet::Standard)
         .seeds([seed])
         .cells();
-    let traces: Vec<_> = par::map(&cells, |spec| {
+    let traces: Vec<_> = Runtime::global().map(&cells, |spec| {
         let (out, _) = execute(spec, &full).expect("run");
         (spec.attack.expect("attacked grid"), out.trace)
     });

@@ -9,7 +9,7 @@ use adassure_control::ControllerKind;
 use adassure_core::catalog::{self, CatalogConfig};
 use adassure_core::mining::{mine_bounds, MiningConfig};
 use adassure_exp::campaign::{catalog_config_for, execute};
-use adassure_exp::{par, AttackSet, Grid};
+use adassure_exp::{AttackSet, Grid, Runtime};
 use adassure_scenarios::{Scenario, ScenarioKind};
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
         .include_clean(true)
         .seeds([1, 2, 3])
         .cells();
-    let mined: Vec<BTreeMap<String, f64>> = par::map(&cells, |spec| {
+    let mined: Vec<BTreeMap<String, f64>> = Runtime::global().map(&cells, |spec| {
         let scenario = Scenario::of_kind(spec.scenario).expect("library scenario");
         let (out, _) = execute(spec, &[]).expect("clean run");
         let bounds = mine_bounds(&catalog_config_for(&scenario), &[&out.trace], &mining);

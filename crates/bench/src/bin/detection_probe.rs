@@ -5,7 +5,7 @@
 use adassure_control::ControllerKind;
 use adassure_core::diagnosis;
 use adassure_exp::campaign::{execute, standard_catalog};
-use adassure_exp::{par, AttackSet, Grid};
+use adassure_exp::{AttackSet, Grid, Runtime};
 use adassure_scenarios::{Scenario, ScenarioKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,12 +27,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .include_clean(true)
             .seeds([1])
             .cells();
-        let mut results = par::map(&cells, |spec| {
-            execute(spec, &cat).map(|(out, report)| (*spec, out, report))
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("probe cell on {sk}: {e}"))?;
+        let mut results = Runtime::global()
+            .map(&cells, |spec| {
+                execute(spec, &cat).map(|(out, report)| (*spec, out, report))
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| format!("probe cell on {sk}: {e}"))?;
 
         let (_, out, clean) = results.remove(0);
         println!(

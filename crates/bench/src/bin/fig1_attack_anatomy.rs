@@ -14,7 +14,7 @@ use adassure_attacks::{AttackKind, Window};
 use adassure_control::pipeline::EstimatorKind;
 use adassure_control::ControllerKind;
 use adassure_exp::campaign::{execute, standard_catalog};
-use adassure_exp::{par, RunSpec};
+use adassure_exp::{RunSpec, Runtime};
 use adassure_scenarios::{Scenario, ScenarioKind};
 use adassure_sim::geometry::Vec2;
 use adassure_trace::well_known as sig;
@@ -45,7 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seed,
         })
         .collect();
-    let mut outputs = par::map(&cells, |spec| execute(spec, &cat))
+    let mut outputs = Runtime::global()
+        .map(&cells, |spec| execute(spec, &cat))
         .into_iter()
         .collect::<Result<Vec<_>, _>>()
         .map_err(|e| format!("F1 cell: {e}"))?;

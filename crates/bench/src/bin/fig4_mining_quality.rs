@@ -11,7 +11,7 @@ use adassure_core::mining::{self, MiningConfig};
 use adassure_core::{catalog, Assertion};
 use adassure_exp::agg::{fmt_mean_std, latencies};
 use adassure_exp::campaign::{catalog_config_for, execute};
-use adassure_exp::{par, AttackSet, Campaign, Grid, RunSpec};
+use adassure_exp::{AttackSet, Campaign, Grid, RunSpec, Runtime};
 use adassure_scenarios::{Scenario, ScenarioKind};
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
             seed,
         })
         .collect();
-    let golden: Vec<_> = par::map(&train_cells, |spec| {
+    let golden: Vec<_> = Runtime::global().map(&train_cells, |spec| {
         execute(spec, &[]).expect("golden run").0.trace
     });
 

@@ -12,7 +12,7 @@ use adassure_control::ControllerKind;
 use adassure_exp::agg::fmt_mean_std;
 use adassure_exp::campaign::{execute, standard_catalog};
 use adassure_exp::grid::AttackSet;
-use adassure_exp::{par, Grid, RunRecord};
+use adassure_exp::{Grid, RunRecord, Runtime};
 use adassure_scenarios::{run, Scenario, ScenarioKind};
 
 /// What one grid cell yields: the plain run's record plus the guarded
@@ -45,40 +45,42 @@ fn run_scenario(kind: ScenarioKind) -> Result<(), Box<dyn std::error::Error>> {
         .seeds(seeds);
 
     let cells = grid.cells();
-    let results = par::map(&cells, |spec| -> Result<GuardedCell, String> {
-        // Plain stack, through the campaign executor.
-        let (out, report) = execute(spec, &cat).map_err(|e| format!("cell {}: {e}", spec.index))?;
-        let plain = RunRecord::from_run(spec, &out, &report);
+    let results = Runtime::global()
+        .map(&cells, |spec| -> Result<GuardedCell, String> {
+            // Plain stack, through the campaign executor.
+            let (out, report) =
+                execute(spec, &cat).map_err(|e| format!("cell {}: {e}", spec.index))?;
+            let plain = RunRecord::from_run(spec, &out, &report);
 
-        // Guarded twin: the same cell with the stack wrapped in the
-        // Guardian (a driver the campaign executor cannot express).
-        let attack = spec
-            .attack
-            .ok_or_else(|| format!("cell {}: guardian grid must be attacked", spec.index))?;
-        let stack = AdStack::new(
-            run::stack_config(&scenario, controller),
-            scenario.track.clone(),
-        );
-        let mut guardian = Guardian::new(stack, cat.iter().cloned(), GuardianConfig::default());
-        let mut injector = attack.injector(spec.seed);
-        let out = run::engine_for(&scenario, spec.seed)
-            .run_with_tap(&mut guardian, &mut injector)
-            .map_err(|e| format!("guarded cell {}: {e}", spec.index))?;
-        let engage_delay = match guardian.state() {
-            GuardState::SafeStop { since, .. } => Some(since - attack.window.start),
-            _ => None,
-        };
-        Ok(GuardedCell {
-            plain,
-            guarded_worst: adassure_exp::record::worst_xtrack_after(
-                &out.trace,
-                attack.window.start,
-            ),
-            engage_delay,
+            // Guarded twin: the same cell with the stack wrapped in the
+            // Guardian (a driver the campaign executor cannot express).
+            let attack = spec
+                .attack
+                .ok_or_else(|| format!("cell {}: guardian grid must be attacked", spec.index))?;
+            let stack = AdStack::new(
+                run::stack_config(&scenario, controller),
+                scenario.track.clone(),
+            );
+            let mut guardian = Guardian::new(stack, cat.iter().cloned(), GuardianConfig::default());
+            let mut injector = attack.injector(spec.seed);
+            let out = run::engine_for(&scenario, spec.seed)
+                .run_with_tap(&mut guardian, &mut injector)
+                .map_err(|e| format!("guarded cell {}: {e}", spec.index))?;
+            let engage_delay = match guardian.state() {
+                GuardState::SafeStop { since, .. } => Some(since - attack.window.start),
+                _ => None,
+            };
+            Ok(GuardedCell {
+                plain,
+                guarded_worst: adassure_exp::record::worst_xtrack_after(
+                    &out.trace,
+                    attack.window.start,
+                ),
+                engage_delay,
+            })
         })
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
 
     println!(
         "\nF5: guardian mitigation (scenario `{}`, {} stack, seeds {seeds:?})",

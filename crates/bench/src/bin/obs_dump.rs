@@ -19,7 +19,7 @@
 use adassure_control::ControllerKind;
 use adassure_exp::campaign::{self, standard_catalog};
 use adassure_exp::grid::AttackSet;
-use adassure_exp::{par, Grid};
+use adassure_exp::{Grid, Runtime};
 use adassure_obs::{
     export, Event, EventSink, JsonlWriter, MetricsSnapshot, ObsConfig, VecSink, OBS_ENV,
 };
@@ -61,7 +61,7 @@ fn main() {
     }
 
     let collect_events = obs.events && obs.jsonl_path.is_some();
-    let outcomes = par::map(&cells, |spec| {
+    let outcomes = Runtime::global().map(&cells, |spec| {
         let cat = &catalogs
             .iter()
             .find(|(kind, _)| *kind == spec.scenario)

@@ -22,7 +22,7 @@ use adassure_control::pipeline::AdStack;
 use adassure_control::ControllerKind;
 use adassure_exp::campaign::standard_catalog;
 use adassure_exp::grid::AttackSet;
-use adassure_exp::{par, CampaignReport, Grid, GroupSummary, RunRecord, RunSpec};
+use adassure_exp::{CampaignReport, Grid, GroupSummary, RunRecord, RunSpec, Runtime};
 use adassure_obs::MetricsSnapshot;
 use adassure_scenarios::{run, Scenario, ScenarioKind};
 
@@ -149,7 +149,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .flat_map(|config| cells.iter().map(|cell| (*config, *cell)))
         .collect();
-    let outcomes = par::map(&jobs, |(config, spec)| run_guarded(*config, spec))
+    let outcomes = Runtime::global()
+        .map(&jobs, |(config, spec)| run_guarded(*config, spec))
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
     // Deterministic roll-up: merge per-run metrics in job order (the same

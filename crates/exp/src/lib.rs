@@ -7,10 +7,9 @@
 //!
 //! - [`grid`] declares the sweep as a [`Grid`] and enumerates it
 //!   into indexed [`RunSpec`] cells;
-//! - [`runtime`] owns the shared worker pool ([`runtime::Runtime`]) used by
-//!   campaigns *and* the fleet monitor server; [`par`] is its campaign-facing
-//!   surface, executing cells with results keyed by cell index so output is
-//!   bit-identical to a serial run regardless of thread count
+//! - [`runtime`] owns the worker pool ([`Runtime`]) that campaigns and
+//!   the harness binaries map cells on, with results keyed by cell index
+//!   so output is bit-identical to a serial run regardless of thread count
 //!   (`ADASSURE_THREADS` overrides the worker count, parsed once per
 //!   process);
 //! - [`campaign`] is the single entry point wiring a cell through
@@ -45,7 +44,6 @@
 pub mod agg;
 pub mod campaign;
 pub mod grid;
-pub mod par;
 pub mod record;
 pub mod rerun;
 pub mod runtime;

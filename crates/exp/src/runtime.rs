@@ -1,5 +1,5 @@
-//! The shared worker runtime: one pool abstraction serving both the
-//! campaign executor and the fleet monitor server.
+//! The shared worker pool of the campaign executor and the harness
+//! binaries.
 //!
 //! A [`Runtime`] is a lightweight handle naming a worker count. Work is
 //! distributed by an atomic cursor over the item list — idle workers
@@ -9,12 +9,53 @@
 //! scheduling.
 //!
 //! [`Runtime::global`] reads the process-wide worker count (the
-//! `ADASSURE_THREADS` override, parsed once — see
-//! [`crate::par::thread_count`]); [`Runtime::with_workers`] pins an
-//! explicit count, which is how the determinism tests compare serial and
-//! parallel executions without touching the process environment.
+//! `ADASSURE_THREADS` override, parsed once — see [`thread_count`]);
+//! [`Runtime::with_workers`] pins an explicit count, which is how the
+//! determinism tests compare serial and parallel executions without
+//! touching the process environment. The fleet has no worker pool:
+//! `adassure_fleet::FleetConfig::runtime` is an unused field.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// Environment variable overriding the worker count (values `>= 1`;
+/// anything else falls back to the default).
+pub const THREADS_ENV: &str = "ADASSURE_THREADS";
+
+/// The number of workers the global [`Runtime`] uses.
+///
+/// Precedence, resolved **once per process** on the first call (the
+/// result is cached in a `OnceLock`, so later changes to the environment
+/// are ignored):
+///
+/// 1. `ADASSURE_THREADS`, when set to a positive integer (anything else —
+///    empty, `0`, non-numeric — is ignored);
+/// 2. the machine's available parallelism
+///    ([`std::thread::available_parallelism`]);
+/// 3. `1`, when the parallelism query itself fails.
+///
+/// Callers that need a *different* worker count in the same process (the
+/// determinism tests) construct a [`Runtime::with_workers`] instead of
+/// mutating the environment.
+pub fn thread_count() -> usize {
+    static CACHED: OnceLock<usize> = OnceLock::new();
+    *CACHED.get_or_init(|| {
+        std::env::var(THREADS_ENV)
+            .ok()
+            .as_deref()
+            .and_then(parse_thread_override)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
+}
+
+/// Parses an `ADASSURE_THREADS` value: `Some(n)` for a positive integer
+/// (surrounding whitespace tolerated), `None` for anything else.
+pub fn parse_thread_override(value: &str) -> Option<usize> {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Some(n),
+        _ => None,
+    }
+}
 
 /// A worker-pool handle: the worker count every [`Runtime::map`] call on
 /// this handle uses.
@@ -24,21 +65,19 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// extension), so a `Runtime` can be stored in configs and shared freely.
 /// Per-invocation spawning amortises over batch-sized work items; callers
 /// with per-item work in the microsecond range should batch items before
-/// mapping, as the fleet server does with sample batches per shard. A
-/// campaign cell (simulate, then check one trace) is already milliseconds
-/// of work, so the campaign engine maps cells directly.
+/// mapping. A campaign cell (simulate, then check one trace) is already
+/// milliseconds of work, so the campaign engine maps cells directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Runtime {
     workers: usize,
 }
 
 impl Runtime {
-    /// The process-wide runtime: worker count from
-    /// [`crate::par::thread_count`] (`ADASSURE_THREADS` override, else
-    /// available parallelism).
+    /// The process-wide runtime: worker count from [`thread_count`]
+    /// (`ADASSURE_THREADS` override, else available parallelism).
     pub fn global() -> Self {
         Runtime {
-            workers: crate::par::thread_count(),
+            workers: thread_count(),
         }
     }
 
@@ -66,9 +105,8 @@ impl Runtime {
     ///
     /// `f` must be a pure function of its item (plus shared read-only or
     /// interior-mutable state) for the determinism guarantee to mean
-    /// anything; every experiment run is seeded per cell and every fleet
-    /// shard owns disjoint stream state, so this holds throughout the
-    /// workspace.
+    /// anything; every experiment run is seeded per cell, so this holds
+    /// throughout the workspace.
     ///
     /// # Panics
     ///
@@ -172,5 +210,25 @@ mod tests {
         assert_eq!(Runtime::with_workers(3).effective_workers(2), 2);
         assert_eq!(Runtime::with_workers(3).effective_workers(0), 1);
         assert_eq!(Runtime::with_workers(3).effective_workers(100), 3);
+    }
+
+    #[test]
+    fn override_parsing_accepts_positive_integers_only() {
+        assert_eq!(parse_thread_override("4"), Some(4));
+        assert_eq!(parse_thread_override("  2 "), Some(2));
+        assert_eq!(parse_thread_override("1"), Some(1));
+        assert_eq!(parse_thread_override("0"), None);
+        assert_eq!(parse_thread_override(""), None);
+        assert_eq!(parse_thread_override("not-a-number"), None);
+        assert_eq!(parse_thread_override("-3"), None);
+    }
+
+    #[test]
+    fn thread_count_is_stable_within_a_process() {
+        // The cached value never changes once resolved — the determinism
+        // campaigns rely on construction-time worker counts instead.
+        let first = thread_count();
+        assert!(first >= 1);
+        assert_eq!(thread_count(), first);
     }
 }

@@ -1,9 +1,10 @@
 //! `monitor-server` — a demo fleet monitor service.
 //!
-//! Drives a synthetic vehicle fleet through the sharded checker and
-//! serves the merged metrics over HTTP (`GET /metrics`, Prometheus text
-//! format; `GET /metrics.json` for the JSON exporter), plus fleet-level
-//! gauges (open streams, stale drops, bad cycles). With
+//! Drives a synthetic vehicle fleet ([`adassure_fleet::synth`]) through
+//! the sharded checker and serves the merged metrics over HTTP
+//! (`GET /metrics`, Prometheus text format; `GET /metrics.json` for the
+//! JSON exporter), plus fleet-level gauges (open streams, stale drops,
+//! bad cycles). With
 //! `--ingest PORT` it also opens the binary wire-protocol listener
 //! ([`adassure_fleet::IngestServer`]) on the same fleet, so external
 //! producers can push batches while Prometheus scrapes. Plain
@@ -33,10 +34,10 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use adassure_core::{Assertion, Condition, Severity, SignalExpr};
+use adassure_fleet::synth::{catalog, wave, Synth};
 use adassure_fleet::{
     restore_server, Fleet, FleetConfig, IngestConfig, IngestListener, IngestServer,
-    IngestStatsSnapshot, SampleBatch, SessionSeed, StreamId,
+    IngestStatsSnapshot, SessionSeed, StreamId,
 };
 use adassure_obs::export;
 
@@ -130,90 +131,13 @@ fn parse_args() -> Args {
     args
 }
 
-fn catalog() -> Vec<Assertion> {
-    vec![
-        Assertion::new(
-            "S1",
-            "bounded cross-track error",
-            Severity::Critical,
-            Condition::AtMost {
-                expr: SignalExpr::signal("xtrack").abs(),
-                limit: 1.0,
-            },
-        ),
-        Assertion::new(
-            "S2",
-            "speed stays non-negative",
-            Severity::Warning,
-            Condition::AtLeast {
-                expr: SignalExpr::signal("speed"),
-                limit: 0.0,
-            },
-        ),
-        Assertion::new(
-            "S3",
-            "gnss fix is fresh",
-            Severity::Critical,
-            Condition::Fresh {
-                signal: "gnss_x".into(),
-                max_age: 0.5,
-            },
-        ),
-    ]
-}
-
-/// Deterministic per-stream telemetry synthesizer (split-mix style LCG).
-struct Synth {
-    state: u64,
-    t: f64,
-}
-
-impl Synth {
-    fn new(seed: u64) -> Self {
-        Synth {
-            state: seed.wrapping_mul(2654435761).wrapping_add(12345),
-            t: 0.0,
-        }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self
-            .state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.state >> 11
-    }
-
-    fn uniform(&mut self) -> f64 {
-        (self.next() % 1_000_000) as f64 / 1_000_000.0
-    }
-
-    /// One cycle of samples at the stream's next timestamp.
-    fn cycle(&mut self, id: StreamId) -> SampleBatch {
-        self.t += 0.05;
-        let mut batch = SampleBatch::new(id);
-        let roll = self.uniform();
-        let xtrack = if roll < 0.02 {
-            1.0 + self.uniform() * 2.0
-        } else {
-            self.uniform() * 0.9
-        };
-        batch.push(self.t, "xtrack", xtrack);
-        batch.push(self.t, "speed", 4.0 + self.uniform());
-        if self.uniform() > 0.2 {
-            batch.push(self.t, "gnss_x", self.uniform() * 50.0);
-        }
-        batch
-    }
-}
-
 /// One ingestion tick: a cycle for every stream.
 fn tick(fleet: &Fleet, ids: &[StreamId], synths: &mut [Synth]) {
-    for (id, synth) in ids.iter().zip(synths.iter_mut()) {
-        if let Err(e) = fleet.submit(synth.cycle(*id)) {
+    wave(ids, synths, 1, |batch| {
+        if let Err(e) = fleet.submit(batch) {
             panic!("submit failed: {e}");
         }
-    }
+    });
 }
 
 /// The Prometheus page: checker metrics, fleet-level counters, and —

@@ -26,7 +26,9 @@
 //!   connection cuts and server restarts preserve exactly-once batch
 //!   application;
 //! - [`chaos`] injects deterministic, seeded transport faults
-//!   (mid-frame cuts, stalls) for resilience drills.
+//!   (mid-frame cuts, stalls) for resilience drills;
+//! - [`synth`] is a seeded synthetic fleet (catalog, telemetry, wave
+//!   loop) that `monitor-server` and the `fleet-soak` smoke drive.
 //!
 //! # Determinism
 //!
@@ -50,6 +52,7 @@ pub mod ingest;
 pub mod resilient;
 pub mod shard;
 pub mod stream;
+pub mod synth;
 pub mod wire;
 
 pub use chaos::{ChaosConfig, ChaosTransport, Severable};
