@@ -11,11 +11,14 @@
 //!    to the in-process oracle, nothing is lost or re-sent, and the server
 //!    decodes exactly the frames the producers sent.
 //! 3. **chaos:** the same streams from four [`ResilientProducer`]s over
-//!    [`ChaosTransport`]s that sever sockets mid-frame. Mid-run the server
-//!    is killed, a fresh fleet is restored from the last periodic
-//!    checkpoint on a new port, and the producers resume and replay the
-//!    gap. Every report is still byte-identical to the oracle, and every
-//!    cycle is checked exactly once.
+//!    [`ChaosTransport`]s that sever sockets mid-frame. A checkpoint is
+//!    taken at the first wave boundary, when half of each producer's
+//!    streams are open; the other half are opened after it. Then the
+//!    server is killed, a fresh fleet is restored from that checkpoint
+//!    on a new port, and the producers resume and replay the gap, the
+//!    late opens included, while a loop writes checkpoints. Every report
+//!    is still byte-identical to the oracle, and every cycle is checked
+//!    exactly once.
 //!
 //! The oracle is one undisturbed in-process run of the wire phases'
 //! streams. The checkpoint directory is removed on every exit path.
@@ -49,6 +52,9 @@ const WIRE_STREAMS: usize = 64;
 const WIRE_CYCLES: usize = 48;
 const WIRE_BATCH: usize = 32;
 const PER_PRODUCER: usize = WIRE_STREAMS / THREADS;
+/// Each wire producer opens this many of its streams before the chaos
+/// phase's checkpoint, and the rest after it.
+const HALF: usize = PER_PRODUCER / 2;
 
 /// Report JSONs of closed streams, each with its stream's seed.
 type Reports = Vec<(usize, Vec<u8>)>;
@@ -256,7 +262,8 @@ impl Drop for ScratchDir {
     }
 }
 
-/// A thread writing a checkpoint every 250 ms until stopped.
+/// A thread writing checkpoints back to back, 10 ms apart, until
+/// stopped.
 struct CheckpointLoop {
     stop: Arc<AtomicBool>,
     thread: JoinHandle<u64>,
@@ -269,16 +276,14 @@ impl CheckpointLoop {
         let (flag, path) = (Arc::clone(&stop), path.to_path_buf());
         let thread = std::thread::spawn(move || {
             let mut written = 0;
-            loop {
-                std::thread::sleep(Duration::from_millis(250));
-                if flag.load(Ordering::SeqCst) {
-                    return written;
-                }
+            while !flag.load(Ordering::SeqCst) {
                 match checkpointer.checkpoint_to(&path) {
                     Ok(()) => written += 1,
                     Err(e) => eprintln!("fleet-soak: checkpoint failed: {e}"),
                 }
+                std::thread::sleep(Duration::from_millis(10));
             }
+            written
         });
         CheckpointLoop { stop, thread }
     }
@@ -347,14 +352,15 @@ impl Drop for Attendance<'_> {
     }
 }
 
-/// One chaos producer: open, wait out the initial checkpoint, submit the
-/// waves (pausing at the crash), close. Returns its stats and its reports
-/// by seed.
+/// One chaos producer. It opens the first half of its streams and sends
+/// them the first wave; once the checkpoint the crash restores from is
+/// written, it opens the second half and sends them the first wave too;
+/// after the restart it sends every stream the remaining waves and
+/// closes them. Returns its stats and its reports by seed.
 fn chaos_producer(
     p: usize,
     addr: &Arc<Mutex<SocketAddr>>,
     meeting: &Meeting,
-    crash_wave: usize,
 ) -> (ProducerStats, Reports) {
     let _attendance = Attendance(meeting);
     let chaos = ChaosConfig {
@@ -380,7 +386,8 @@ fn chaos_producer(
         connect,
         ProducerConfig {
             window: 64,
-            // Covers the frames sent between two periodic checkpoints.
+            // Covers every frame sent after the checkpoint the crash
+            // restores from.
             retain_for_replay: 8192,
             ..ProducerConfig::default()
         },
@@ -393,17 +400,22 @@ fn chaos_producer(
     )
     .expect("connect producer");
 
-    let ids: Vec<StreamId> = (0..PER_PRODUCER)
-        .map(|_| producer.open_stream().expect("open stream"))
-        .collect();
     let mut synths = producer_synths(p);
-    meeting.wait(); // all streams open
-    meeting.wait(); // the initial checkpoint covers the opens
-    for (w, n) in waves(WIRE_CYCLES, WIRE_BATCH).enumerate() {
-        if w == crash_wave {
-            meeting.wait(); // crash point
-            meeting.wait(); // server restarted on a new port
+    let mut waves = waves(WIRE_CYCLES, WIRE_BATCH);
+    let first_wave = waves.next().expect("at least one wave");
+    let mut ids: Vec<StreamId> = Vec::with_capacity(PER_PRODUCER);
+    for half in [0..HALF, HALF..PER_PRODUCER] {
+        for _ in half.clone() {
+            ids.push(producer.open_stream().expect("open stream"));
         }
+        wave(&ids[half.clone()], &mut synths[half], first_wave, |b| {
+            producer.submit(&b).expect("submit survives chaos");
+        });
+        producer.flush().expect("flush survives chaos");
+        meeting.wait(); // first half: the checkpoint; second half: the crash
+        meeting.wait(); // first half: checkpoint written; second: restarted
+    }
+    for n in waves {
         wave(&ids, &mut synths, n, |b| {
             producer.submit(&b).expect("submit survives chaos");
         });
@@ -419,10 +431,11 @@ fn chaos_producer(
 
 /// Phase 3: faulted sockets and a server crash with checkpoint restore.
 ///
-/// Every stream is opened, and a checkpoint taken, before the first
-/// sample: a stream's id is assigned at open time, so an open must be
-/// checkpoint-covered before a crash is survived transparently
-/// (DESIGN.md §13).
+/// The crash restores the checkpoint taken at the first wave boundary,
+/// when half of each producer's streams are open and hold a wave of
+/// checker state. The other half are opened after it, so the replay runs
+/// their opens again on the restored fleet, in whatever order the
+/// producers resume, and each stream's handle still names its stream.
 fn chaos_phase(oracle: &[Vec<u8>]) {
     let dir = ScratchDir::new();
     let path = dir.0.join("fleet.adckpt");
@@ -432,30 +445,30 @@ fn chaos_phase(oracle: &[Vec<u8>]) {
     );
     let addr = Arc::new(Mutex::new(first.local_addr().expect("tcp addr")));
     let waves_total = waves(WIRE_CYCLES, WIRE_BATCH).count();
-    let crash_wave = (waves_total * 2 / 5).clamp(1, waves_total - 1);
-    // The producers and this thread meet four times: opens done, initial
-    // checkpoint written, crash wave reached, restart done.
+    let first_wave = waves(WIRE_CYCLES, WIRE_BATCH).next().expect("a wave");
+    // The producers and this thread meet four times: the first wave of the
+    // first half applied, the checkpoint written, the first wave of the
+    // second half applied (the crash), and the restart done.
     let meeting = Meeting::new(THREADS + 1);
 
-    let (stats, reports, restored, server, checkpoints) = std::thread::scope(|scope| {
+    let (stats, reports, restored, server, at_restore, checkpoints) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|p| {
                 let (addr, meeting) = (&addr, &meeting);
-                scope.spawn(move || chaos_producer(p, addr, meeting, crash_wave))
+                scope.spawn(move || chaos_producer(p, addr, meeting))
             })
             .collect();
         let _attendance = Attendance(&meeting);
-        meeting.wait(); // opens done
-        first.checkpoint_to(&path).expect("initial checkpoint");
-        let periodic = CheckpointLoop::start(&first, &path);
+        meeting.wait(); // the first half's first wave is applied
+        first.checkpoint_to(&path).expect("checkpoint");
         meeting.wait(); // release the producers
 
         meeting.wait(); // crash point
-        let checkpoints = 1 + periodic.finish();
         first.kill(); // the fleet is discarded: progress after the checkpoint is lost
         let bytes = std::fs::read(&path).expect("checkpoint file");
         let (restored, seed) =
             restore_server(catalog(), fleet_config(), &bytes).expect("checkpoint restores");
+        let at_restore = restored.stats();
         let restored = Arc::new(Mutex::new(restored));
         let server = spawn_server(Arc::clone(&restored), Some(seed));
         *addr.lock().expect("addr lock") = server.local_addr().expect("tcp addr");
@@ -469,12 +482,22 @@ fn chaos_phase(oracle: &[Vec<u8>]) {
             stats.push(s);
             reports.extend(r);
         }
-        periodic.finish();
-        (stats, reports, restored, server, checkpoints)
+        let checkpoints = periodic.finish();
+        (stats, reports, restored, server, at_restore, checkpoints)
     });
     let ingest = server.shutdown();
 
     assert_matches_oracle("chaos", oracle, &reports);
+    let half = (WIRE_STREAMS / 2) as u64;
+    assert_eq!(
+        (at_restore.open_streams, at_restore.cycles),
+        (half, half * first_wave as u64),
+        "the restored image is the first-wave checkpoint"
+    );
+    assert_eq!(
+        ingest.opens, half,
+        "the restored server ran the replayed opens"
+    );
     // The restored fleet is the fleet of record: every cycle checked
     // exactly once despite the cuts, the crash and the replays.
     let fleet_stats = restored.lock().expect("fleet lock").stats();
@@ -493,9 +516,10 @@ fn chaos_phase(oracle: &[Vec<u8>]) {
     let reconnects: u64 = stats.iter().map(|s| s.reconnects).sum();
     let replayed: u64 = stats.iter().map(|s| s.replayed_frames).sum();
     println!(
-        "chaos     : crash at wave {}/{waves_total}, checkpoints before it {checkpoints}, \
-         {reconnects} reconnects, {replayed} frames replayed, byte-identical to the oracle",
-        crash_wave + 1
+        "chaos     : restored the checkpoint at wave 1/{waves_total} ({} streams, {} cycles), \
+         {} opens replayed, {checkpoints} checkpoints after the restart, {reconnects} \
+         reconnects, {replayed} frames replayed, byte-identical to the oracle",
+        at_restore.open_streams, at_restore.cycles, ingest.opens
     );
 }
 

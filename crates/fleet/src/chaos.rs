@@ -9,9 +9,9 @@
 //! erroring) is what makes the *peer* observe the cut too, which is the
 //! failure mode reconnection logic has to survive.
 //!
-//! Used by the `chaos_soak` benchmark and the resilience tests to prove
-//! the [`crate::resilient::ResilientProducer`] + checkpoint path yields
-//! byte-identical verdicts under connection loss.
+//! Used by `fleet-soak`'s chaos phase and `tests/resilience.rs` to check
+//! that the [`crate::resilient::ResilientProducer`] + checkpoint path
+//! yields byte-identical verdicts under connection loss.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};

@@ -6,7 +6,8 @@
 //! generation counters and free-list order, the merged retired metrics,
 //! and the stream-sequence counter — plus, when written
 //! by an ingest server, every producer session's applied-sequence
-//! high-water mark and its ring of recent encoded responses. Restoring a
+//! high-water mark, its ring of recent encoded responses and its handle
+//! map (which fleet stream each of its open handles names). Restoring a
 //! checkpoint and replaying the post-checkpoint batches yields verdicts
 //! **bit-identical** to an uninterrupted run; the proptest in
 //! `tests/checkpoint_props.rs` and the chaos soak pin that property.
@@ -20,18 +21,24 @@
 //! typed [`CheckpointError`]s instead of panicking on corrupt input.
 //!
 //! ```text
-//! checkpoint := magic b"ADCKPT", version u8 (=3), endianness u8 (=1),
+//! checkpoint := magic b"ADCKPT", version u8 (=4), endianness u8 (=1),
 //!               fleet-section, session-section
+//! session    := token u64, expected_seq u64,
+//!               count u32, (seq u64, len u32, response bytes) x count,
+//!               count u32, (handle u64, shard u32, slot u32, gen u32) x count
 //! ```
 //!
 //! The fleet section stores the catalog's assertion ids (validated on
 //! restore — a checkpoint is only meaningful against the same compiled
 //! plan), the health config, the deterministic part of the retired
 //! metrics, the shard layout, and per shard the slab slots with their
-//! checker states. The session section stores
-//! `(token, expected_seq, durable_seq, recent responses)` per producer
-//! session, so a restarted server can resume producers exactly where the
-//! checkpoint cut them (see DESIGN.md §13).
+//! checker states. The session section is a count and one `session` per
+//! producer session, so a restarted server can resume producers exactly
+//! where the checkpoint cut them, and a handle keeps naming its stream
+//! (see DESIGN.md §13). A handle is the seq of the `OpenStream` frame
+//! that opened the stream; restore refuses a map that names a vacant
+//! slot, a stale generation or one stream twice, repeats a handle or
+//! lists it out of order, or holds a handle the session has not reached.
 //!
 //! No wall-clock data is stored, so two fleets fed the same batches
 //! encode to the same bytes, and a restored fleet re-encodes to the image
@@ -45,14 +52,17 @@ use adassure_trace::binary::{put_count, put_header, put_u16_str, Cur};
 
 use crate::fleet::{Fleet, FleetConfig, FleetState};
 use crate::shard::{ShardState, ShardTotals, SlotState, StreamState};
+use crate::stream::StreamId;
+use crate::wire;
 
 /// Magic bytes opening every checkpoint.
 pub const CKPT_MAGIC: &[u8; 6] = b"ADCKPT";
 /// Current checkpoint format version. Version 2 added the violation
 /// cycle index to the shared checker encoding; version 3 dropped every
 /// wall-clock histogram and two retired fields (a per-shard
-/// rejected-batch count and a per-stream guard-present byte).
-pub const CKPT_VERSION: u8 = 3;
+/// rejected-batch count and a per-stream guard-present byte); version 4
+/// added each session's handle map.
+pub const CKPT_VERSION: u8 = 4;
 
 /// Typed checkpoint encode/decode/restore failures.
 ///
@@ -62,14 +72,16 @@ pub const CKPT_VERSION: u8 = 3;
 pub type CheckpointError = codec::CodecError;
 
 /// One producer session as stored in a checkpoint: its token, the next
-/// sequence the server expects, the durable (checkpoint-covered)
-/// sequence, and the ring of recently sent encoded responses for resume
-/// replay.
+/// sequence the server expects, the ring of recently sent encoded
+/// responses for resume replay, and its handle map: per open stream,
+/// the seq of the `OpenStream` frame that opened it and the fleet's id
+/// for it, in handle order.
 #[derive(Debug, Clone)]
 pub(crate) struct SessionSeedEntry {
     pub(crate) token: u64,
     pub(crate) expected_seq: u64,
     pub(crate) acks: Vec<(u64, Vec<u8>)>,
+    pub(crate) streams: Vec<(u64, StreamId)>,
 }
 
 /// The producer sessions recovered from a checkpoint, to be handed to
@@ -112,10 +124,18 @@ fn put_totals(out: &mut Vec<u8>, s: &ShardTotals) {
 /// bytes.
 pub(crate) fn encode(state: &FleetState, sessions: &[SessionSeedEntry]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4096);
-    put_header(&mut out, CKPT_MAGIC, CKPT_VERSION);
-    put_count(&mut out, state.assertion_ids.len());
+    encode_into(&mut out, state, sessions);
+    out
+}
+
+/// [`encode`] into `out`, replacing its contents and keeping its
+/// capacity.
+pub(crate) fn encode_into(out: &mut Vec<u8>, state: &FleetState, sessions: &[SessionSeedEntry]) {
+    out.clear();
+    put_header(out, CKPT_MAGIC, CKPT_VERSION);
+    put_count(out, state.assertion_ids.len());
     for id in &state.assertion_ids {
-        put_u16_str(&mut out, id);
+        put_u16_str(out, id);
     }
     out.extend_from_slice(&state.health.stale_after.to_le_bytes());
     out.extend_from_slice(&state.health.quarantine_after.to_le_bytes());
@@ -123,12 +143,12 @@ pub(crate) fn encode(state: &FleetState, sessions: &[SessionSeedEntry]) -> Vec<u
     out.extend_from_slice(&state.next_seq.to_le_bytes());
     out.extend_from_slice(&state.closed_streams.to_le_bytes());
     let retired = serde_json::to_vec(&state.retired).expect("metrics summary serializes");
-    put_count(&mut out, retired.len());
+    put_count(out, retired.len());
     out.extend_from_slice(&retired);
-    put_count(&mut out, state.shards.len());
+    put_count(out, state.shards.len());
     for shard in &state.shards {
-        put_totals(&mut out, &shard.totals);
-        put_count(&mut out, shard.slots.len());
+        put_totals(out, &shard.totals);
+        put_count(out, shard.slots.len());
         for slot in &shard.slots {
             out.extend_from_slice(&slot.gen.to_le_bytes());
             match &slot.stream {
@@ -137,27 +157,31 @@ pub(crate) fn encode(state: &FleetState, sessions: &[SessionSeedEntry]) -> Vec<u
                     out.push(1);
                     out.extend_from_slice(&stream.seq.to_le_bytes());
                     out.extend_from_slice(&stream.last_t.to_le_bytes());
-                    codec::put_checker(&mut out, &stream.checker);
+                    codec::put_checker(out, &stream.checker);
                 }
             }
         }
-        put_count(&mut out, shard.free.len());
+        put_count(out, shard.free.len());
         for &f in &shard.free {
             out.extend_from_slice(&f.to_le_bytes());
         }
     }
-    put_count(&mut out, sessions.len());
+    put_count(out, sessions.len());
     for session in sessions {
         out.extend_from_slice(&session.token.to_le_bytes());
         out.extend_from_slice(&session.expected_seq.to_le_bytes());
-        put_count(&mut out, session.acks.len());
+        put_count(out, session.acks.len());
         for (seq, bytes) in &session.acks {
             out.extend_from_slice(&seq.to_le_bytes());
-            put_count(&mut out, bytes.len());
+            put_count(out, bytes.len());
             out.extend_from_slice(bytes);
         }
+        put_count(out, session.streams.len());
+        for &(handle, stream) in &session.streams {
+            out.extend_from_slice(&handle.to_le_bytes());
+            wire::put_stream(out, stream);
+        }
     }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -246,10 +270,17 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(FleetState, Vec<SessionSeedEntry>)
             let len = c.count("ack length")?;
             acks.push((seq, c.take(len, "ack bytes")?.to_vec()));
         }
+        let stream_count = c.count("session stream count")?;
+        let mut streams = Vec::with_capacity(stream_count);
+        for _ in 0..stream_count {
+            let handle = c.u64("stream handle")?;
+            streams.push((handle, wire::read_stream(&mut c)?));
+        }
         sessions.push(SessionSeedEntry {
             token,
             expected_seq,
             acks,
+            streams,
         });
     }
     c.expect_end("checkpoint")?;
@@ -316,15 +347,80 @@ impl Fleet {
 /// Decodes a server checkpoint into a restored [`Fleet`] plus the
 /// [`SessionSeed`] to hand to [`crate::IngestServer::spawn_restored`], so
 /// reconnecting producers resume exactly at the checkpointed sequence.
+///
+/// # Errors
+///
+/// Every error of [`Fleet::restore`], and
+/// [`CheckpointError::Incompatible`] when a session's handle map names a
+/// vacant slot or a stale generation, names one fleet stream twice
+/// (within a session or across sessions), lists a handle twice or out of
+/// order, or holds a handle at or above its session's next expected
+/// sequence.
 pub fn restore_server(
     catalog: impl IntoIterator<Item = Assertion>,
     config: FleetConfig,
     bytes: &[u8],
 ) -> Result<(Fleet, SessionSeed), CheckpointError> {
     let (state, sessions) = decode(bytes)?;
+    check_handle_maps(&state, &sessions)
+        .map_err(|message| CheckpointError::Incompatible { message })?;
     let fleet = Fleet::restore_with_state(Arc::new(CheckerPlan::compile(catalog)), config, state)
         .map_err(|message| CheckpointError::Incompatible { message })?;
     Ok((fleet, SessionSeed { sessions }))
+}
+
+/// Every mapped handle must name a live stream of `state`, no fleet
+/// stream may sit behind two handles, and a handle is the seq of an
+/// `OpenStream` frame its session has already applied, listed once, in
+/// order.
+fn check_handle_maps(state: &FleetState, sessions: &[SessionSeedEntry]) -> Result<(), String> {
+    let mut mapped = Vec::new();
+    for session in sessions {
+        let token = session.token;
+        if let Some(pair) = session.streams.windows(2).find(|p| p[0].0 >= p[1].0) {
+            return Err(format!(
+                "session {token} lists handle {} after handle {}",
+                pair[1].0, pair[0].0
+            ));
+        }
+        for &(handle, stream) in &session.streams {
+            if handle >= session.expected_seq {
+                return Err(format!(
+                    "session {token} maps handle {handle}, at or above its next seq {}",
+                    session.expected_seq
+                ));
+            }
+            let (shard, slot, gen) = stream.into_raw();
+            let slab = state
+                .shards
+                .get(shard as usize)
+                .and_then(|s| s.slots.get(slot as usize))
+                .filter(|slab| slab.stream.is_some());
+            match slab {
+                None => {
+                    return Err(format!(
+                    "session {token} maps handle {handle} to vacant slot {slot} of shard {shard}"
+                ))
+                }
+                Some(slab) if slab.gen != gen => {
+                    return Err(format!(
+                        "session {token} maps handle {handle} to generation {gen} of \
+                         shard {shard} slot {slot}, which is at generation {}",
+                        slab.gen
+                    ))
+                }
+                Some(_) => mapped.push((stream.into_raw(), token, handle)),
+            }
+        }
+    }
+    mapped.sort_unstable();
+    match mapped.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+        Some([(stream, t0, h0), (_, t1, h1)]) => Err(format!(
+            "stream {stream:?} sits behind handle {h0} of session {t0} and handle {h1} of \
+             session {t1}"
+        )),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -623,5 +719,128 @@ mod tests {
                 Err(CheckpointError::Incompatible { .. })
             ));
         }
+    }
+
+    /// The live streams of `state`, as the fleet names them.
+    fn live_ids(state: &FleetState) -> Vec<StreamId> {
+        let mut ids = Vec::new();
+        for (shard, s) in state.shards.iter().enumerate() {
+            for (slot, slab) in s.slots.iter().enumerate() {
+                if slab.stream.is_some() {
+                    ids.push(StreamId::from_raw(shard as u32, slot as u32, slab.gen));
+                }
+            }
+        }
+        ids
+    }
+
+    fn session(token: u64, expected_seq: u64, streams: Vec<(u64, StreamId)>) -> SessionSeedEntry {
+        SessionSeedEntry {
+            token,
+            expected_seq,
+            acks: Vec::new(),
+            streams,
+        }
+    }
+
+    /// A server image of [`fed_fleet`] with two sessions whose handle
+    /// maps hold three of its live streams; `edit` changes them first.
+    fn server_image(edit: impl FnOnce(&[StreamId], &mut [SessionSeedEntry])) -> Vec<u8> {
+        let state = fed_fleet().capture_state();
+        let ids = live_ids(&state);
+        let mut sessions = vec![
+            session(1, 9, vec![(2, ids[0]), (5, ids[1])]),
+            session(2, 4, vec![(3, ids[2])]),
+        ];
+        edit(&ids, &mut sessions);
+        encode(&state, &sessions)
+    }
+
+    #[test]
+    fn a_valid_handle_map_restores_and_re_encodes_to_its_image() {
+        let image = server_image(|_, _| {});
+        let (fleet, seed) = restore_server(catalog(), config(), &image).expect("restores");
+        assert_eq!(seed.len(), 2);
+        assert_eq!(seed.sessions[0].streams.len(), 2);
+        assert_eq!(encode(&fleet.capture_state(), &seed.sessions), image);
+    }
+
+    #[test]
+    fn restore_refuses_a_repeated_or_unordered_handle() {
+        refused(
+            "lists handle 2 after handle 2",
+            &server_image(|_, s| s[0].streams[1].0 = 2),
+        );
+        refused(
+            "lists handle 2 after handle 5",
+            &server_image(|_, s| s[0].streams.swap(0, 1)),
+        );
+    }
+
+    /// Fails unless `image` decodes but restore refuses it with an
+    /// `Incompatible` error whose message holds `why`.
+    fn refused(why: &str, image: &[u8]) {
+        assert!(
+            decode(image).is_ok(),
+            "{why}: the image itself is decodable"
+        );
+        match restore_server(catalog(), config(), image) {
+            Err(CheckpointError::Incompatible { message }) if message.contains(why) => {}
+            other => panic!("{why}: got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_handle_on_a_vacant_slot() {
+        // `fed_fleet` closed the streams at slot 0 and 1 of both shards.
+        let state = fed_fleet().capture_state();
+        let vacant = &state.shards[1].slots[0];
+        assert!(vacant.stream.is_none());
+        let gen = vacant.gen;
+        refused(
+            "vacant slot",
+            &server_image(|_, s| s[1].streams[0].1 = StreamId::from_raw(1, 0, gen)),
+        );
+        refused(
+            "vacant slot",
+            &server_image(|_, s| s[1].streams[0].1 = StreamId::from_raw(1, 999, 0)),
+        );
+        refused(
+            "vacant slot",
+            &server_image(|_, s| s[1].streams[0].1 = StreamId::from_raw(7, 2, 0)),
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_handle_on_a_stale_generation() {
+        refused(
+            "which is at generation",
+            &server_image(|ids, s| {
+                let (shard, slot, gen) = ids[2].into_raw();
+                s[1].streams[0].1 = StreamId::from_raw(shard, slot, gen.wrapping_sub(1));
+            }),
+        );
+    }
+
+    #[test]
+    fn restore_refuses_one_stream_behind_two_handles_in_one_session() {
+        refused(
+            "sits behind",
+            &server_image(|ids, s| s[0].streams[1].1 = ids[0]),
+        );
+    }
+
+    #[test]
+    fn restore_refuses_one_stream_behind_two_handles_across_sessions() {
+        refused(
+            "sits behind",
+            &server_image(|ids, s| s[1].streams[0].1 = ids[0]),
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_handle_the_session_has_not_reached() {
+        refused("at or above", &server_image(|_, s| s[1].streams[0].0 = 4));
+        refused("at or above", &server_image(|_, s| s[0].streams[1].0 = 40));
     }
 }

@@ -24,12 +24,18 @@
 //! bit-identical to in-process submission (pinned by
 //! `tests/ingest_differential.rs`).
 //!
+//! A producer names a stream by the seq of the `OpenStream` frame that
+//! opened it ([`StreamId::from_open_seq`]), and its session maps that
+//! handle to the fleet's id. So an open is windowed like a batch: the
+//! producer knows the handle before the ack arrives, and a trip from
+//! open to report waits on the close's round trip alone.
+//!
 //! # Sessions and crash recovery
 //!
 //! The sequence discipline lives in a *session*, not the connection. A
 //! fresh `Hello` allocates a session token; the server keeps the
-//! session's expected sequence and a bounded ring of its recent encoded
-//! responses after the connection drops. A producer that reconnects with
+//! session's expected sequence, a bounded ring of its recent encoded
+//! responses and its handle map after the connection drops. A producer that reconnects with
 //! `Hello{session}` + `Resume{last_acked}` learns the server's next
 //! expected sequence, receives replayed responses for frames it sent but
 //! never saw answered, and re-sends its retained frames from there —
@@ -37,9 +43,9 @@
 //! snapshots (see [`crate::checkpoint`]) extend the same guarantee across
 //! a server crash: a restored server nacks nothing, it simply answers
 //! `Resume` with the checkpointed sequence and producers replay the gap
-//! from their retained frames. `BatchApplied` acks carry the session's
-//! durable (checkpoint-covered) sequence so producers can trim that
-//! retention.
+//! from their retained frames; a replayed open maps its handle again.
+//! `BatchApplied` acks carry the session's durable (checkpoint-covered)
+//! sequence so producers can trim that retention.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -140,7 +146,7 @@ pub struct IngestStats {
     pub opens: AtomicU64,
     /// Streams closed over the wire.
     pub closes: AtomicU64,
-    /// Batches addressed to a shard the fleet does not have.
+    /// Batches naming no stream their session has open.
     pub rejected_unknown_shard: AtomicU64,
     /// Close requests for stale or unknown streams, unknown-session
     /// hellos, and resume attempts past the ack ring.
@@ -200,7 +206,7 @@ pub struct IngestStatsSnapshot {
     pub opens: u64,
     /// Streams closed over the wire.
     pub closes: u64,
-    /// Unknown-shard rejections.
+    /// Batches naming no stream their session has open.
     pub rejected_unknown_shard: u64,
     /// Stale/unknown-stream and stale-session rejections.
     pub rejected_stale: u64,
@@ -251,14 +257,17 @@ impl IngestStats {
 
 /// One producer session's server-side state: the next expected
 /// sequence, the durable (checkpoint-covered) sequence, whether a
-/// connection currently owns it, and the bounded ring of recent encoded
-/// responses for resume replay.
+/// connection currently owns it, the bounded ring of recent encoded
+/// responses for resume replay, and the fleet stream behind each open
+/// handle (keyed by the seq of the `OpenStream` frame that opened it;
+/// see [`StreamId::from_open_seq`]).
 #[derive(Debug)]
 struct SessionEntry {
     expected_seq: u64,
     durable_seq: u64,
     attached: bool,
     acks: VecDeque<(u64, Vec<u8>)>,
+    streams: BTreeMap<u64, StreamId>,
 }
 
 impl SessionEntry {
@@ -327,6 +336,7 @@ impl SessionTable {
                         durable_seq: entry.expected_seq.saturating_sub(1),
                         attached: false,
                         acks: entry.acks.into_iter().collect(),
+                        streams: entry.streams.into_iter().collect(),
                     })),
                 );
             }
@@ -358,6 +368,7 @@ impl SessionTable {
             durable_seq: 0,
             attached: true,
             acks: VecDeque::new(),
+            streams: BTreeMap::new(),
         }));
         inner.sessions.insert(token, Arc::clone(&entry));
         Some((token, entry))
@@ -391,6 +402,7 @@ impl SessionTable {
                 token,
                 expected_seq: e.expected_seq,
                 acks: e.acks.iter().cloned().collect(),
+                streams: e.streams.iter().map(|(&h, &id)| (h, id)).collect(),
             });
             marks.push((token, e.expected_seq));
         }
@@ -436,30 +448,36 @@ struct ConnShared {
 /// *after* the rename do the sessions' durable sequences advance — so a
 /// `durable_seq` a producer ever sees is always backed by a fully
 /// written file.
+///
+/// File writes encode into one image buffer that the clones share and
+/// keep (it is also the lock that orders their writes), so a periodic
+/// checkpoint does not allocate and free an image each time.
 #[derive(Debug, Clone)]
 pub struct Checkpointer {
     fleet: Arc<Mutex<Fleet>>,
     sessions: Arc<SessionTable>,
     stats: Arc<IngestStats>,
-    io_lock: Arc<Mutex<()>>,
+    image: Arc<Mutex<Vec<u8>>>,
 }
 
-/// Captured checkpoint bytes plus the `(session, durable_seq)` marks to
-/// apply once those bytes are safely on disk.
-type Capture = (Vec<u8>, Vec<(u64, u64)>);
-
 impl Checkpointer {
-    fn capture(&self) -> Capture {
+    /// Encodes the fleet and session state into `out` and returns the
+    /// `(session, durable_seq)` marks to apply once those bytes are
+    /// safely on disk.
+    fn capture(&self, out: &mut Vec<u8>) -> Vec<(u64, u64)> {
         let _gate = self.sessions.gate.write().expect("checkpoint gate");
         let state = self.fleet.lock().expect("fleet lock").capture_state();
         let (seed, marks) = self.sessions.snapshot();
-        (checkpoint::encode(&state, &seed), marks)
+        checkpoint::encode_into(out, &state, &seed);
+        marks
     }
 
     /// Serializes the fleet and session state to checkpoint bytes
     /// without touching disk (durable sequences do not advance).
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        self.capture().0
+        let mut out = Vec::new();
+        self.capture(&mut out);
+        out
     }
 
     /// Writes a checkpoint atomically to `path` (`path.tmp` + rename)
@@ -469,10 +487,10 @@ impl Checkpointer {
     ///
     /// [`CheckpointError::Io`] on filesystem failure.
     pub fn checkpoint_to(&self, path: &Path) -> Result<(), CheckpointError> {
-        let _io = self.io_lock.lock().expect("checkpoint io lock");
-        let (bytes, marks) = self.capture();
+        let mut image = self.image.lock().expect("checkpoint image lock");
+        let marks = self.capture(&mut image);
         let tmp = path.with_extension("adckpt.tmp");
-        std::fs::write(&tmp, &bytes)?;
+        std::fs::write(&tmp, &*image)?;
         std::fs::rename(&tmp, path)?;
         self.sessions.bump_durable(&marks);
         self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
@@ -496,7 +514,8 @@ pub struct IngestServer {
     accept: JoinHandle<()>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     sessions: Arc<SessionTable>,
-    io_lock: Arc<Mutex<()>>,
+    /// The [`Checkpointer`]s' shared image buffer.
+    image: Arc<Mutex<Vec<u8>>>,
     local_addr: Option<SocketAddr>,
 }
 
@@ -614,7 +633,7 @@ impl IngestServer {
             accept,
             conn_threads,
             sessions,
-            io_lock: Arc::new(Mutex::new(())),
+            image: Arc::new(Mutex::new(Vec::new())),
             local_addr,
         })
     }
@@ -642,7 +661,7 @@ impl IngestServer {
             fleet: Arc::clone(&self.fleet),
             sessions: Arc::clone(&self.sessions),
             stats: Arc::clone(&self.stats),
-            io_lock: Arc::clone(&self.io_lock),
+            image: Arc::clone(&self.image),
         }
     }
 
@@ -987,6 +1006,12 @@ fn handle_frame(
 /// sequence closes the connection. Every response that does not close it
 /// advances the expected sequence and is stored in the session's ack
 /// ring for resume replay.
+///
+/// Batches and closes name a stream by the handle its open returned
+/// ([`StreamId::from_open_seq`]); the session's map turns it into the
+/// fleet's id. A handle the session has not opened, or has closed, is
+/// refused as a forged id is: `UnknownShard` for a batch, `UnknownSlot`
+/// for a close.
 fn handle_windowed(
     frame: FrameRef<'_>,
     e: &mut SessionEntry,
@@ -1025,38 +1050,54 @@ fn handle_windowed(
                 return Step::Close;
             }
             let stream = shared.fleet.lock().expect("fleet lock").open_stream();
+            // A replayed open maps its handle again, to whichever stream
+            // the fleet hands out now.
+            e.streams.insert(seq, stream);
             stats.opens.fetch_add(1, Ordering::Relaxed);
-            encode_ack(out, seq, &AckBody::StreamOpened { stream });
+            encode_ack(
+                out,
+                seq,
+                &AckBody::StreamOpened {
+                    stream: StreamId::from_open_seq(seq),
+                },
+            );
         }
-        FrameRef::SampleBatch(batch) => {
+        FrameRef::SampleBatch(mut batch) => {
             let samples = batch.len() as u64;
             // Applied here, straight from the decoder's buffer, under
             // gate → session → shard, before the ack.
-            match shared.handle.submit_frame(&batch) {
-                Ok(()) => {
-                    stats.batches.fetch_add(1, Ordering::Relaxed);
-                    stats.samples.fetch_add(samples, Ordering::Relaxed);
-                    encode_ack(
-                        out,
-                        seq,
-                        &AckBody::BatchApplied {
-                            durable_seq: e.durable_seq,
-                        },
-                    );
+            let applied = match batch.stream.open_seq().and_then(|h| e.streams.get(&h)) {
+                Some(&stream) => {
+                    batch.stream = stream;
+                    shared.handle.submit_frame(&batch).is_ok()
                 }
-                // `UnknownShard` is the only error submit returns.
-                Err(_) => {
-                    stats.rejected_unknown_shard.fetch_add(1, Ordering::Relaxed);
-                    encode_nack(out, seq, NackReason::UnknownShard, 0);
-                }
+                None => false,
+            };
+            if applied {
+                stats.batches.fetch_add(1, Ordering::Relaxed);
+                stats.samples.fetch_add(samples, Ordering::Relaxed);
+                encode_ack(
+                    out,
+                    seq,
+                    &AckBody::BatchApplied {
+                        durable_seq: e.durable_seq,
+                    },
+                );
+            } else {
+                stats.rejected_unknown_shard.fetch_add(1, Ordering::Relaxed);
+                encode_nack(out, seq, NackReason::UnknownShard, 0);
             }
         }
         FrameRef::Other(Frame::CloseStream { stream, .. }) => {
-            let closed = shared
-                .fleet
-                .lock()
-                .expect("fleet lock")
-                .close_stream(stream);
+            let mapped = stream.open_seq().and_then(|h| e.streams.remove(&h));
+            let closed = match mapped {
+                Some(stream) => shared
+                    .fleet
+                    .lock()
+                    .expect("fleet lock")
+                    .close_stream(stream),
+                None => Err(StreamError::UnknownSlot),
+            };
             match closed {
                 Ok((report, _snapshot)) => {
                     let report_json = serde_json::to_vec(&report).expect("report serializes");
@@ -1451,22 +1492,22 @@ impl<C: Read + Write> IngestProducer<C> {
         self.next_seq
     }
 
-    /// Opens a stream on the server and returns its wire id.
+    /// Queues an `OpenStream` frame and returns the stream's wire handle,
+    /// [`StreamId::from_open_seq`] of the frame's sequence number. Like
+    /// [`IngestProducer::submit`] it blocks only when the window is full:
+    /// batches and the close may name the handle at once, because the
+    /// server applies the open before any later frame.
     ///
     /// # Errors
     ///
-    /// [`ProducerError`] on transport failure or server rejection.
+    /// [`ProducerError`] on transport failure or a non-retryable
+    /// rejection.
     pub fn open_stream(&mut self) -> Result<StreamId, ProducerError> {
         let seq = self.send_frame(|out, seq| {
             encode_open_stream(out, seq);
             Ok(())
         })?;
-        match self.wait_ack(seq)? {
-            AckBody::StreamOpened { stream } => Ok(stream),
-            other => Err(ProducerError::Protocol(format!(
-                "expected stream-opened ack, got {other:?}"
-            ))),
-        }
+        Ok(StreamId::from_open_seq(seq))
     }
 
     /// Queues `batch` for transmission. Blocks only when the in-flight
@@ -1630,14 +1671,21 @@ impl<C: Read + Write> IngestProducer<C> {
                 if seq > 0 {
                     self.settle_mark = self.settle_mark.max(seq);
                 }
-                if let AckBody::BatchApplied { durable_seq } = body {
-                    self.durable_seq = self.durable_seq.max(durable_seq);
-                    self.settle(seq);
-                    self.stats.acked_batches += 1;
-                } else {
-                    self.settle(seq);
-                    self.captured.push((seq, body));
+                match body {
+                    AckBody::BatchApplied { durable_seq } => {
+                        self.durable_seq = self.durable_seq.max(durable_seq);
+                        self.stats.acked_batches += 1;
+                    }
+                    // Nobody waits for an open: its handle is known.
+                    AckBody::StreamOpened { stream } if stream == StreamId::from_open_seq(seq) => {}
+                    AckBody::StreamOpened { stream } => {
+                        return Err(ProducerError::Protocol(format!(
+                            "open {seq} acked with stream {stream:?}, not its handle"
+                        )));
+                    }
+                    body => self.captured.push((seq, body)),
                 }
+                self.settle(seq);
                 Ok(())
             }
             Frame::Nack { seq, reason, .. } => {
@@ -1735,6 +1783,85 @@ mod tests {
         assert_eq!(snapshot.decode_ns.mean(), Some(700.0));
     }
 
+    /// A transport that counts its reads.
+    struct CountingReads {
+        inner: TcpStream,
+        reads: usize,
+    }
+
+    impl Read for CountingReads {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    impl Write for CountingReads {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.inner.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn open_and_submit_wait_for_no_response() {
+        let catalog = [adassure_core::Assertion::new(
+            "A1",
+            "bounded x",
+            adassure_core::Severity::Critical,
+            adassure_core::Condition::AtMost {
+                expr: adassure_core::SignalExpr::signal("x").abs(),
+                limit: 1.0,
+            },
+        )];
+        let fleet = Arc::new(Mutex::new(Fleet::new(catalog, FleetConfig::default())));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let server = IngestServer::spawn(
+            fleet,
+            IngestListener::Tcp(listener),
+            IngestConfig::default(),
+        )
+        .expect("spawn server");
+        let conn = TcpStream::connect(server.local_addr().expect("tcp")).expect("connect");
+        let transport = CountingReads {
+            inner: conn,
+            reads: 0,
+        };
+        let mut producer =
+            IngestProducer::connect(transport, ProducerConfig::default()).expect("handshake");
+        let handshake_reads = producer.conn.reads;
+
+        let ids: Vec<StreamId> = (0..3)
+            .map(|_| producer.open_stream().expect("open"))
+            .collect();
+        assert_eq!(
+            ids,
+            (1..=3).map(StreamId::from_open_seq).collect::<Vec<_>>()
+        );
+        for (k, &id) in ids.iter().enumerate() {
+            let mut batch = SampleBatch::new(id);
+            batch.push(0.1, "x", 0.5 * k as f64);
+            batch.push(0.2, "x", 2.0);
+            producer.submit(&batch).expect("submit");
+        }
+        assert_eq!(
+            producer.conn.reads, handshake_reads,
+            "opens and submits read nothing"
+        );
+
+        for &id in &ids {
+            let report = producer.close_stream(id).expect("close");
+            assert!(report.starts_with(b"{"), "close returns report JSON");
+        }
+        assert!(producer.conn.reads > handshake_reads);
+        assert!(producer.captured.is_empty(), "no open ack is kept");
+        let stats = server.shutdown();
+        assert_eq!((stats.opens, stats.batches, stats.closes), (3, 3, 3));
+    }
+
     #[test]
     fn a_dead_session_neither_blocks_new_sessions_nor_checkpoints() {
         let sessions = Arc::new(SessionTable::new(1));
@@ -1758,7 +1885,7 @@ mod tests {
             fleet: Arc::new(Mutex::new(Fleet::new(Vec::new(), FleetConfig::default()))),
             sessions: Arc::clone(&sessions),
             stats: Arc::new(IngestStats::default()),
-            io_lock: Arc::new(Mutex::new(())),
+            image: Arc::new(Mutex::new(Vec::new())),
         };
         let dir =
             std::env::temp_dir().join(format!("adassure-dead-session-{}", std::process::id()));

@@ -206,18 +206,18 @@ impl ResilientProducer {
         self.inner.as_ref().map_or(0, IngestProducer::session)
     }
 
-    /// Opens a stream; survives transport failure mid-operation.
+    /// Queues an open and returns the stream's handle
+    /// ([`IngestProducer::open_stream`]); a cut is absorbed as in
+    /// [`ResilientProducer::submit`]. A replayed open maps the same
+    /// handle again on the server, so the handle stays valid across
+    /// server restarts.
     ///
     /// # Errors
     ///
     /// See [`ResilientError`].
     pub fn open_stream(&mut self) -> Result<StreamId, ResilientError> {
-        self.run_op(IngestProducer::open_stream, |body| match body {
-            AckBody::StreamOpened { stream } => Ok(stream),
-            other => Err(ProducerError::Protocol(format!(
-                "expected stream-opened ack, got {other:?}"
-            ))),
-        })
+        let seq = self.send_windowed(|p| p.open_stream().map(drop))?;
+        Ok(StreamId::from_open_seq(seq))
     }
 
     /// Closes `stream` and returns its final report as JSON bytes;
@@ -262,18 +262,29 @@ impl ResilientProducer {
     ///
     /// See [`ResilientError`].
     pub fn submit(&mut self, batch: &SampleBatch) -> Result<(), ResilientError> {
+        self.send_windowed(|p| p.submit(batch)).map(drop)
+    }
+
+    /// Sends one windowed frame through `send` and returns its sequence
+    /// number. A failure after the frame took its number is absorbed:
+    /// the resume replays the frame. A failure before it re-sends after
+    /// the reconnect.
+    fn send_windowed(
+        &mut self,
+        mut send: impl FnMut(&mut IngestProducer<Box<dyn Transport>>) -> Result<(), ProducerError>,
+    ) -> Result<u64, ResilientError> {
         loop {
             let p = self.producer()?;
-            let before = p.next_seq();
-            let err = match p.submit(batch) {
-                Ok(()) => return Ok(()),
+            let seq = p.next_seq();
+            let err = match send(p) {
+                Ok(()) => return Ok(seq),
                 Err(e) => e,
             };
-            let windowed = self.inner.as_ref().is_some_and(|p| p.next_seq() > before);
+            let windowed = self.inner.as_ref().is_some_and(|p| p.next_seq() > seq);
             self.absorb(err)?;
             if windowed {
                 // The resume already replayed (or re-awaits) the frame.
-                return Ok(());
+                return Ok(seq);
             }
         }
     }

@@ -36,6 +36,26 @@ impl StreamId {
     pub fn into_raw(self) -> (u32, u32, u32) {
         (self.shard, self.slot, self.gen)
     }
+
+    /// The wire handle of the stream that the `OpenStream` frame with
+    /// sequence number `seq` opens: shard 0, the seq's high word as the
+    /// slot, its low word as the generation. A producer knows it as soon
+    /// as it queues the frame; the server maps it to the fleet's own id
+    /// per session (DESIGN.md §12).
+    #[allow(clippy::cast_possible_truncation)] // the two words of `seq`
+    pub fn from_open_seq(seq: u64) -> Self {
+        StreamId {
+            shard: 0,
+            slot: (seq >> 32) as u32,
+            gen: seq as u32,
+        }
+    }
+
+    /// The open frame's seq this wire handle names, or `None` for a
+    /// triple no [`StreamId::from_open_seq`] returns.
+    pub(crate) fn open_seq(self) -> Option<u64> {
+        (self.shard == 0).then_some((u64::from(self.slot) << 32) | u64::from(self.gen))
+    }
 }
 
 /// One timestamped signal sample.

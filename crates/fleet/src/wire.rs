@@ -27,10 +27,15 @@
 //! |------|-------|---------|
 //! | 0x01 | `Hello` | magic `b"ADWIRE"`, version `u8`, endianness `u8` (1 = LE), optional session token `u64` (absent or 0 = request a new session) |
 //! | 0x02 | `OpenStream` | seq `u64`, flags `u32` (must be 0) |
-//! | 0x03 | `SampleBatch` | seq `u64`, stream id (`u32`×3), channel count `u32`, sample count `u32`, name-table length `u32`, name table (names joined `\n`), channel indices `u32`×n, times `f64`×n, values `f64`×n |
-//! | 0x04 | `CloseStream` | seq `u64`, stream id (`u32`×3) |
+//! | 0x03 | `SampleBatch` | seq `u64`, stream handle (`u32`×3), channel count `u32`, sample count `u32`, name-table length `u32`, name table (names joined `\n`), channel indices `u32`×n, times `f64`×n, values `f64`×n |
+//! | 0x04 | `CloseStream` | seq `u64`, stream handle (`u32`×3) |
 //! | 0x07 | `GetMetrics` | seq `u64` |
 //! | 0x08 | `Resume` | session `u64`, last-acked seq `u64` (handshake-scoped; answered at seq 0) |
+//!
+//! A stream handle is [`StreamId::from_open_seq`] of the seq of the
+//! `OpenStream` frame that opened the stream, so a producer knows it
+//! without waiting for the open's ack; the server maps it to the fleet's
+//! own id per session.
 //!
 //! Server → client:
 //!
@@ -139,13 +144,15 @@ impl From<DecodeError> for WireError {
 /// and 4 are unassigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NackReason {
-    /// The stream id names a shard the fleet does not have
-    /// ([`crate::SubmitError::UnknownShard`]). The frame is dropped and
-    /// counted; the sequence advances.
+    /// A batch names no stream its session has open: a handle the
+    /// session never opened or has closed, or any other id. The frame is
+    /// dropped and counted; the sequence advances.
     UnknownShard,
-    /// The stream was already closed ([`crate::StreamError::StaleGeneration`]).
+    /// The fleet had already closed the stream behind the handle
+    /// ([`crate::StreamError::StaleGeneration`]).
     StaleGeneration,
-    /// The stream slot does not exist ([`crate::StreamError::UnknownSlot`]).
+    /// A close names no stream its session has open, as
+    /// [`NackReason::UnknownShard`] for a batch.
     UnknownSlot,
     /// The frame (or the byte stream) is structurally invalid, or its
     /// sequence number is not the next expected one. The server closes
@@ -238,9 +245,10 @@ pub enum AckBody {
         /// resume after a disconnect.
         session: u64,
     },
-    /// A stream was opened for this connection.
+    /// A stream was opened for this session.
     StreamOpened {
-        /// The new stream's id, to address subsequent batches.
+        /// The stream's handle, [`StreamId::from_open_seq`] of the open's
+        /// sequence number: what the session's batches and close name.
         stream: StreamId,
     },
     /// The batch was applied to its stream: the server applies each batch
@@ -296,7 +304,7 @@ pub enum Frame {
     SampleBatch {
         /// Sequence number.
         seq: u64,
-        /// The decoded batch, ready for [`crate::Fleet::submit`].
+        /// The decoded batch, addressed to the session's stream handle.
         batch: SampleBatch,
     },
     /// Close a stream and return its report.
@@ -452,7 +460,7 @@ fn with_frame(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
     out[at..at + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
 }
 
-fn put_stream(out: &mut Vec<u8>, stream: StreamId) {
+pub(crate) fn put_stream(out: &mut Vec<u8>, stream: StreamId) {
     let (shard, slot, gen) = stream.into_raw();
     out.extend_from_slice(&shard.to_le_bytes());
     out.extend_from_slice(&slot.to_le_bytes());
@@ -498,7 +506,8 @@ pub fn encode_open_stream(out: &mut Vec<u8>, seq: u64) {
 
 /// Appends an encoded [`Frame::SampleBatch`] to `out`. The per-frame
 /// channel table is built from the batch's channels in first-appearance
-/// order, in one pass over the samples.
+/// order, in one pass over the samples; the frame is then sized once and
+/// its index, time and value columns filled in a second pass.
 ///
 /// # Errors
 ///
@@ -521,31 +530,39 @@ pub fn encode_sample_batch(
             message: format!("channel name {name:?} cannot be encoded"),
         });
     }
+    let n = batch.samples.len();
+    let table_len =
+        channels.iter().map(|c| c.as_str().len()).sum::<usize>() + channels.len().saturating_sub(1);
+    // type, seq, stream, channel count, sample count, table length.
+    let head = 1 + 8 + 12 + 4 + 4 + 4;
+    out.reserve(4 + head + table_len + 20 * n);
     with_frame(out, |out| {
         out.push(TYPE_SAMPLE_BATCH);
         out.extend_from_slice(&seq.to_le_bytes());
         put_stream(out, batch.stream);
         put_count(out, channels.len());
-        put_count(out, batch.samples.len());
-        let table_start = out.len();
-        out.extend_from_slice(&0u32.to_le_bytes());
+        put_count(out, n);
+        put_count(out, table_len);
         for (i, channel) in channels.iter().enumerate() {
             if i > 0 {
                 out.push(b'\n');
             }
             out.extend_from_slice(channel.as_str().as_bytes());
         }
-        let table_len = out.len() - table_start - 4;
-        #[allow(clippy::cast_possible_truncation)]
-        out[table_start..table_start + 4].copy_from_slice(&(table_len as u32).to_le_bytes());
-        for &idx in &indices {
-            out.extend_from_slice(&idx.to_le_bytes());
-        }
-        for sample in &batch.samples {
-            out.extend_from_slice(&sample.t.to_le_bytes());
-        }
-        for sample in &batch.samples {
-            out.extend_from_slice(&sample.value.to_le_bytes());
+        let at = out.len();
+        out.resize(at + 20 * n, 0);
+        let (index_col, rest) = out[at..].split_at_mut(4 * n);
+        let (time_col, value_col) = rest.split_at_mut(8 * n);
+        let columns = index_col
+            .chunks_exact_mut(4)
+            .zip(time_col.chunks_exact_mut(8))
+            .zip(value_col.chunks_exact_mut(8));
+        for (((index, time), value), (sample, &idx)) in
+            columns.zip(batch.samples.iter().zip(&indices))
+        {
+            index.copy_from_slice(&idx.to_le_bytes());
+            time.copy_from_slice(&sample.t.to_le_bytes());
+            value.copy_from_slice(&sample.value.to_le_bytes());
         }
     });
     Ok(())
@@ -619,7 +636,7 @@ pub fn encode_nack(out: &mut Vec<u8>, seq: u64, reason: NackReason, retry_after_
 // Decoding
 // ---------------------------------------------------------------------------
 
-fn read_stream(c: &mut Cur<'_>) -> Result<StreamId, DecodeError> {
+pub(crate) fn read_stream(c: &mut Cur<'_>) -> Result<StreamId, DecodeError> {
     let shard = c.u32("stream shard")?;
     let slot = c.u32("stream slot")?;
     let gen = c.u32("stream generation")?;

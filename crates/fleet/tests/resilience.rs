@@ -351,3 +351,129 @@ fn session_limit_is_a_typed_connection_limit_nack() {
     assert_eq!(stats.rejected_connections, 1);
     assert_eq!(stats.rejected_stale, 0);
 }
+
+/// Two producers open streams after the checkpoint a crash restores
+/// from, and replay those opens in the other order than they first ran.
+/// Each handle still names its own stream, so every report matches the
+/// in-process oracle byte for byte.
+#[test]
+fn replayed_opens_in_swapped_order_keep_their_streams() {
+    const PRE: u64 = 20; // cycles of the first streams before the checkpoint
+    const LOST: u64 = 15; // cycles sent after it, lost in the crash
+    const POST: u64 = 10; // cycles after the restart
+
+    let dir = unique_tmp("swapped-opens");
+    let ckpt = dir.join("fleet.adckpt");
+    let fleet = Arc::new(Mutex::new(Fleet::new(catalog(), fleet_config())));
+    let server = IngestServer::spawn(
+        Arc::clone(&fleet),
+        IngestListener::Tcp(TcpListener::bind("127.0.0.1:0").expect("bind")),
+        IngestConfig::default(),
+    )
+    .expect("spawn");
+    let addr = Arc::new(Mutex::new(server.local_addr().expect("tcp addr")));
+    let producer = |seed: u64| {
+        let addr = Arc::clone(&addr);
+        let connect = Box::new(
+            move |_attempt: u32| -> std::io::Result<Box<dyn Transport>> {
+                let conn = TcpStream::connect(*addr.lock().expect("addr lock"))?;
+                conn.set_nodelay(true)?;
+                Ok(Box::new(conn) as Box<dyn Transport>)
+            },
+        );
+        ResilientProducer::connect(
+            connect,
+            ProducerConfig {
+                window: 16,
+                retain_for_replay: 256,
+                ..ProducerConfig::default()
+            },
+            ReconnectPolicy {
+                base_delay: std::time::Duration::from_millis(1),
+                max_delay: std::time::Duration::from_millis(50),
+                seed,
+                ..ReconnectPolicy::default()
+            },
+        )
+        .expect("connect")
+    };
+    let mut producers = [producer(1), producer(2)];
+    // Stream `2p` is producer p's first, stream `2p + 1` its second; the
+    // oracle opens them in index order.
+    let mut ids = [[StreamId::from_raw(0, 0, 0); 2]; 2];
+    let feed = |p: &mut ResilientProducer, id: StreamId, idx: u64, cycles: std::ops::Range<u64>| {
+        for cycle in cycles {
+            p.submit(&cycle_batch(id, idx, cycle)).expect("submit");
+        }
+        p.flush().expect("flush");
+    };
+
+    for (p, producer) in producers.iter_mut().enumerate() {
+        ids[p][0] = producer.open_stream().expect("open");
+        feed(producer, ids[p][0], 2 * p as u64, 0..PRE);
+    }
+    server.checkpoint_to(&ckpt).expect("checkpoint");
+    // Opened after the checkpoint, producer 0 first: the crash loses
+    // these opens and the replay runs them again.
+    for (p, producer) in producers.iter_mut().enumerate() {
+        ids[p][1] = producer.open_stream().expect("open");
+        feed(producer, ids[p][1], 2 * p as u64 + 1, 0..LOST);
+        feed(producer, ids[p][0], 2 * p as u64, PRE..PRE + LOST);
+    }
+    server.kill();
+    drop(fleet);
+
+    let bytes = std::fs::read(&ckpt).expect("checkpoint file");
+    let (restored, seed) =
+        restore_server(catalog(), fleet_config(), &bytes).expect("checkpoint restores");
+    assert_eq!(seed.len(), 2, "both sessions are in the image");
+    let server = IngestServer::spawn_restored(
+        Arc::new(Mutex::new(restored)),
+        IngestListener::Tcp(TcpListener::bind("127.0.0.1:0").expect("rebind")),
+        IngestConfig::default(),
+        seed,
+    )
+    .expect("respawn");
+    *addr.lock().expect("addr lock") = server.local_addr().expect("tcp addr");
+
+    // Producer 1 resumes, and replays its open, before producer 0 does.
+    for p in [1, 0] {
+        let producer = &mut producers[p];
+        feed(producer, ids[p][1], 2 * p as u64 + 1, LOST..LOST + POST);
+        feed(
+            producer,
+            ids[p][0],
+            2 * p as u64,
+            PRE + LOST..PRE + LOST + POST,
+        );
+        assert_eq!(producer.stats().reconnects, 1, "producer {p} resumed once");
+    }
+    let mut reports = vec![String::new(); 4];
+    for (p, producer) in producers.iter_mut().enumerate() {
+        for (k, &id) in ids[p].iter().enumerate() {
+            let json = producer.close_stream(id).expect("close after restart");
+            reports[2 * p + k] = String::from_utf8(json).expect("utf8 report");
+        }
+    }
+
+    // The oracle's streams 0 and 2 ran PRE + LOST + POST cycles, streams
+    // 1 and 3 LOST + POST.
+    let full = oracle_reports(4, PRE + LOST + POST);
+    let late = oracle_reports(4, LOST + POST);
+    assert_eq!(
+        reports,
+        [
+            full[0].as_str(),
+            late[1].as_str(),
+            full[2].as_str(),
+            late[3].as_str()
+        ]
+    );
+    let stats = server.shutdown();
+    assert_eq!(stats.resumes, 2);
+    assert_eq!(
+        stats.opens, 2,
+        "the restored server ran the two replayed opens"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

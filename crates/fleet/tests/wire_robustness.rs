@@ -424,6 +424,53 @@ fn unknown_shard_is_nacked_and_counted() {
     assert_eq!(stats.rejected_unknown_shard, 1);
 }
 
+/// A producer names a stream by its open's handle, valid in its own
+/// session only: a closed handle, and a handle another session opened,
+/// are refused as a forged id is, and the connection keeps working.
+#[test]
+fn a_handle_outside_its_session_or_closed_is_refused() {
+    let server = spawn_server();
+    let addr = server.local_addr().unwrap();
+    let mut owner =
+        adassure_fleet::ingest::connect_tcp(addr, ProducerConfig::default()).expect("connect");
+    let mut other =
+        adassure_fleet::ingest::connect_tcp(addr, ProducerConfig::default()).expect("connect");
+    let id = owner.open_stream().expect("open");
+    assert_eq!(id, StreamId::from_open_seq(1));
+    let rejected = |err: adassure_fleet::ProducerError| match err {
+        adassure_fleet::ProducerError::Rejected { reason, .. } => reason,
+        other => panic!("expected a nack, got {other:?}"),
+    };
+
+    // The other session never opened seq 1.
+    let mut batch = SampleBatch::new(id);
+    batch.push(0.1, "x", 0.0);
+    let err = other
+        .submit(&batch)
+        .and_then(|()| other.flush())
+        .expect_err("a foreign handle");
+    assert_eq!(rejected(err), adassure_fleet::NackReason::UnknownShard);
+    let err = other.close_stream(id).expect_err("a foreign handle");
+    assert_eq!(rejected(err), adassure_fleet::NackReason::UnknownSlot);
+
+    owner.submit(&batch).expect("submit");
+    owner.close_stream(id).expect("the owner closes its stream");
+    let err = owner
+        .submit(&batch)
+        .and_then(|()| owner.flush())
+        .expect_err("a closed handle");
+    assert_eq!(rejected(err), adassure_fleet::NackReason::UnknownShard);
+    let err = owner.close_stream(id).expect_err("a closed handle");
+    assert_eq!(rejected(err), adassure_fleet::NackReason::UnknownSlot);
+
+    let id = owner.open_stream().expect("the session still serves");
+    owner.close_stream(id).expect("close");
+    let stats = server.shutdown();
+    assert_eq!(stats.rejected_unknown_shard, 2);
+    assert_eq!(stats.rejected_stale, 2);
+    assert_eq!((stats.opens, stats.closes, stats.batches), (2, 2, 1));
+}
+
 /// A batch naming a channel index past its table is malformed: the
 /// server nacks it, counts it and closes the connection, and none of its
 /// samples reaches a checker, because the parser checks every index
