@@ -373,8 +373,17 @@ impl fmt::Display for SignalExpr {
     }
 }
 
+/// Wraps `angle` to `(-pi, pi]`.
+///
+/// An angle already in range is returned as is: IEEE `fmod(x, y)` is `x`
+/// exactly when `|x| < |y|`, so skipping the `%` there changes no output
+/// bit, and NaN fails both comparisons and takes the `%` path.
+#[inline]
 pub(crate) fn wrap_angle(angle: f64) -> f64 {
     use std::f64::consts::{PI, TAU};
+    if -PI < angle && angle <= PI {
+        return angle;
+    }
     let mut a = angle % TAU;
     if a <= -PI {
         a += TAU;
@@ -473,6 +482,49 @@ mod tests {
             .abs();
         assert_eq!(e.to_string(), "|(gnss_speed - wheel_speed)|");
         assert_eq!(SignalExpr::derivative("x").to_string(), "d(x)/dt");
+    }
+
+    #[test]
+    fn wrap_angle_fast_path_is_bit_identical() {
+        use std::f64::consts::{PI, TAU};
+        // The `%`-only formula the in-range early return must agree with.
+        fn reference(angle: f64) -> f64 {
+            let mut a = angle % TAU;
+            if a <= -PI {
+                a += TAU;
+            } else if a > PI {
+                a -= TAU;
+            }
+            a
+        }
+        let inputs = [
+            0.0,
+            -0.0,
+            PI,
+            -PI,
+            PI.next_up(),
+            PI.next_down(),
+            (-PI).next_up(),
+            (-PI).next_down(),
+            TAU,
+            -TAU,
+            3.0 * PI,
+            -3.0 * PI,
+            1e-310,
+            -1e-310,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for x in inputs {
+            assert_eq!(
+                wrap_angle(x).to_bits(),
+                reference(x).to_bits(),
+                "wrap_angle({x:e})"
+            );
+        }
     }
 
     #[test]

@@ -12,12 +12,16 @@
 //!    bulk of a drive) is read in place from the trace's own columns; a
 //!    sparse one is forward-filled into held value and time columns. A
 //!    slot some condition differentiates also gets a per-cycle derivative
-//!    column (plain or angle-wrapped). A slot's validity is one index: the
+//!    column (plain or angle-wrapped), built by one loop into which the
+//!    wrap inlines. A slot's validity is one index: the
 //!    first cycle holding a sample, or a step.
 //! 2. *Kernel.* The monitor's compiled condition kernel
 //!    ([`crate::compile`]) runs as a plain loop over contiguous column
-//!    slices, and its values become 64-cycle `healthy` words. A `Program`
-//!    kernel runs its postfix ops on 64-cycle blocks. Together with the
+//!    slices. A `Program` kernel runs its postfix ops in place on 64-cycle
+//!    blocks of a stack allocated once per trace to the catalog's deepest
+//!    program, so no block is copied by value. The values are compared
+//!    with the limit eight cycles per step, the direction chosen once per
+//!    monitor, and packed into 64-cycle `healthy` words. Together with the
 //!    grace and validity start indices and, under a finite staleness
 //!    horizon, the online checker's own health machine stepped per cycle,
 //!    these give one word per verdict class.
@@ -137,14 +141,50 @@ struct Slot<'t> {
 }
 
 /// Forward-fills a per-sample column onto the cycle grid: cycle `k` holds
-/// the newest sample at or before `k`.
+/// the newest sample at or before `k`. Each sample is pushed once per
+/// cycle it holds, a one-cycle run (the common case in a nearly dense
+/// series) as a single push.
 fn hold(column: &[f64], cycles: &[u32], n: usize) -> Vec<f64> {
-    let mut out = vec![0.0; n];
-    for (i, &v) in column.iter().enumerate() {
-        let end = cycles.get(i + 1).map_or(n, |&c| c as usize);
-        out[cycles[i] as usize..end].fill(v);
+    let mut out = Vec::with_capacity(n);
+    out.resize(cycles.first().map_or(n, |&c| c as usize), 0.0);
+    for (run, &v) in cycles.windows(2).zip(column) {
+        match (run[1] - run[0]) as usize {
+            1 => out.push(v),
+            held => out.extend(std::iter::repeat_n(v, held)),
+        }
+    }
+    if let Some(&last) = column.last() {
+        out.resize(n, last);
     }
     out
+}
+
+/// A slot's per-cycle step column: `wrap(delta) / dt` of each sample's
+/// step from its predecessor, mirroring `Env::update_slot` (series
+/// timestamps strictly increase), held onto the cycle grid unless the
+/// series is `dense`. `wrap` is generic, not a `fn` pointer, so the plain
+/// derivative is a divide loop and `wrap_angle` inlines.
+fn steps(
+    values: &[f64],
+    times: &[f64],
+    cycles: &[u32],
+    n: usize,
+    dense: bool,
+    wrap: impl Fn(f64) -> f64,
+) -> Vec<f64> {
+    let mut per_sample = Vec::with_capacity(values.len());
+    per_sample.push(0.0);
+    per_sample.extend(
+        values
+            .windows(2)
+            .zip(times.windows(2))
+            .map(|(v, t)| wrap(v[1] - v[0]) / (t[1] - t[0])),
+    );
+    if dense {
+        per_sample
+    } else {
+        hold(&per_sample, cycles, n)
+    }
 }
 
 /// Resolves every plan slot's columns for `trace`. `health_on` adds the
@@ -182,24 +222,6 @@ fn slots<'t>(plan: &Plan, trace: &'t ColumnarTrace, health_on: bool) -> Vec<Slot
                 Cow::Owned(hold(column, cycles, n))
             }
         };
-        // Mirrors `Env::update_slot`: each sample after the first records
-        // the step from its predecessor (series timestamps strictly
-        // increase).
-        let steps = |wrap: fn(f64) -> f64| {
-            let per_sample: Vec<f64> = std::iter::once(0.0)
-                .chain(
-                    values
-                        .windows(2)
-                        .zip(times.windows(2))
-                        .map(|(v, t)| wrap(v[1] - v[0]) / (t[1] - t[0])),
-                )
-                .collect();
-            if dense {
-                per_sample
-            } else {
-                hold(&per_sample, cycles, n)
-            }
-        };
         slots[s] = Slot {
             seen: first as usize,
             stepped: cycles.get(1).map_or(n, |&c| c as usize),
@@ -210,12 +232,12 @@ fn slots<'t>(plan: &Plan, trace: &'t ColumnarTrace, health_on: bool) -> Vec<Slot
                 Cow::Borrowed(&[])
             },
             deriv: if plan.need_deriv[s] {
-                steps(|d| d)
+                steps(values, times, cycles, n, dense, |d| d)
             } else {
                 Vec::new()
             },
             angular: if plan.need_angular[s] {
-                steps(wrap_angle)
+                steps(values, times, cycles, n, dense, wrap_angle)
             } else {
                 Vec::new()
             },
@@ -271,7 +293,7 @@ fn eval_kernel(
     now: &[f64],
     lo: usize,
     out: &mut [f64],
-    stack: &mut Vec<[f64; WORD]>,
+    stack: &mut [[f64; WORD]],
 ) {
     let hi = lo + out.len();
     let value = |s: u32| &slots[s as usize].value[lo..hi];
@@ -295,49 +317,73 @@ fn eval_kernel(
             &slots[slot as usize].time[lo..hi],
             |t, s| t - s,
         ),
+        // Postfix ops on up to 64-cycle blocks, evaluated in place: the
+        // stack holds the program's `max_stack` blocks and `d` is its
+        // depth, so no block is ever copied by value.
         Kernel::Program(ref expr) => {
             for (block, out) in out.chunks_mut(WORD).enumerate() {
                 let at = lo + block * WORD;
-                let load = |column: &[f64]| {
-                    let mut cell = [0.0; WORD];
-                    cell[..out.len()].copy_from_slice(&column[at..at + out.len()]);
-                    cell
-                };
-                stack.clear();
+                let len = out.len();
+                let mut d = 0;
                 for op in expr.ops() {
                     match *op {
-                        Op::Signal(s) => stack.push(load(&slots[s as usize].value)),
-                        Op::Const(v) => stack.push([v; WORD]),
-                        Op::Derivative(s) => stack.push(load(&slots[s as usize].deriv)),
-                        Op::AngularDerivative(s) => stack.push(load(&slots[s as usize].angular)),
-                        Op::Abs => unary(stack, f64::abs),
-                        Op::Neg => unary(stack, |v| -v),
-                        Op::Tan => unary(stack, f64::tan),
-                        Op::Add => binary(stack, |a, b| a + b),
-                        Op::Sub => binary(stack, |a, b| a - b),
-                        Op::Mul => binary(stack, |a, b| a * b),
-                        Op::AngleDiff => binary(stack, |a, b| wrap_angle(a - b)),
+                        Op::Signal(s) => push(stack, &mut d, len)
+                            .copy_from_slice(&slots[s as usize].value[at..][..len]),
+                        Op::Const(v) => push(stack, &mut d, len).fill(v),
+                        Op::Derivative(s) => push(stack, &mut d, len)
+                            .copy_from_slice(&slots[s as usize].deriv[at..][..len]),
+                        Op::AngularDerivative(s) => push(stack, &mut d, len)
+                            .copy_from_slice(&slots[s as usize].angular[at..][..len]),
+                        Op::Abs => unary(&mut stack[d - 1][..len], f64::abs),
+                        Op::Neg => unary(&mut stack[d - 1][..len], |v| -v),
+                        Op::Tan => unary(&mut stack[d - 1][..len], f64::tan),
+                        Op::Add => binary(stack, &mut d, len, |a, b| a + b),
+                        Op::Sub => binary(stack, &mut d, len, |a, b| a - b),
+                        Op::Mul => binary(stack, &mut d, len, |a, b| a * b),
+                        Op::AngleDiff => binary(stack, &mut d, len, |a, b| wrap_angle(a - b)),
                     }
                 }
-                let top = stack.pop().expect("postfix program leaves one value");
-                out.copy_from_slice(&top[..out.len()]);
+                out.copy_from_slice(&stack[0][..len]);
             }
         }
     }
 }
 
-fn unary(stack: &mut [[f64; WORD]], f: impl Fn(f64) -> f64) {
-    let top = stack.last_mut().expect("well-formed postfix program");
+/// The first `len` cycles of the block above depth `d`, which becomes the
+/// top of the stack.
+fn push<'s>(stack: &'s mut [[f64; WORD]], d: &mut usize, len: usize) -> &'s mut [f64] {
+    *d += 1;
+    &mut stack[*d - 1][..len]
+}
+
+fn unary(top: &mut [f64], f: impl Fn(f64) -> f64) {
     for v in top {
         *v = f(*v);
     }
 }
 
-fn binary(stack: &mut Vec<[f64; WORD]>, f: impl Fn(f64, f64) -> f64) {
-    let b = stack.pop().expect("well-formed postfix program");
-    let a = stack.last_mut().expect("well-formed postfix program");
-    for (a, b) in a.iter_mut().zip(b) {
+/// Combines the top two blocks into the lower one, which becomes the top.
+fn binary(stack: &mut [[f64; WORD]], d: &mut usize, len: usize, f: impl Fn(f64, f64) -> f64) {
+    *d -= 1;
+    let (below, top) = stack.split_at_mut(*d);
+    for (a, &b) in below[*d - 1][..len].iter_mut().zip(&top[0][..len]) {
         *a = f(*a, b);
+    }
+}
+
+/// Sets bit `k % 64` of `words[k / 64]` where `ok(values[k])`, eight
+/// cycles per step; `values` spans whole words.
+fn pack(values: &[f64], words: &mut [u64], ok: impl Fn(f64) -> bool) {
+    for (word, chunk) in words.iter_mut().zip(values.chunks_exact(WORD)) {
+        let mut bits = 0;
+        for (i, eight) in chunk.chunks_exact(8).enumerate() {
+            let byte = eight
+                .iter()
+                .enumerate()
+                .fold(0u64, |byte, (j, &v)| byte | u64::from(ok(v)) << j);
+            bits |= byte << (8 * i);
+        }
+        *word = bits;
     }
 }
 
@@ -382,7 +428,8 @@ fn check_trace(
     let words = n.div_ceil(WORD);
     let mut values = vec![0.0; words * WORD];
     let (mut pass, mut viol, mut inc) = (vec![0u64; words], vec![0u64; words], vec![0u64; words]);
-    let mut stack = Vec::with_capacity(plan.core.max_stack);
+    let mut healthy = vec![0u64; words];
+    let mut stack = vec![[0.0; WORD]; plan.core.max_stack];
     // Violations tagged with their detection cycle: monitors are checked
     // one after another, and the scalar replay reports in (cycle, monitor)
     // order, which a stable sort on the tag restores.
@@ -405,10 +452,20 @@ fn check_trace(
                 &mut values[valid..n],
                 &mut stack,
             );
+            // Words before `valid`'s are masked out below, so only the
+            // rest are packed; the branch on the direction is taken once.
+            let (from, limit) = (valid / WORD * WORD, cond.limit);
+            let (values, healthy) = (&values[from..], &mut healthy[from / WORD..]);
+            if cond.at_least {
+                pack(values, healthy, |v| v >= limit);
+            } else {
+                pack(values, healthy, |v| v <= limit);
+            }
         }
 
         // Health layer: the online checker's machine, stepped per cycle
         // (minus poisoning, impossible offline).
+        let mut counts = VerdictCounts::default();
         inc.fill(0);
         if health_on {
             let mut machine = HealthMachine::default();
@@ -425,6 +482,7 @@ fn check_trace(
                 let prev = machine.obs();
                 if machine.step(missing, health) {
                     inc[k / WORD] |= 1 << (k % WORD);
+                    counts.inconclusive += 1;
                 }
                 let new = machine.obs();
                 if new != prev {
@@ -436,31 +494,18 @@ fn check_trace(
         // Class words, counts and flips. Cycles inside the grace period
         // have no class bit, which is also how an `Unknown` cycle looks,
         // so the first processed cycle compares against `Unknown` as the
-        // scalar checker's initial last verdict.
-        let mut counts = VerdictCounts::default();
+        // scalar checker's initial last verdict. Words wholly inside the
+        // grace period hold no processed cycle and are never read, so the
+        // scan starts at `start`'s word.
         let mut flips = 0;
         let mut carry = [0u64; 3];
-        for w in 0..words {
+        for w in start / WORD..words {
             let processed = span(w, start, n);
             let is_valid = span(w, valid, n);
-            let chunk = &values[w * WORD..][..WORD];
-            let mut healthy = 0u64;
-            if is_valid != 0 {
-                for (i, &v) in chunk.iter().enumerate() {
-                    let ok = if cond.at_least {
-                        v >= cond.limit
-                    } else {
-                        v <= cond.limit
-                    };
-                    healthy |= u64::from(ok) << i;
-                }
-            }
             let rest = processed & !inc[w];
-            pass[w] = rest & is_valid & healthy;
-            viol[w] = rest & is_valid & !healthy;
-            counts.unknown += u64::from((rest & !is_valid).count_ones());
+            pass[w] = rest & is_valid & healthy[w];
+            viol[w] = rest & is_valid & !healthy[w];
             counts.pass += u64::from(pass[w].count_ones());
-            counts.inconclusive += u64::from(inc[w].count_ones());
             counts.violated += u64::from(viol[w].count_ones());
             let mut changed = 0;
             for (class, carry) in [pass[w], viol[w], inc[w]].into_iter().zip(&mut carry) {
@@ -469,6 +514,8 @@ fn check_trace(
             }
             flips += u64::from((processed & changed).count_ones());
         }
+        // Each processed cycle is in exactly one class, unknown the rest.
+        counts.unknown = (n - start) as u64 - counts.pass - counts.inconclusive - counts.violated;
         inconclusive += counts.inconclusive;
 
         // Temporal scan: each run of violated cycles is one episode, ended
@@ -753,6 +800,65 @@ mod tests {
         assert_eq!(v.detected.to_bits(), cycle_time(63).to_bits());
         // Healthy only at the last cycle of the word still counts.
         assert!(check_both(&catalog, &window_trace(64, 63..64)).is_clean());
+    }
+
+    #[test]
+    fn exact_limits_at_byte_and_word_edges_match_scalar() {
+        // Verdict words are packed eight cycles per step with inclusive
+        // comparisons: a value equal to the limit is healthy in both
+        // directions. Exact hits sit on the first and last cycle of every
+        // byte (so of every word) and on every fifth cycle; the others
+        // step half a unit above and below the limit.
+        let limit = 0.75;
+        let value = |i: u32| match i {
+            i if i % 8 == 0 || i % 8 == 7 || i % 5 == 0 => limit,
+            i if i % 2 == 0 => limit + 0.5,
+            _ => limit - 0.5,
+        };
+        // A bare signal runs the `Sig` kernel; adding 0.0 keeps every
+        // value exact but runs the `Program` kernel.
+        let exprs = [
+            SignalExpr::signal("x"),
+            SignalExpr::signal("x").add(SignalExpr::constant(0.0)),
+        ];
+        let mut catalog = Vec::new();
+        for (i, expr) in exprs.into_iter().enumerate() {
+            let at_most = Condition::AtMost {
+                expr: expr.clone(),
+                limit,
+            };
+            let at_least = Condition::AtLeast { expr, limit };
+            catalog.push(Assertion::new(
+                format!("M{i}"),
+                "at most",
+                Severity::Critical,
+                at_most,
+            ));
+            catalog.push(Assertion::new(
+                format!("L{i}"),
+                "at least",
+                Severity::Critical,
+                at_least,
+            ));
+        }
+        for cycles in [1, 7, 8, 9, 63, 64, 65, 129] {
+            let mut trace = Trace::new();
+            for i in 0..cycles {
+                trace.record("x", cycle_time(i), value(i));
+            }
+            let report = check_both(&catalog, &trace);
+            assert!(
+                report.violations.iter().all(|v| v.value != limit),
+                "{cycles} cycles: an exact hit fired: {:?}",
+                report.violations
+            );
+            if cycles > 2 {
+                assert!(
+                    !report.is_clean(),
+                    "{cycles} cycles: the off-limit steps fire"
+                );
+            }
+        }
     }
 
     #[test]

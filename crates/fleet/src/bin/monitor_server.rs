@@ -217,9 +217,9 @@ fn metrics_page(fleet: &Fleet, ingest: Option<&IngestStatsSnapshot>) -> String {
                 ingest.closes,
             ),
             (
-                "adassure_ingest_rejected_unknown_shard_total",
-                "Batches addressed to a shard the fleet does not have",
-                ingest.rejected_unknown_shard,
+                "adassure_ingest_rejected_unknown_stream_total",
+                "Batches naming no stream open in their session",
+                ingest.rejected_unknown_stream,
             ),
             (
                 "adassure_ingest_rejected_stale_total",

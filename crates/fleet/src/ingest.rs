@@ -147,7 +147,7 @@ pub struct IngestStats {
     /// Streams closed over the wire.
     pub closes: AtomicU64,
     /// Batches naming no stream their session has open.
-    pub rejected_unknown_shard: AtomicU64,
+    pub rejected_unknown_stream: AtomicU64,
     /// Close requests for stale or unknown streams, unknown-session
     /// hellos, and resume attempts past the ack ring.
     pub rejected_stale: AtomicU64,
@@ -175,7 +175,7 @@ impl Default for IngestStats {
             samples: AtomicU64::new(0),
             opens: AtomicU64::new(0),
             closes: AtomicU64::new(0),
-            rejected_unknown_shard: AtomicU64::new(0),
+            rejected_unknown_stream: AtomicU64::new(0),
             rejected_stale: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
             truncated: AtomicU64::new(0),
@@ -207,7 +207,7 @@ pub struct IngestStatsSnapshot {
     /// Streams closed over the wire.
     pub closes: u64,
     /// Batches naming no stream their session has open.
-    pub rejected_unknown_shard: u64,
+    pub rejected_unknown_stream: u64,
     /// Stale/unknown-stream and stale-session rejections.
     pub rejected_stale: u64,
     /// Protocol-level rejections (malformed frames, bad magic,
@@ -235,7 +235,7 @@ impl IngestStats {
             samples: self.samples.load(Ordering::Relaxed),
             opens: self.opens.load(Ordering::Relaxed),
             closes: self.closes.load(Ordering::Relaxed),
-            rejected_unknown_shard: self.rejected_unknown_shard.load(Ordering::Relaxed),
+            rejected_unknown_stream: self.rejected_unknown_stream.load(Ordering::Relaxed),
             rejected_stale: self.rejected_stale.load(Ordering::Relaxed),
             malformed: self.malformed.load(Ordering::Relaxed),
             truncated: self.truncated.load(Ordering::Relaxed),
@@ -1010,7 +1010,7 @@ fn handle_frame(
 /// Batches and closes name a stream by the handle its open returned
 /// ([`StreamId::from_open_seq`]); the session's map turns it into the
 /// fleet's id. A handle the session has not opened, or has closed, is
-/// refused as a forged id is: `UnknownShard` for a batch, `UnknownSlot`
+/// refused as a forged id is: `UnknownStream` for a batch, `UnknownSlot`
 /// for a close.
 fn handle_windowed(
     frame: FrameRef<'_>,
@@ -1084,8 +1084,10 @@ fn handle_windowed(
                     },
                 );
             } else {
-                stats.rejected_unknown_shard.fetch_add(1, Ordering::Relaxed);
-                encode_nack(out, seq, NackReason::UnknownShard, 0);
+                stats
+                    .rejected_unknown_stream
+                    .fetch_add(1, Ordering::Relaxed);
+                encode_nack(out, seq, NackReason::UnknownStream, 0);
             }
         }
         FrameRef::Other(Frame::CloseStream { stream, .. }) => {

@@ -147,12 +147,12 @@ pub enum NackReason {
     /// A batch names no stream its session has open: a handle the
     /// session never opened or has closed, or any other id. The frame is
     /// dropped and counted; the sequence advances.
-    UnknownShard,
+    UnknownStream,
     /// The fleet had already closed the stream behind the handle
     /// ([`crate::StreamError::StaleGeneration`]).
     StaleGeneration,
     /// A close names no stream its session has open, as
-    /// [`NackReason::UnknownShard`] for a batch.
+    /// [`NackReason::UnknownStream`] for a batch.
     UnknownSlot,
     /// The frame (or the byte stream) is structurally invalid, or its
     /// sequence number is not the next expected one. The server closes
@@ -184,7 +184,7 @@ pub enum NackReason {
 impl NackReason {
     fn to_byte(self) -> u8 {
         match self {
-            NackReason::UnknownShard => 1,
+            NackReason::UnknownStream => 1,
             NackReason::StaleGeneration => 2,
             NackReason::UnknownSlot => 3,
             NackReason::Malformed => 5,
@@ -198,7 +198,7 @@ impl NackReason {
 
     fn from_byte(b: u8) -> Result<Self, WireError> {
         Ok(match b {
-            1 => NackReason::UnknownShard,
+            1 => NackReason::UnknownStream,
             2 => NackReason::StaleGeneration,
             3 => NackReason::UnknownSlot,
             5 => NackReason::Malformed,
@@ -219,7 +219,7 @@ impl NackReason {
 impl std::fmt::Display for NackReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
-            NackReason::UnknownShard => "unknown-shard",
+            NackReason::UnknownStream => "unknown-stream",
             NackReason::StaleGeneration => "stale-generation",
             NackReason::UnknownSlot => "unknown-slot",
             NackReason::Malformed => "malformed",

@@ -24,7 +24,7 @@ use proptest::prelude::*;
 const CHANNELS: [&str; 4] = ["xtrack", "speed", "gnss_x", "yaw"];
 
 const NACK_REASONS: [NackReason; 9] = [
-    NackReason::UnknownShard,
+    NackReason::UnknownStream,
     NackReason::StaleGeneration,
     NackReason::UnknownSlot,
     NackReason::Malformed,

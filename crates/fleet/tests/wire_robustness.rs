@@ -391,7 +391,7 @@ fn out_of_sequence_frame_is_a_protocol_violation() {
     assert_eq!(stats.opens, 0, "neither open was applied");
 }
 
-/// A batch addressed to a shard the fleet doesn't have is a typed,
+/// A batch naming a stream its session has not opened is a typed,
 /// counted rejection — and the connection keeps working afterwards.
 #[test]
 fn unknown_shard_is_nacked_and_counted() {
@@ -413,7 +413,7 @@ fn unknown_shard_is_nacked_and_counted() {
         matches!(
             err,
             adassure_fleet::ProducerError::Rejected {
-                reason: adassure_fleet::NackReason::UnknownShard,
+                reason: adassure_fleet::NackReason::UnknownStream,
                 ..
             }
         ),
@@ -421,7 +421,7 @@ fn unknown_shard_is_nacked_and_counted() {
     );
 
     let stats = server.shutdown();
-    assert_eq!(stats.rejected_unknown_shard, 1);
+    assert_eq!(stats.rejected_unknown_stream, 1);
 }
 
 /// A producer names a stream by its open's handle, valid in its own
@@ -449,7 +449,7 @@ fn a_handle_outside_its_session_or_closed_is_refused() {
         .submit(&batch)
         .and_then(|()| other.flush())
         .expect_err("a foreign handle");
-    assert_eq!(rejected(err), adassure_fleet::NackReason::UnknownShard);
+    assert_eq!(rejected(err), adassure_fleet::NackReason::UnknownStream);
     let err = other.close_stream(id).expect_err("a foreign handle");
     assert_eq!(rejected(err), adassure_fleet::NackReason::UnknownSlot);
 
@@ -459,14 +459,14 @@ fn a_handle_outside_its_session_or_closed_is_refused() {
         .submit(&batch)
         .and_then(|()| owner.flush())
         .expect_err("a closed handle");
-    assert_eq!(rejected(err), adassure_fleet::NackReason::UnknownShard);
+    assert_eq!(rejected(err), adassure_fleet::NackReason::UnknownStream);
     let err = owner.close_stream(id).expect_err("a closed handle");
     assert_eq!(rejected(err), adassure_fleet::NackReason::UnknownSlot);
 
     let id = owner.open_stream().expect("the session still serves");
     owner.close_stream(id).expect("close");
     let stats = server.shutdown();
-    assert_eq!(stats.rejected_unknown_shard, 2);
+    assert_eq!(stats.rejected_unknown_stream, 2);
     assert_eq!(stats.rejected_stale, 2);
     assert_eq!((stats.opens, stats.closes, stats.batches), (2, 2, 1));
 }

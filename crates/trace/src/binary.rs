@@ -21,6 +21,8 @@
 //!
 //! Each format converts [`DecodeError`] into its own public error type.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 /// The endianness marker byte: `1` = little-endian (the only defined value).
 pub const LITTLE_ENDIAN: u8 = 1;
 
@@ -330,6 +332,7 @@ impl<'a> Cur<'a> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

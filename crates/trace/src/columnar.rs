@@ -52,6 +52,8 @@
 //! check folds the same way over each sample's grid entry. Only when it
 //! fails does a scalar scan run, to name the first bad sample in the error.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::path::Path;
 
 use crate::binary::{pad8, put_count, put_header, Cur, DecodeError};
@@ -150,6 +152,10 @@ impl ColumnarTrace {
             merged.extend(samples[j..].iter().map(|s| s.time));
             cycle_times = merged;
         }
+        #[allow(
+            clippy::expect_used,
+            reason = "documented panic: the cycle index is a u32 on disk"
+        )]
         let n = u32::try_from(cycle_times.len()).expect("more than u32::MAX distinct timestamps");
 
         let mut signals = Vec::with_capacity(trace.signal_count());
@@ -199,6 +205,10 @@ impl ColumnarTrace {
         let mut trace = Trace::new();
         for (i, id) in self.signals.iter().enumerate() {
             let (times, values, _) = self.series(i);
+            #[allow(
+                clippy::expect_used,
+                reason = "decode and from_trace admit only strictly increasing finite series"
+            )]
             let series = crate::Series::from_samples(
                 id.clone(),
                 times.iter().copied().zip(values.iter().copied()),
@@ -494,6 +504,7 @@ fn bad(offset: usize, message: impl Into<String>) -> TraceError {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
