@@ -7,11 +7,11 @@
 //!    four concurrent [`FleetHandle`] submitters. Every cycle is checked
 //!    exactly once, and every assertion of the catalog fires.
 //! 2. **loopback TCP:** 64 streams × 48 cycles from four
-//!    [`adassure_fleet::IngestProducer`]s. Every report is byte-identical
+//!    [`IngestProducer`]s. Every report is byte-identical
 //!    to the in-process oracle, nothing is lost or re-sent, and the server
 //!    decodes exactly the frames the producers sent.
-//! 3. **chaos:** the same streams from four [`ResilientProducer`]s over
-//!    [`ChaosTransport`]s that sever sockets mid-frame. A checkpoint is
+//! 3. **chaos:** the same streams from four dialing producers
+//!    ([`IngestProducer::dial`]) over [`ChaosTransport`]s that sever sockets mid-frame. A checkpoint is
 //!    taken at the first wave boundary, when half of each producer's
 //!    streams are open; the other half are opened after it. Then the
 //!    server is killed, a fresh fleet is restored from that checkpoint
@@ -39,8 +39,8 @@ use adassure_fleet::ingest::connect_tcp;
 use adassure_fleet::synth::{catalog, wave, waves, Synth};
 use adassure_fleet::{
     restore_server, ChaosConfig, ChaosTransport, Fleet, FleetConfig, FleetHandle, IngestConfig,
-    IngestListener, IngestServer, ProducerConfig, ProducerStats, ReconnectPolicy,
-    ResilientProducer, SessionSeed, StreamId, Transport,
+    IngestListener, IngestProducer, IngestServer, ProducerConfig, ProducerStats, ReconnectPolicy,
+    SessionSeed, StreamId, Transport,
 };
 
 /// Submitting threads in-process, and producers on the wire.
@@ -382,7 +382,7 @@ fn chaos_producer(
             Ok(Box::new(ChaosTransport::new(conn, chaos, seed)))
         },
     );
-    let mut producer = ResilientProducer::connect(
+    let mut producer = IngestProducer::dial(
         connect,
         ProducerConfig {
             window: 64,

@@ -10,8 +10,8 @@
 //! failure mode reconnection logic has to survive.
 //!
 //! Used by `fleet-soak`'s chaos phase and `tests/resilience.rs` to check
-//! that the [`crate::resilient::ResilientProducer`] + checkpoint path
-//! yields byte-identical verdicts under connection loss.
+//! that a dialing producer ([`crate::IngestProducer::dial`]) and the
+//! checkpoint path yield byte-identical verdicts under connection loss.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};

@@ -44,6 +44,8 @@
 //! encode to the same bytes, and a restored fleet re-encodes to the image
 //! it came from. A restored fleet's latency histograms start empty.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::Arc;
 
 use adassure_core::codec;
@@ -142,6 +144,10 @@ pub(crate) fn encode_into(out: &mut Vec<u8>, state: &FleetState, sessions: &[Ses
     out.extend_from_slice(&state.health.recover_after.to_le_bytes());
     out.extend_from_slice(&state.next_seq.to_le_bytes());
     out.extend_from_slice(&state.closed_streams.to_le_bytes());
+    #[allow(
+        clippy::expect_used,
+        reason = "ObsSummary's derived Serialize has no map with non-string keys, so serde_json cannot fail"
+    )]
     let retired = serde_json::to_vec(&state.retired).expect("metrics summary serializes");
     put_count(out, retired.len());
     out.extend_from_slice(&retired);
@@ -424,6 +430,7 @@ fn check_handle_maps(state: &FleetState, sessions: &[SessionSeedEntry]) -> Resul
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::stream::SampleBatch;

@@ -18,13 +18,13 @@
 //! - [`ingest`] runs that protocol: a connection-per-producer TCP/UDS
 //!   server whose connection threads apply their batches themselves (a
 //!   busy connection stops reading its socket, so TCP's window is the flow
-//!   control), and the windowed client-side [`IngestProducer`];
+//!   control), and the windowed client-side [`IngestProducer`], which
+//!   [`IngestProducer::dial`] makes redial and resume its session in
+//!   place, so connection cuts and server restarts preserve exactly-once
+//!   batch application;
 //! - [`checkpoint`] snapshots the whole fleet — per-stream checker
 //!   state, health, session sequences — into a versioned
 //!   binary image a restarted server restores bit-identically;
-//! - [`resilient`] wraps the producer with reconnect-and-resume so
-//!   connection cuts and server restarts preserve exactly-once batch
-//!   application;
 //! - [`chaos`] injects deterministic, seeded transport faults
 //!   (mid-frame cuts, stalls) for resilience drills;
 //! - [`synth`] is a seeded synthetic fleet (catalog, telemetry, wave
@@ -49,7 +49,6 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod fleet;
 pub mod ingest;
-pub mod resilient;
 pub mod shard;
 pub mod stream;
 pub mod synth;
@@ -60,9 +59,8 @@ pub use checkpoint::{restore_server, CheckpointError, SessionSeed};
 pub use fleet::{Fleet, FleetConfig, FleetHandle, FleetStats, SubmitError};
 pub use ingest::{
     Checkpointer, IngestConfig, IngestListener, IngestProducer, IngestServer, IngestStats,
-    IngestStatsSnapshot, ProducerConfig, ProducerError, ProducerStats, RecoveryState,
+    IngestStatsSnapshot, ProducerConfig, ProducerError, ProducerStats, ReconnectPolicy, Transport,
 };
-pub use resilient::{ReconnectPolicy, ResilientError, ResilientProducer, Transport};
 pub use shard::StreamError;
 pub use stream::{Sample, SampleBatch, StreamId};
 pub use wire::{FrameDecoder, NackReason, WireError};

@@ -15,6 +15,8 @@
 //! what makes sharded output bit-identical to serial checking (see
 //! DESIGN.md §11).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::Arc;
 
 use adassure_core::{CheckReport, CheckerPlan, CheckerState, HealthConfig, OnlineChecker};
@@ -227,10 +229,12 @@ impl Shard {
             .slots
             .get_mut(id.slot as usize)
             .ok_or(StreamError::UnknownSlot)?;
-        if slab.gen != id.gen || slab.state.is_none() {
+        if slab.gen != id.gen {
             return Err(StreamError::StaleGeneration);
         }
-        let state = slab.state.take().expect("checked above");
+        let Some(state) = slab.state.take() else {
+            return Err(StreamError::StaleGeneration);
+        };
         slab.gen = slab.gen.wrapping_add(1);
         self.free.push(id.slot);
         self.live -= 1;

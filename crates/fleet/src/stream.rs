@@ -2,6 +2,8 @@
 //! samples in cycle order. The batch's wire encoding lives in
 //! [`crate::wire`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use adassure_trace::SignalId;
 
 /// Generational handle for one vehicle stream.

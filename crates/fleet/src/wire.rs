@@ -64,6 +64,8 @@
 //! applies the same monotonicity and finiteness rules to wire batches as
 //! to in-process ones, so the two paths stay bit-identical.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use adassure_trace::binary::{put_count, put_header, Cur, DecodeError};
 use adassure_trace::SignalId;
 
@@ -884,6 +886,7 @@ fn poison(poisoned: &mut Option<WireError>, err: WireError) -> WireError {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
