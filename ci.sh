@@ -14,13 +14,22 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p 'adassure*'
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
-echo "== committed results regenerate byte-identical (fig1, table5 smoke slice, table1) =="
+echo "== committed results regenerate byte-identical (fig1, table5 smoke slice, table1, table3) =="
 # Every harness is bit-deterministic per seed, so any diff in results/ is
-# a change in checker, simulator or diagnosis semantics.
+# a change in checker, simulator or diagnosis semantics. Every file under
+# results/ is tracked: a harness output that is not (untracked `??` or
+# ignored `!!`) fails the gate instead of escaping the comparison.
 cargo run --release -q -p adassure-bench --bin fig1_attack_anatomy > target/ci_fig1.txt
 cargo run --release -q -p adassure-bench --bin table5_robustness -- --smoke
 cargo run --release -q -p adassure-bench --bin table1_detection_matrix > target/ci_table1.txt
+cargo run --release -q -p adassure-bench --bin table3_diagnosis_accuracy > target/ci_table3.txt
 git diff --exit-code --stat results/
+untracked=$(git status --porcelain --ignored results/ | grep '^[?!]' || true)
+if [ -n "$untracked" ]; then
+    echo "results/ holds files that git does not track:"
+    echo "$untracked"
+    exit 1
+fi
 
 echo "== observability differential (JSONL vs NullSink, bit-identical reports) =="
 cargo test -q -p adassure-exp --test obs_differential
@@ -70,6 +79,10 @@ cargo test -q -p adassure-fleet --test wire_props
 
 echo "== checkpoint properties (restore continues bit-identically, any split) =="
 cargo test -q -p adassure-fleet --test checkpoint_props
+
+echo "== golden ADCKPT and ADSIM images (testdata/fleet.adckpt, testdata/session.adsim) =="
+cargo test -q -p adassure-fleet --test golden_checkpoint
+cargo test -q -p adassure-debug --test golden_checkpoint
 
 echo "== crash resilience (seeded cuts, checkpointed restart, connection cap) =="
 cargo test -q -p adassure-fleet --test resilience

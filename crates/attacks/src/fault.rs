@@ -117,35 +117,6 @@ struct ChannelState {
     burst_left: u8,
 }
 
-/// One channel's mutable fault state inside a [`FaultInjectorState`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultChannelState {
-    /// Channel name.
-    pub channel: String,
-    /// Last value actually delivered on the channel.
-    pub last_delivered: Option<f64>,
-    /// A value owed to the channel on its next opportunity.
-    pub pending: Option<f64>,
-    /// Remaining garbage samples of an active NaN burst.
-    pub burst_left: u8,
-}
-
-/// A plain-data snapshot of a [`ChannelFaultInjector`]'s mutable state,
-/// for mid-run checkpoints. Channels are listed in name order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultInjectorState {
-    /// The injector RNG's word state.
-    pub rng: [u64; 4],
-    /// Per-channel state, sorted by channel name.
-    pub channels: Vec<FaultChannelState>,
-    /// Samples offered so far.
-    pub offered: u64,
-    /// Samples lost outright.
-    pub dropped: u64,
-    /// Samples replaced, delayed, duplicated or poisoned.
-    pub corrupted: u64,
-}
-
 /// A stateful, deterministic fault injector over named telemetry channels.
 ///
 /// Call [`ChannelFaultInjector::apply`] for every sample offered to the
@@ -191,53 +162,6 @@ impl ChannelFaultInjector {
     /// Samples replaced, delayed, duplicated or poisoned.
     pub fn corrupted(&self) -> u64 {
         self.corrupted
-    }
-
-    /// Captures the injector's mutable state as plain data for mid-run
-    /// checkpoints. Channels are listed in name order, so equal states
-    /// produce equal snapshots.
-    pub fn state(&self) -> FaultInjectorState {
-        let mut channels: Vec<FaultChannelState> = self
-            .channels
-            .iter()
-            .map(|(name, s)| FaultChannelState {
-                channel: name.clone(),
-                last_delivered: s.last_delivered,
-                pending: s.pending,
-                burst_left: s.burst_left,
-            })
-            .collect();
-        channels.sort_by(|a, b| a.channel.cmp(&b.channel));
-        FaultInjectorState {
-            rng: self.rng.state(),
-            channels,
-            offered: self.offered,
-            dropped: self.dropped,
-            corrupted: self.corrupted,
-        }
-    }
-
-    /// Reinstates a state captured with [`ChannelFaultInjector::state`].
-    /// The injector must have been built from the same spec/seed.
-    pub fn restore(&mut self, s: &FaultInjectorState) {
-        self.rng = SmallRng::from_state(s.rng);
-        self.channels = s
-            .channels
-            .iter()
-            .map(|c| {
-                (
-                    c.channel.clone(),
-                    ChannelState {
-                        last_delivered: c.last_delivered,
-                        pending: c.pending,
-                        burst_left: c.burst_left,
-                    },
-                )
-            })
-            .collect();
-        self.offered = s.offered;
-        self.dropped = s.dropped;
-        self.corrupted = s.corrupted;
     }
 
     /// Offers the sample `(t, value)` on `channel` and returns what the

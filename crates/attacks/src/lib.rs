@@ -39,9 +39,7 @@ mod kind;
 mod schedule;
 mod timeline;
 
-pub use fault::{
-    ChannelFaultInjector, Delivery, FaultChannelState, FaultInjectorState, FaultKind, FaultSpec,
-};
+pub use fault::{ChannelFaultInjector, Delivery, FaultKind, FaultSpec};
 pub use injector::{AttackInjector, InjectorState};
 pub use kind::{AttackKind, Channel};
 pub use schedule::Window;

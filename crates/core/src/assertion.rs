@@ -221,7 +221,7 @@ impl Assertion {
     }
 
     /// Signals the assertion's condition reads — the inputs the compiled
-    /// evaluation plan interns and tracks for dirty-skipping.
+    /// evaluation plan interns and the health scan checks.
     pub fn signals(&self) -> Vec<SignalId> {
         self.condition.signals()
     }

@@ -18,7 +18,7 @@
 use adassure_obs::{AssertionStats, Verdict, VerdictCounts};
 use adassure_trace::binary::{put_count, put_opt_f64, put_u16_str, Cur, DecodeError};
 
-use crate::assertion::{AssertionId, Eval, Severity};
+use crate::assertion::{AssertionId, Severity};
 use crate::online::{CheckerState, HealthState, MonitorSnapshot, SignalSnapshot};
 use crate::violation::Violation;
 
@@ -96,7 +96,7 @@ impl From<DecodeError> for CodecError {
 // ---------------------------------------------------------------------------
 
 /// Appends a 3x3 transition grid.
-pub fn put_grid(out: &mut Vec<u8>, grid: &[[u64; 3]; 3]) {
+fn put_grid(out: &mut Vec<u8>, grid: &[[u64; 3]; 3]) {
     for row in grid {
         for &cell in row {
             out.extend_from_slice(&cell.to_le_bytes());
@@ -105,7 +105,7 @@ pub fn put_grid(out: &mut Vec<u8>, grid: &[[u64; 3]; 3]) {
 }
 
 /// The wire byte of a [`Severity`].
-pub fn severity_byte(s: Severity) -> u8 {
+fn severity_byte(s: Severity) -> u8 {
     match s {
         Severity::Info => 0,
         Severity::Warning => 1,
@@ -114,7 +114,7 @@ pub fn severity_byte(s: Severity) -> u8 {
 }
 
 /// The wire byte of a [`Verdict`].
-pub fn verdict_byte(v: Verdict) -> u8 {
+fn verdict_byte(v: Verdict) -> u8 {
     match v {
         Verdict::Unknown => 0,
         Verdict::Pass => 1,
@@ -124,7 +124,7 @@ pub fn verdict_byte(v: Verdict) -> u8 {
 }
 
 /// Appends one violation episode.
-pub fn put_violation(out: &mut Vec<u8>, v: &Violation) {
+fn put_violation(out: &mut Vec<u8>, v: &Violation) {
     put_u16_str(out, v.assertion.as_str());
     out.push(severity_byte(v.severity));
     out.extend_from_slice(&v.onset.to_le_bytes());
@@ -163,16 +163,6 @@ pub fn put_checker(out: &mut Vec<u8>, c: &CheckerState) {
         }
         out.extend_from_slice(&m.degraded_streak.to_le_bytes());
         out.extend_from_slice(&m.clean_streak.to_le_bytes());
-        match m.cached {
-            None => out.push(0),
-            Some(Eval::Healthy) => out.push(1),
-            Some(Eval::Violated(v)) => {
-                out.push(2);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            Some(Eval::Unknown) => out.push(3),
-            Some(Eval::Inconclusive) => out.push(4),
-        }
         put_opt_f64(out, m.episode_start);
         out.push(u8::from(m.alarmed_this_episode));
         out.push(u8::from(m.ever_healthy));
@@ -226,7 +216,7 @@ pub fn put_checker(out: &mut Vec<u8>, c: &CheckerState) {
 /// # Errors
 ///
 /// [`CodecError::Malformed`] on truncation.
-pub fn read_grid(c: &mut Cur<'_>, what: &str) -> Result<[[u64; 3]; 3], CodecError> {
+fn read_grid(c: &mut Cur<'_>, what: &str) -> Result<[[u64; 3]; 3], CodecError> {
     let mut grid = [[0u64; 3]; 3];
     for row in &mut grid {
         for cell in row.iter_mut() {
@@ -241,7 +231,7 @@ pub fn read_grid(c: &mut Cur<'_>, what: &str) -> Result<[[u64; 3]; 3], CodecErro
 /// # Errors
 ///
 /// [`CodecError::Malformed`] on an unknown byte.
-pub fn severity_from(b: u8) -> Result<Severity, CodecError> {
+fn severity_from(b: u8) -> Result<Severity, CodecError> {
     Ok(match b {
         0 => Severity::Info,
         1 => Severity::Warning,
@@ -259,7 +249,7 @@ pub fn severity_from(b: u8) -> Result<Severity, CodecError> {
 /// # Errors
 ///
 /// [`CodecError::Malformed`] on an unknown byte.
-pub fn verdict_from(b: u8) -> Result<Verdict, CodecError> {
+fn verdict_from(b: u8) -> Result<Verdict, CodecError> {
     Ok(match b {
         0 => Verdict::Unknown,
         1 => Verdict::Pass,
@@ -278,7 +268,7 @@ pub fn verdict_from(b: u8) -> Result<Verdict, CodecError> {
 /// # Errors
 ///
 /// [`CodecError::Malformed`] on truncation or invalid tags.
-pub fn read_violation(c: &mut Cur<'_>) -> Result<Violation, CodecError> {
+fn read_violation(c: &mut Cur<'_>) -> Result<Violation, CodecError> {
     let assertion = AssertionId::new(c.str16("violation assertion")?);
     let severity = severity_from(c.u8("violation severity")?)?;
     let onset = c.f64("violation onset")?;
@@ -334,14 +324,6 @@ pub fn read_checker(c: &mut Cur<'_>) -> Result<CheckerState, CodecError> {
         };
         let degraded_streak = c.u32("degraded streak")?;
         let clean_streak = c.u32("clean streak")?;
-        let cached = match c.u8("cached verdict tag")? {
-            0 => None,
-            1 => Some(Eval::Healthy),
-            2 => Some(Eval::Violated(c.f64("cached violated value")?)),
-            3 => Some(Eval::Unknown),
-            4 => Some(Eval::Inconclusive),
-            other => return Err(c.bad(format!("invalid cached verdict tag {other}")).into()),
-        };
         let episode_start = c.opt_f64("episode start")?;
         let alarmed_this_episode = c.bool("alarmed flag")?;
         let ever_healthy = c.bool("ever-healthy flag")?;
@@ -356,7 +338,6 @@ pub fn read_checker(c: &mut Cur<'_>) -> Result<CheckerState, CodecError> {
             health,
             degraded_streak,
             clean_streak,
-            cached,
             episode_start,
             alarmed_this_episode,
             ever_healthy,

@@ -16,9 +16,8 @@
 //!   signal, a residual, a staleness check, ...) and keeps the postfix
 //!   program only for expressions that match no shape, so the online
 //!   checker and the lane engine ([`crate::lane`]) evaluate the same
-//!   kernels;
-//! * [`SlotMask`] bitmasks record which slots each assertion reads, so
-//!   `end_cycle` can skip assertions none of whose inputs changed.
+//!   kernels, and lists the slots each condition reads for the health
+//!   scan.
 //!
 //! Compiled evaluation is bit-identical to tree-walking evaluation — the
 //! differential property test in `tests/proptests.rs` pins this.
@@ -173,73 +172,6 @@ impl SignalTable {
     }
 }
 
-/// A bitmask over signal slots.
-///
-/// Used both per-assertion ("which slots does this condition read") and
-/// per-cycle ("which slots were updated this cycle"); their intersection
-/// decides whether an assertion needs re-evaluation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlotMask {
-    words: Box<[u64]>,
-}
-
-impl SlotMask {
-    /// An empty mask covering at least `slots` slots.
-    pub fn with_capacity(slots: usize) -> Self {
-        SlotMask {
-            words: vec![0; slots.div_ceil(64).max(1)].into_boxed_slice(),
-        }
-    }
-
-    /// Sets the bit for `slot`. Slots beyond the mask's capacity are
-    /// ignored (callers size masks from the table at compile time; signals
-    /// first seen later cannot be catalog inputs).
-    #[inline]
-    pub fn set(&mut self, slot: u32) {
-        let word = (slot / 64) as usize;
-        if let Some(w) = self.words.get_mut(word) {
-            *w |= 1u64 << (slot % 64);
-        }
-    }
-
-    /// Whether the bit for `slot` is set.
-    pub fn contains(&self, slot: u32) -> bool {
-        let word = (slot / 64) as usize;
-        self.words
-            .get(word)
-            .is_some_and(|w| w & (1u64 << (slot % 64)) != 0)
-    }
-
-    /// Whether any bit is set in both masks.
-    #[inline]
-    pub fn intersects(&self, other: &SlotMask) -> bool {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .any(|(a, b)| a & b != 0)
-    }
-
-    /// Clears every bit.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Whether no bit is set.
-    pub fn is_clear(&self) -> bool {
-        self.words.iter().all(|w| *w == 0)
-    }
-
-    /// Iterates the set slot indices in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &word)| {
-            (0..64u32)
-                .filter(move |bit| word & (1u64 << bit) != 0)
-                .map(move |bit| u32::try_from(i * 64).expect("slot fits u32") + bit)
-        })
-    }
-}
-
 /// One postfix instruction of a [`CompiledExpr`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
@@ -365,16 +297,12 @@ impl CompiledExpr {
         stack.pop()
     }
 
-    /// Marks every slot the program reads in `mask`.
-    pub fn mark_inputs(&self, mask: &mut SlotMask) {
-        for op in self.ops.iter() {
-            match *op {
-                Op::Signal(slot) | Op::Derivative(slot) | Op::AngularDerivative(slot) => {
-                    mask.set(slot);
-                }
-                _ => {}
-            }
-        }
+    /// The slots the program reads, in op order, repeats included.
+    fn reads(&self) -> impl Iterator<Item = u32> + '_ {
+        self.ops.iter().filter_map(|op| match *op {
+            Op::Signal(slot) | Op::Derivative(slot) | Op::AngularDerivative(slot) => Some(slot),
+            _ => None,
+        })
     }
 }
 
@@ -562,21 +490,21 @@ impl CompiledCondition {
         matches!(self.kernel, Kernel::Fresh { .. })
     }
 
-    /// Marks every slot the condition reads in `mask`.
-    pub fn mark_inputs(&self, mask: &mut SlotMask) {
-        match self.kernel {
+    /// The slots the condition reads, sorted and deduplicated.
+    pub fn input_slots(&self) -> Box<[u32]> {
+        let mut slots: Vec<u32> = match self.kernel {
             Kernel::Sig { slot, .. } | Kernel::Deriv { slot, .. } | Kernel::Fresh { slot } => {
-                mask.set(slot);
+                vec![slot]
             }
             Kernel::SubAbs { a, b }
             | Kernel::SubMulConst { a, b, .. }
             | Kernel::MulAbs { a, b }
-            | Kernel::AngDerivSubAbs { d: a, b } => {
-                mask.set(a);
-                mask.set(b);
-            }
-            Kernel::Program(ref expr) => expr.mark_inputs(mask),
-        }
+            | Kernel::AngDerivSubAbs { d: a, b } => vec![a, b],
+            Kernel::Program(ref expr) => expr.reads().collect(),
+        };
+        slots.sort_unstable();
+        slots.dedup();
+        slots.into_boxed_slice()
     }
 
     /// Deepest evaluation stack the condition needs (only conditions that
@@ -636,33 +564,6 @@ mod tests {
             let slot = table.slot(&SignalId::new(name)).unwrap();
             assert_eq!(slot as usize, i, "{name}");
         }
-    }
-
-    #[test]
-    fn slot_mask_set_intersect_clear() {
-        let mut inputs = SlotMask::with_capacity(100);
-        inputs.set(3);
-        inputs.set(70);
-        let mut dirty = SlotMask::with_capacity(100);
-        assert!(!inputs.intersects(&dirty));
-        dirty.set(70);
-        assert!(inputs.intersects(&dirty));
-        assert!(inputs.contains(3) && inputs.contains(70) && !inputs.contains(4));
-        dirty.clear();
-        assert!(dirty.is_clear());
-        // Out-of-capacity sets are ignored, not panics.
-        dirty.set(100_000);
-        assert!(dirty.is_clear());
-    }
-
-    #[test]
-    fn slot_mask_iter_yields_set_slots_in_order() {
-        let mut mask = SlotMask::with_capacity(130);
-        for slot in [5, 0, 64, 129] {
-            mask.set(slot);
-        }
-        assert_eq!(mask.iter().collect::<Vec<_>>(), vec![0, 5, 64, 129]);
-        assert_eq!(SlotMask::with_capacity(10).iter().count(), 0);
     }
 
     #[test]
@@ -799,18 +700,27 @@ mod tests {
     }
 
     #[test]
-    fn input_masks_cover_expression_slots() {
+    fn input_slots_cover_expression_slots_sorted_once() {
         let mut env = Env::new();
         let cond = Condition::AtMost {
             expr: SignalExpr::signal("a").sub(SignalExpr::derivative("b")),
             limit: 1.0,
         };
         let compiled = CompiledCondition::compile(&cond, &mut env);
-        let mut mask = SlotMask::with_capacity(env.table().len());
-        compiled.mark_inputs(&mut mask);
         let a = env.table().slot(&SignalId::new("a")).unwrap();
         let b = env.table().slot(&SignalId::new("b")).unwrap();
-        assert!(mask.contains(a) && mask.contains(b));
+        assert_eq!(*compiled.input_slots(), [a, b]);
+        // A program reading `b` twice and `a` after it lists each once, in
+        // slot order.
+        let cond = Condition::AtMost {
+            expr: SignalExpr::signal("b")
+                .mul(SignalExpr::signal("b"))
+                .add(SignalExpr::signal("a").tan()),
+            limit: 1.0,
+        };
+        let compiled = CompiledCondition::compile(&cond, &mut env);
+        assert!(compiled.max_stack() > 0, "runs the stack machine");
+        assert_eq!(*compiled.input_slots(), [a, b]);
     }
 
     #[test]

@@ -49,9 +49,9 @@
 //!   [`adassure_trace::Trace`] rejects them at record time — so once a
 //!   slot is seen (or stepped) it stays so, and `Unknown` is exactly the
 //!   cycles before the kernel's inputs' latest start;
-//! * the verdict cache: the scalar path replays a cached verdict when no
-//!   input changed; all cached conditions are pure functions of stored
-//!   state, so evaluating every cycle is bit-identical by construction;
+//! * evaluation: both engines evaluate every kernel on every cycle the
+//!   health machine does not rule inconclusive, and neither carries a
+//!   verdict from one cycle to the next;
 //! * grace: cycle times strictly increase, so the cycles past an
 //!   assertion's grace period are a suffix of the trace, from one index.
 

@@ -10,13 +10,12 @@
 //!
 //! On construction the catalog is lowered through [`crate::compile`]: each
 //! condition becomes a [`CompiledCondition`], a shape kernel over interned
-//! signal slots (a postfix program only for shapes no kernel matches), with
-//! an input [`SlotMask`]. Per cycle the checker tracks which slots were
-//! updated; `end_cycle` re-evaluates an assertion only when one of its
-//! inputs changed (or its verdict depends on the clock, as
-//! [`crate::Condition::Fresh`] does), replaying the cached verdict
-//! otherwise. All other conditions are pure functions of stored signal
-//! state, so the cache preserves verdicts bit-for-bit.
+//! signal slots (a postfix program only for shapes no kernel matches),
+//! with the sorted list of slots it reads for the health scan. Every cycle
+//! `end_cycle` evaluates each monitor's kernel unless its health machine
+//! rules the cycle inconclusive, as the lane engine and the paper's
+//! step 3 do: no verdict is carried from one cycle to the next, so a
+//! verdict is always a function of the stored signal state.
 //!
 //! Samples of signals no assertion reads are ignored on arrival: the
 //! signal table is fixed when the plan is compiled, so an unknown channel
@@ -56,7 +55,7 @@ use adassure_obs::{
 use adassure_trace::SignalId;
 
 use crate::assertion::{Assertion, Eval, Severity, Temporal};
-use crate::compile::{CompiledCondition, SlotMask};
+use crate::compile::CompiledCondition;
 use crate::expr::Env;
 use crate::report::CheckReport;
 use crate::violation::Violation;
@@ -202,7 +201,7 @@ impl HealthMachine {
 }
 
 /// One assertion's compiled, immutable evaluation plan: the condition
-/// lowered to a kernel over interned slots, its input mask, and the
+/// lowered to a kernel over interned slots, the slots it reads, and the
 /// derived flags the monitor loop consults every cycle. Owned by a
 /// [`CheckerPlan`] and shared read-only by every checker built from it.
 #[derive(Debug)]
@@ -210,9 +209,8 @@ pub struct MonitorPlan {
     assertion: Assertion,
     /// The condition lowered to a kernel over interned slots.
     pub(crate) condition: CompiledCondition,
-    /// Slots the condition reads; intersected with the cycle's dirty mask.
-    inputs: SlotMask,
-    /// The same input slots as a dense list, for the health scan.
+    /// Slots the condition reads, sorted and deduplicated, for the health
+    /// scan.
     pub(crate) input_slots: Box<[u32]>,
     /// `Fresh` conditions monitor staleness themselves; the health layer's
     /// staleness rule would shadow them, so they are exempt from it.
@@ -238,7 +236,7 @@ impl MonitorPlan {
 /// the plan **once**, wraps it in an [`Arc`], and stamps out per-stream
 /// checkers with [`OnlineChecker::from_plan`]; each checker then carries
 /// only its own mutable state (sample-and-hold `Env`, health machines,
-/// verdict caches). The plan is `Send + Sync` and never mutated after
+/// episode bookkeeping). The plan is `Send + Sync` and never mutated after
 /// compilation, so sharing is free of synchronisation.
 ///
 /// It is the catalog's one lowering: the lane engine ([`crate::lane`])
@@ -252,7 +250,7 @@ pub struct CheckerPlan {
     /// Deepest evaluation stack in the catalog, so checkers pre-size their
     /// scratch stack and never allocate on the steady-state path.
     pub(crate) max_stack: usize,
-    /// Width of the interned table, for dirty masks and poison tables.
+    /// Width of the interned table, for poison tables and snapshots.
     pub(crate) width: usize,
 }
 
@@ -260,10 +258,11 @@ impl CheckerPlan {
     /// Compiles an assertion catalog into a shareable plan.
     pub fn compile(catalog: impl IntoIterator<Item = Assertion>) -> Self {
         let mut env = Env::new();
-        let mut monitors: Vec<MonitorPlan> = catalog
+        let monitors: Vec<MonitorPlan> = catalog
             .into_iter()
             .map(|assertion| {
                 let condition = CompiledCondition::compile(&assertion.condition, &mut env);
+                let input_slots = condition.input_slots();
                 // `time_dependent` is true exactly for `Fresh` conditions —
                 // the ones whose subject is staleness itself.
                 let staleness_exempt = condition.time_dependent();
@@ -271,29 +270,22 @@ impl CheckerPlan {
                 MonitorPlan {
                     assertion,
                     condition,
-                    inputs: SlotMask::with_capacity(0),
-                    input_slots: Box::new([]),
+                    input_slots,
                     staleness_exempt,
                     label,
                 }
             })
             .collect();
-        // Input masks need the final table width (compiling a later
-        // assertion can intern more slots), so size them in a second pass.
-        let width = env.table().len();
-        let mut max_stack = 0;
-        for monitor in &mut monitors {
-            let mut mask = SlotMask::with_capacity(width);
-            monitor.condition.mark_inputs(&mut mask);
-            monitor.input_slots = mask.iter().collect();
-            monitor.inputs = mask;
-            max_stack = max_stack.max(monitor.condition.max_stack());
-        }
+        let max_stack = monitors
+            .iter()
+            .map(|m| m.condition.max_stack())
+            .max()
+            .unwrap_or(0);
         CheckerPlan {
+            width: env.table().len(),
             env_proto: env,
             monitors,
             max_stack,
-            width,
         }
     }
 
@@ -313,8 +305,6 @@ impl CheckerPlan {
 #[derive(Debug, Clone)]
 struct MonitorRt {
     health: HealthMachine,
-    /// Verdict of the last evaluation, replayed while no input changes.
-    cached: Option<Eval>,
     episode_start: Option<f64>,
     alarmed_this_episode: bool,
     ever_healthy: bool,
@@ -330,7 +320,6 @@ impl MonitorRt {
     fn new() -> Self {
         MonitorRt {
             health: HealthMachine::default(),
-            cached: None,
             episode_start: None,
             alarmed_this_episode: false,
             ever_healthy: false,
@@ -357,7 +346,7 @@ pub struct SignalSnapshot {
 }
 
 /// Plain-data snapshot of one monitor's mutable state (health machine,
-/// verdict cache, episode bookkeeping), parallel to the plan's monitor
+/// episode bookkeeping), parallel to the plan's monitor
 /// list.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorSnapshot {
@@ -367,8 +356,6 @@ pub struct MonitorSnapshot {
     pub degraded_streak: u32,
     /// Consecutive clean cycles (drives hysteretic recovery).
     pub clean_streak: u32,
-    /// Verdict of the last evaluation, replayed while no input changes.
-    pub cached: Option<Eval>,
     /// Onset time of the current violation episode, if one is open.
     pub episode_start: Option<f64>,
     /// Whether the current episode has already alarmed.
@@ -463,8 +450,6 @@ pub struct OnlineChecker {
     env: Env,
     /// Per-monitor mutable state, parallel to `plan.monitors`.
     monitors: Vec<MonitorRt>,
-    /// Slots updated since the last `end_cycle`.
-    dirty: SlotMask,
     /// Per-slot poison flag: true while the slot's latest sample was
     /// non-finite (the sample-and-hold value in `env` stays the last good
     /// one).
@@ -546,7 +531,6 @@ impl OnlineChecker {
             plan,
             env,
             monitors,
-            dirty: SlotMask::with_capacity(width),
             poisoned: vec![false; width].into_boxed_slice(),
             poisoned_count: 0,
             // Unknown until the first tightening pass; every later update
@@ -690,11 +674,11 @@ impl OnlineChecker {
             *poisoned = true;
             self.poisoned_count += 1;
         }
-        self.dirty.set(slot);
     }
 
-    /// Closes the cycle: evaluates every assertion and advances temporal
-    /// state. Returns the number of *new* violations raised this cycle.
+    /// Closes the cycle: evaluates every assertion whose health machine
+    /// does not rule the cycle inconclusive, and advances temporal state.
+    /// Returns the number of *new* violations raised this cycle.
     ///
     /// The per-slot health scan runs only when some slot is poisoned or
     /// the cached stale bound is past the horizon; otherwise every monitor
@@ -707,7 +691,6 @@ impl OnlineChecker {
             plan,
             env,
             monitors,
-            dirty,
             poisoned,
             poisoned_count,
             stale_bound,
@@ -762,22 +745,9 @@ impl OnlineChecker {
                 }
             }
             let eval = if monitor.health.step(missing, health_config) {
-                if missing > 0 {
-                    // The held verdict was computed from data now known bad.
-                    monitor.cached = None;
-                }
                 Eval::Inconclusive
-            } else if mp.condition.time_dependent()
-                || monitor.cached.is_none()
-                || mp.inputs.intersects(dirty)
-            {
-                let eval = mp.condition.eval(env, stack);
-                monitor.cached = Some(eval);
-                eval
             } else {
-                // No input changed and the condition ignores the clock: the
-                // verdict is unchanged by construction.
-                monitor.cached.unwrap_or(Eval::Unknown)
+                mp.condition.eval(env, stack)
             };
             let new_health = monitor.health.obs();
             if new_health != prev_health {
@@ -855,7 +825,6 @@ impl OnlineChecker {
                 }
             }
         }
-        dirty.clear();
         self.cycle_open = false;
         self.cycles += 1;
         if let Some(t0) = t0 {
@@ -983,8 +952,7 @@ impl OnlineChecker {
     /// Captures the checker's complete mutable state as plain data.
     ///
     /// Must be called *between* cycles (after `end_cycle`, before the next
-    /// `begin_cycle`): the dirty mask is clear and no cycle is open, so the
-    /// snapshot together with the plan fully determines all future
+    /// `begin_cycle`): no cycle is open, so the snapshot together with the plan fully determines all future
     /// verdicts. The poisoned count and stale bound `end_cycle` uses are
     /// derived from this state, so [`OnlineChecker::restore`] rebuilds them
     /// rather than storing them.
@@ -1010,7 +978,6 @@ impl OnlineChecker {
                 health: m.health.state,
                 degraded_streak: m.health.degraded_streak,
                 clean_streak: m.health.clean_streak,
-                cached: m.cached,
                 episode_start: m.episode_start,
                 alarmed_this_episode: m.alarmed_this_episode,
                 ever_healthy: m.ever_healthy,
@@ -1116,7 +1083,6 @@ impl OnlineChecker {
                     degraded_streak: m.degraded_streak,
                     clean_streak: m.clean_streak,
                 },
-                cached: m.cached,
                 episode_start: m.episode_start,
                 alarmed_this_episode: m.alarmed_this_episode,
                 ever_healthy: m.ever_healthy,

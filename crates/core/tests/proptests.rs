@@ -15,7 +15,7 @@ use proptest::prelude::*;
 /// The tree-walking temporal monitor the online checker implemented before
 /// catalog compilation, kept as the differential oracle: it evaluates
 /// [`Condition::eval`] against the by-name [`Env`] every cycle, with no
-/// interning, no bytecode and no dirty-skipping. Extended with the same
+/// interning and no kernels. Extended with the same
 /// telemetry-health semantics as the compiled checker (poisoned inputs,
 /// staleness horizon, quarantine and hysteretic recovery), expressed over
 /// signal names instead of slots.
@@ -487,9 +487,9 @@ proptest! {
 
     /// The tentpole differential property: for random catalogs, random
     /// cycle streams and random per-cycle update subsets/orders, the
-    /// compiled plan (interned slots, postfix bytecode, dirty-mask
-    /// caching) produces bit-identical verdicts and violation timestamps
-    /// to the tree-walking reference evaluator.
+    /// compiled plan (interned slots, shape kernels, postfix bytecode)
+    /// produces bit-identical verdicts and violation timestamps to the
+    /// tree-walking reference evaluator.
     #[test]
     fn compiled_plan_matches_tree_walking_reference(
         catalog in proptest::collection::vec(arb_diff_assertion(), 1..5),

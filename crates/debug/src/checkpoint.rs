@@ -2,9 +2,9 @@
 //!
 //! A [`SimCheckpoint`] captures everything mutable between two control
 //! cycles — the engine loop ([`SimSnapshot`], including the trace so
-//! far), the controller stack, every attack injector, the online checker
-//! and (for guardian-driven runs) the guardian's mode machine — so a
-//! restored run continues bit-identically to the uninterrupted one.
+//! far), the controller stack, every attack injector and the online
+//! checker — so a restored run continues bit-identically to the
+//! uninterrupted one.
 //!
 //! The image is a binary container in the shared conventions of
 //! [`adassure_trace::binary`] (raw float bits, so NaN sentinels like the
@@ -13,8 +13,7 @@
 //! `ADCKPT` format uses, via [`codec::put_checker`] /
 //! [`codec::read_checker`].
 
-use adassure::guardian::{GuardState, GuardianState};
-use adassure_attacks::{FaultChannelState, FaultInjectorState, InjectorState};
+use adassure_attacks::InjectorState;
 use adassure_control::ekf::EkfState;
 use adassure_control::estimator::EstimatorState;
 use adassure_control::lqr::LqrState;
@@ -26,7 +25,7 @@ use adassure_core::CheckerState;
 use adassure_sim::engine::SimSnapshot;
 use adassure_sim::geometry::Vec2;
 use adassure_sim::vehicle::VehicleState;
-use adassure_trace::binary::{put_count, put_header, put_opt_f64, put_u16_str, Cur};
+use adassure_trace::binary::{put_count, put_header, put_opt_f64, Cur};
 use adassure_trace::ColumnarTrace;
 
 /// File magic of a sim debug checkpoint.
@@ -35,19 +34,10 @@ pub const MAGIC: &[u8; 5] = b"ADSIM";
 /// version 1's `u16` version field; 3: the checker section dropped its
 /// wall-clock latency histogram, so equal states encode to equal bytes;
 /// 4: the embedded trace is `.adt` version 2, whose full-rate series
-/// store only their values).
-pub const VERSION: u8 = 4;
-
-/// The driver half of a checkpoint: whichever control loop was producing
-/// commands when the snapshot was taken.
-#[derive(Debug, Clone)]
-pub enum DriverState {
-    /// A bare control stack (the campaign configuration).
-    Stack(Box<StackState>),
-    /// A guardian-wrapped stack with its in-loop checkers and mode
-    /// machine.
-    Guardian(Box<GuardianState>),
-}
+/// store only their values; 5: the checker section dropped each monitor's
+/// cached-verdict tag, and the driver section its tag byte, since a
+/// session only ever drives a bare control stack).
+pub const VERSION: u8 = 5;
 
 /// A complete mid-run state capture, taken between two control cycles.
 #[derive(Debug, Clone)]
@@ -60,8 +50,8 @@ pub struct SimCheckpoint {
     pub injectors: Vec<InjectorState>,
     /// The online checker's state.
     pub checker: CheckerState,
-    /// The driver's state.
-    pub driver: DriverState,
+    /// The control stack's state.
+    pub driver: StackState,
 }
 
 impl SimCheckpoint {
@@ -76,16 +66,7 @@ impl SimCheckpoint {
             put_injector(&mut out, inj);
         }
         codec::put_checker(&mut out, &self.checker);
-        match &self.driver {
-            DriverState::Stack(s) => {
-                out.push(0);
-                put_stack(&mut out, s);
-            }
-            DriverState::Guardian(g) => {
-                out.push(1);
-                put_guardian(&mut out, g);
-            }
-        }
+        put_stack(&mut out, &self.driver);
         out
     }
 
@@ -111,11 +92,7 @@ impl SimCheckpoint {
             injectors.push(read_injector(&mut c)?);
         }
         let checker = codec::read_checker(&mut c)?;
-        let driver = match c.u8("driver tag")? {
-            0 => DriverState::Stack(Box::new(read_stack(&mut c)?)),
-            1 => DriverState::Guardian(Box::new(read_guardian(&mut c)?)),
-            other => return Err(c.bad(format!("invalid driver tag {other}")).into()),
-        };
+        let driver = read_stack(&mut c)?;
         c.expect_end("checkpoint")?;
         Ok(SimCheckpoint {
             cycle,
@@ -430,124 +407,6 @@ fn read_stack(c: &mut Cur<'_>) -> Result<StackState, CodecError> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Guardian
-// ---------------------------------------------------------------------------
-
-fn put_guardian(out: &mut Vec<u8>, g: &GuardianState) {
-    put_stack(out, &g.stack);
-    codec::put_checker(out, &g.primary);
-    codec::put_checker(out, &g.widened);
-    match g.state {
-        GuardState::Nominal => out.push(0),
-        GuardState::Degraded { since } => {
-            out.push(1);
-            out.extend_from_slice(&since.to_le_bytes());
-        }
-        GuardState::SafeStop { since, held_steer } => {
-            out.push(2);
-            out.extend_from_slice(&since.to_le_bytes());
-            out.extend_from_slice(&held_steer.to_le_bytes());
-        }
-    }
-    match &g.trigger {
-        Some(v) => {
-            out.push(1);
-            codec::put_violation(out, v);
-        }
-        None => out.push(0),
-    }
-    out.extend_from_slice(&g.clean_streak.to_le_bytes());
-    out.extend_from_slice(&g.degraded_cycles.to_le_bytes());
-    match &g.fault {
-        Some(f) => {
-            out.push(1);
-            put_fault(out, f);
-        }
-        None => out.push(0),
-    }
-    codec::put_grid(out, &g.guard_grid);
-    out.extend_from_slice(&g.events_emitted.to_le_bytes());
-}
-
-fn read_guardian(c: &mut Cur<'_>) -> Result<GuardianState, CodecError> {
-    let stack = read_stack(c)?;
-    let primary = codec::read_checker(c)?;
-    let widened = codec::read_checker(c)?;
-    let state = match c.u8("guard state tag")? {
-        0 => GuardState::Nominal,
-        1 => GuardState::Degraded {
-            since: c.f64("degraded since")?,
-        },
-        2 => GuardState::SafeStop {
-            since: c.f64("safe stop since")?,
-            held_steer: c.f64("held steer")?,
-        },
-        other => return Err(c.bad(format!("invalid guard state tag {other}")).into()),
-    };
-    let trigger = if c.bool("trigger flag")? {
-        Some(codec::read_violation(c)?)
-    } else {
-        None
-    };
-    let clean_streak = c.u32("clean streak")?;
-    let degraded_cycles = c.u64("degraded cycles")?;
-    let fault = if c.bool("fault flag")? {
-        Some(read_fault(c)?)
-    } else {
-        None
-    };
-    let guard_grid = codec::read_grid(c, "guard grid")?;
-    let events_emitted = c.u64("guardian events")?;
-    Ok(GuardianState {
-        stack,
-        primary,
-        widened,
-        state,
-        trigger,
-        clean_streak,
-        degraded_cycles,
-        fault,
-        guard_grid,
-        events_emitted,
-    })
-}
-
-fn put_fault(out: &mut Vec<u8>, f: &FaultInjectorState) {
-    put_rng(out, &f.rng);
-    put_count(out, f.channels.len());
-    for ch in &f.channels {
-        put_u16_str(out, &ch.channel);
-        put_opt_f64(out, ch.last_delivered);
-        put_opt_f64(out, ch.pending);
-        out.push(ch.burst_left);
-    }
-    out.extend_from_slice(&f.offered.to_le_bytes());
-    out.extend_from_slice(&f.dropped.to_le_bytes());
-    out.extend_from_slice(&f.corrupted.to_le_bytes());
-}
-
-fn read_fault(c: &mut Cur<'_>) -> Result<FaultInjectorState, CodecError> {
-    let rng = read_rng(c, "fault rng")?;
-    let n = c.count("fault channels")?;
-    let mut channels = Vec::with_capacity(n);
-    for _ in 0..n {
-        channels.push(FaultChannelState {
-            channel: c.str16("fault channel name")?,
-            last_delivered: c.opt_f64("fault last delivered")?,
-            pending: c.opt_f64("fault pending")?,
-            burst_left: c.u8("fault burst")?,
-        });
-    }
-    Ok(FaultInjectorState {
-        rng,
-        channels,
-        offered: c.u64("fault offered")?,
-        dropped: c.u64("fault dropped")?,
-        corrupted: c.u64("fault corrupted")?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,7 +459,7 @@ mod tests {
                 delay_buffer: vec![(0.0, Vec2 { x: 0.0, y: 0.0 })],
             }],
             checker: sample_checker_state(),
-            driver: DriverState::Stack(Box::new(StackState {
+            driver: StackState {
                 estimator: AnyEstimatorState::Complementary(EstimatorState {
                     position: Vec2 { x: 1.0, y: -2.0 },
                     heading: 0.3,
@@ -618,7 +477,7 @@ mod tests {
                 },
                 progress: 3.0,
                 last_station: Some(3.1),
-            })),
+            },
         }
     }
 
@@ -633,66 +492,9 @@ mod tests {
         assert_eq!(back.encode(), bytes);
         assert_eq!(back.cycle, 2);
         assert!(matches!(
-            &back.driver,
-            DriverState::Stack(s) if matches!(
-                s.lateral,
-                LateralState::Lqr(LqrState { cached_speed, .. }) if cached_speed.is_nan()
-            )
+            back.driver.lateral,
+            LateralState::Lqr(LqrState { cached_speed, .. }) if cached_speed.is_nan()
         ));
-    }
-
-    #[test]
-    fn guardian_checkpoints_round_trip() {
-        let base = sample_checkpoint();
-        let stack = match base.driver.clone() {
-            DriverState::Stack(s) => *s,
-            DriverState::Guardian(_) => unreachable!(),
-        };
-        let cp = SimCheckpoint {
-            driver: DriverState::Guardian(Box::new(GuardianState {
-                stack,
-                primary: sample_checker_state(),
-                widened: sample_checker_state(),
-                state: GuardState::SafeStop {
-                    since: 12.5,
-                    held_steer: -0.04,
-                },
-                trigger: None,
-                clean_streak: 3,
-                degraded_cycles: 120,
-                fault: Some(FaultInjectorState {
-                    rng: [5, 5, 5, 5],
-                    channels: vec![FaultChannelState {
-                        channel: "wheel_speed".into(),
-                        last_delivered: Some(4.0),
-                        pending: None,
-                        burst_left: 2,
-                    }],
-                    offered: 100,
-                    dropped: 3,
-                    corrupted: 7,
-                }),
-                guard_grid: [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
-                events_emitted: 4,
-            })),
-            ..base
-        };
-        let bytes = cp.encode();
-        let back = SimCheckpoint::decode(&bytes).expect("decodes");
-        assert_eq!(back.encode(), bytes);
-        match back.driver {
-            DriverState::Guardian(g) => {
-                assert_eq!(
-                    g.state,
-                    GuardState::SafeStop {
-                        since: 12.5,
-                        held_steer: -0.04
-                    }
-                );
-                assert_eq!(g.fault.as_ref().map(|f| f.channels.len()), Some(1));
-            }
-            DriverState::Stack(_) => panic!("guardian driver expected"),
-        }
     }
 
     #[test]
@@ -726,9 +528,10 @@ mod tests {
             SimCheckpoint::decode(&wrong_magic),
             Err(CodecError::Malformed { .. })
         ));
-        // Version 3 images embed a version-1 `.adt` trace: they are
-        // refused at the header, before the trace is read.
-        for version in [2, 3, 99] {
+        // Version 3 images embed a version-1 `.adt` trace, and version 4
+        // images carry cached verdicts and a driver tag: they are refused
+        // at the header, before any section is read.
+        for version in [2, 3, 4, 99] {
             let mut wrong_version = bytes.clone();
             wrong_version[5] = version;
             assert!(matches!(

@@ -6,8 +6,7 @@
 //!
 //! - [`checkpoint`] — a versioned binary [`SimCheckpoint`] capturing the
 //!   *complete* mid-run state (engine loop, controller stack, attack
-//!   injectors, online checker, optionally a guardian), restorable
-//!   bit-identically;
+//!   injectors, online checker), restorable bit-identically;
 //! - [`session`] — a [`DebugSession`] that steps a run cycle by cycle with
 //!   an online checker in the loop, captures periodic checkpoints, and
 //!   replays to any cycle (nearest checkpoint + deterministic
@@ -58,7 +57,7 @@ pub mod checkpoint;
 pub mod minimize;
 pub mod session;
 
-pub use checkpoint::{DriverState, SimCheckpoint};
+pub use checkpoint::SimCheckpoint;
 pub use minimize::{minimize, MinimizeConfig, Minimized};
 pub use session::{AssertionDump, DebugSession, DebugSpec, StateDump};
 

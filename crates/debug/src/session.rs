@@ -29,7 +29,7 @@ use adassure_sim::engine::{SimOutput, SimSession};
 use adassure_sim::vehicle::VehicleState;
 use adassure_trace::SignalId;
 
-use crate::checkpoint::{DriverState, SimCheckpoint};
+use crate::checkpoint::SimCheckpoint;
 use crate::DebugError;
 
 /// Everything that pins one deterministic run: the debugging analogue of
@@ -336,7 +336,7 @@ impl DebugSession {
             sim: self.session.snapshot(),
             injectors: self.injector.state(),
             checker: self.checker.save_state(),
-            driver: DriverState::Stack(Box::new(self.stack.save_state())),
+            driver: self.stack.save_state(),
         }
     }
 
@@ -349,18 +349,8 @@ impl DebugSession {
     /// [`DebugError::Restore`] when the checkpoint's stack, injector or
     /// checker shape does not match this session.
     pub fn restore_checkpoint(&mut self, cp: &SimCheckpoint) -> Result<(), DebugError> {
-        let stack_state = match &cp.driver {
-            DriverState::Stack(s) => s,
-            DriverState::Guardian(_) => {
-                return Err(DebugError::Restore(
-                    "checkpoint was captured from a guardian-driven run; \
-                     this session drives a bare stack"
-                        .into(),
-                ))
-            }
-        };
         self.stack
-            .restore_state(stack_state)
+            .restore_state(&cp.driver)
             .map_err(DebugError::Restore)?;
         self.injector
             .restore(&cp.injectors)

@@ -2,7 +2,7 @@
 //!
 //! A checkpoint is the complete serialized state of a [`Fleet`] — every
 //! live stream's checker (sample-and-hold signals, health machines,
-//! verdict caches, violations, counters), slab layout including
+//! episode bookkeeping, violations, counters), slab layout including
 //! generation counters and free-list order, the merged retired metrics,
 //! and the stream-sequence counter — plus, when written
 //! by an ingest server, every producer session's applied-sequence
@@ -21,7 +21,7 @@
 //! typed [`CheckpointError`]s instead of panicking on corrupt input.
 //!
 //! ```text
-//! checkpoint := magic b"ADCKPT", version u8 (=4), endianness u8 (=1),
+//! checkpoint := magic b"ADCKPT", version u8 (=5), endianness u8 (=1),
 //!               fleet-section, session-section
 //! session    := token u64, expected_seq u64,
 //!               count u32, (seq u64, len u32, response bytes) x count,
@@ -63,8 +63,10 @@ pub const CKPT_MAGIC: &[u8; 6] = b"ADCKPT";
 /// cycle index to the shared checker encoding; version 3 dropped every
 /// wall-clock histogram and two retired fields (a per-shard
 /// rejected-batch count and a per-stream guard-present byte); version 4
-/// added each session's handle map.
-pub const CKPT_VERSION: u8 = 4;
+/// added each session's handle map; version 5 dropped each monitor's
+/// cached-verdict tag, since the checker evaluates every monitor every
+/// cycle.
+pub const CKPT_VERSION: u8 = 5;
 
 /// Typed checkpoint encode/decode/restore failures.
 ///
@@ -677,8 +679,9 @@ mod tests {
                 "byte flip at {pos}"
             );
         }
-        // Version 2 carried wall-clock histograms and retired fields.
-        for version in [2, 99] {
+        // Version 2 carried wall-clock histograms and retired fields, and
+        // version 4 a cached verdict per monitor.
+        for version in [2, 4, 99] {
             let mut flipped = bytes.clone();
             flipped[6] = version;
             assert!(matches!(

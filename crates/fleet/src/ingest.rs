@@ -1154,12 +1154,14 @@ pub enum ProducerError {
         /// The oldest sequence still retained.
         floor: u64,
     },
-    /// Every attempt of one redial failed ([`IngestProducer::dial`]).
-    /// The producer keeps its window and retention and redials again at
-    /// its next call, and repeating the call that gave up sends no frame
-    /// twice (see [`IngestProducer::dial`]).
+    /// Every attempt of one redial failed, or one call's redials made no
+    /// progress ([`IngestProducer::dial`]). The producer keeps its window
+    /// and retention and redials again at its next call, and repeating
+    /// the call that gave up sends no frame twice (see
+    /// [`IngestProducer::dial`]).
     GaveUp {
-        /// Attempts made before giving up.
+        /// Attempts made before giving up: the dials of one redial, or
+        /// the call's redials that no applied response followed.
         attempts: u32,
         /// The last failure seen.
         last: Box<ProducerError>,
@@ -1253,7 +1255,8 @@ impl<T: Read + Write + Send> Transport for T {}
 /// Backoff policy for reconnection attempts.
 #[derive(Debug, Clone, Copy)]
 pub struct ReconnectPolicy {
-    /// Dial attempts per reconnection before giving up.
+    /// Dial attempts per reconnection before giving up, and also the
+    /// redials one call makes with no response applied in between.
     pub max_attempts: u32,
     /// First retry delay; doubles per attempt.
     pub base_delay: Duration,
@@ -1669,8 +1672,11 @@ impl<C: Read + Write> IngestProducer<C> {
     /// [`ProducerError::GaveUp`] when no attempt produced a working
     /// connection, and the refusal itself when the server refuses for a
     /// reason a retry cannot fix. Later, a redial that fails returns the
-    /// same errors from the interrupted call, and the next call redials
-    /// again: a session the server can no longer resume
+    /// same errors from the interrupted call, and so does a call whose
+    /// connection fails again after [`ReconnectPolicy::max_attempts`]
+    /// redials with no response applied since the first of them: it
+    /// returns [`ProducerError::GaveUp`] instead of redialing once more.
+    /// The next call redials again: a session the server can no longer resume
     /// ([`NackReason::UnknownSession`], [`NackReason::ResumeGap`],
     /// [`ProducerError::ReplayExhausted`]) fails again on every call.
     ///
@@ -1788,11 +1794,8 @@ impl<C: Read + Write> IngestProducer<C> {
     /// [`ProducerError`] on transport failure or rejection.
     pub fn flush(&mut self) -> Result<(), ProducerError> {
         self.state.unanswered = None;
-        while !self.state.window.is_empty() {
-            self.pump()?;
-        }
-        self.flush_obuf()?;
-        Ok(())
+        self.wait(|state| Ok(state.window.is_empty().then_some(())))?;
+        self.flush_obuf()
     }
 
     /// Returns the transport and final stats, consuming the producer.
@@ -1808,9 +1811,7 @@ impl<C: Read + Write> IngestProducer<C> {
         encode: impl FnOnce(&mut Vec<u8>, u64) -> Result<(), ProducerError>,
     ) -> Result<u64, ProducerError> {
         self.state.unanswered = None;
-        while self.state.window.len() >= self.state.config.window {
-            self.pump()?;
-        }
+        self.wait(|state| Ok((state.window.len() < state.config.window).then_some(())))?;
         if self.obuf.len() >= 128 * 1024 {
             self.flush_obuf()?;
         }
@@ -1831,33 +1832,46 @@ impl<C: Read + Write> IngestProducer<C> {
                 Ok(())
             })?,
         };
-        let response = self.wait_ack(seq);
+        let response = self.wait(|state| state.take_response(seq));
         if response.is_err() && self.dial.as_ref().is_some_and(|dial| dial.down) {
             self.state.unanswered = Some((query, seq));
         }
         response
     }
 
-    /// Blocks until the response for `seq` arrives and returns its body.
-    fn wait_ack(&mut self, seq: u64) -> Result<AckBody, ProducerError> {
+    /// Pumps until `ready` yields a value. `stalled` counts the call's
+    /// redials that no applied response has followed yet; once it
+    /// reaches [`ReconnectPolicy::max_attempts`], the next failure gives
+    /// up instead of redialing (see [`IngestProducer::redial`]).
+    fn wait<T>(
+        &mut self,
+        mut ready: impl FnMut(&mut ProducerState) -> Result<Option<T>, ProducerError>,
+    ) -> Result<T, ProducerError> {
+        let mut stalled = 0;
         loop {
-            if let Some(body) = self.state.take_response(seq)? {
-                return Ok(body);
+            if let Some(value) = ready(&mut self.state)? {
+                return Ok(value);
             }
-            self.pump()?;
+            let (acked, reconnects) = (self.state.acked_seq, self.state.stats.reconnects);
+            self.pump(stalled)?;
+            if self.state.acked_seq > acked {
+                stalled = 0;
+            } else if self.state.stats.reconnects > reconnects {
+                stalled += 1;
+            }
         }
     }
 
     /// Writes the queued outbound bytes.
     fn flush_obuf(&mut self) -> Result<(), ProducerError> {
-        self.on_conn(Self::write_obuf)
+        self.on_conn(0, Self::write_obuf)
     }
 
     /// Flushes outbound bytes and applies responses to the window: the
     /// ones already decoded (a resume leaves the server's replayed
     /// responses there), or else one freshly read chunk.
-    fn pump(&mut self) -> Result<(), ProducerError> {
-        self.on_conn(|p| {
+    fn pump(&mut self, stalled: u32) -> Result<(), ProducerError> {
+        self.on_conn(stalled, |p| {
             p.write_obuf()?;
             if !p.apply_decoded()? {
                 p.read_chunk()?;
@@ -1874,6 +1888,7 @@ impl<C: Read + Write> IngestProducer<C> {
     /// resumed session.
     fn on_conn(
         &mut self,
+        stalled: u32,
         step: impl FnOnce(&mut Self) -> Result<(), ProducerError>,
     ) -> Result<(), ProducerError> {
         let result = match &self.dial {
@@ -1881,7 +1896,7 @@ impl<C: Read + Write> IngestProducer<C> {
             _ => step(self),
         };
         match result {
-            Err(e) if transient(&e) => self.redial(e),
+            Err(e) if transient(&e) => self.redial(e, stalled),
             done => done,
         }
     }
@@ -1889,16 +1904,27 @@ impl<C: Read + Write> IngestProducer<C> {
     /// Dials fresh transports until one resumes the session. The
     /// handshake's own I/O never redials: the dialer is out of the
     /// producer while it runs, so a failed handshake is one attempt.
-    fn redial(&mut self, cause: ProducerError) -> Result<(), ProducerError> {
+    /// After `stalled` redials of the current call with no response
+    /// applied since, [`ReconnectPolicy::max_attempts`] of them, it gives
+    /// up without dialing: a connection that keeps dying before any
+    /// response arrives would otherwise hold the call forever.
+    fn redial(&mut self, cause: ProducerError, stalled: u32) -> Result<(), ProducerError> {
         let Some(mut dial) = self.dial.take() else {
             return Err(cause);
         };
-        let resumed = dial.attempt(true, |conn| {
-            self.conn = conn;
-            self.decoder = FrameDecoder::new(self.state.config.max_frame_len);
-            self.obuf.clear();
-            self.handshake()
-        });
+        let resumed = if stalled >= dial.policy.max_attempts.max(1) {
+            Err(ProducerError::GaveUp {
+                attempts: stalled,
+                last: Box::new(cause),
+            })
+        } else {
+            dial.attempt(true, |conn| {
+                self.conn = conn;
+                self.decoder = FrameDecoder::new(self.state.config.max_frame_len);
+                self.obuf.clear();
+                self.handshake()
+            })
+        };
         dial.down = resumed.is_err();
         self.dial = Some(dial);
         resumed
@@ -2113,6 +2139,105 @@ mod tests {
         assert!(producer.state.captured.is_empty(), "no open ack is kept");
         let stats = server.shutdown();
         assert_eq!((stats.opens, stats.batches, stats.closes), (3, 3, 3));
+    }
+
+    /// A transport that answers the handshake and then reads EOF: a
+    /// `Hello` ack for session 7, followed on a resuming connection by a
+    /// `Resumed` ack that asks for every frame from 1 on. Writes go
+    /// nowhere.
+    struct HandshakeThenEof {
+        replies: Vec<u8>,
+    }
+
+    impl HandshakeThenEof {
+        fn new(resuming: bool) -> Self {
+            let mut replies = Vec::new();
+            let hello = AckBody::Hello {
+                version: VERSION,
+                session: 7,
+            };
+            encode_ack(&mut replies, 0, &hello);
+            if resuming {
+                encode_ack(&mut replies, 0, &AckBody::Resumed { next_seq: 1 });
+            }
+            HandshakeThenEof { replies }
+        }
+    }
+
+    impl Read for HandshakeThenEof {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.replies.len());
+            buf[..n].copy_from_slice(&self.replies[..n]);
+            self.replies.drain(..n);
+            Ok(n)
+        }
+    }
+
+    impl Write for HandshakeThenEof {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_call_whose_redials_make_no_progress_gives_up() {
+        // Every redial resumes the session and every resumed connection
+        // dies before a response: without a budget `close_stream` would
+        // redial forever, so the call runs under a watchdog.
+        let (done, outcome) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mut dials = 0u32;
+            let connect = move |_attempt: u32| {
+                dials += 1;
+                Ok(HandshakeThenEof::new(dials > 1))
+            };
+            let policy = ReconnectPolicy {
+                max_attempts: 3,
+                base_delay: Duration::from_millis(1),
+                max_delay: Duration::from_millis(1),
+                seed: 1,
+            };
+            let mut producer = IngestProducer::dial(connect, ProducerConfig::default(), policy)
+                .expect("the first connection says hello");
+            let id = producer.open_stream().expect("an open only queues");
+            let first = producer.close_stream(id);
+            let after_first = (producer.stats().reconnects, producer.next_seq());
+            let repeat = producer.close_stream(id);
+            let after_repeat = (producer.stats().reconnects, producer.next_seq());
+            let gave_up = |r: Result<Vec<u8>, ProducerError>| match r {
+                Err(ProducerError::GaveUp { attempts, last }) => {
+                    Some((attempts, matches!(*last, ProducerError::Disconnected)))
+                }
+                _ => None,
+            };
+            let _ = done.send((gave_up(first), after_first, gave_up(repeat), after_repeat));
+        });
+        let (first, after_first, repeat, after_repeat) =
+            match outcome.recv_timeout(Duration::from_secs(30)) {
+                Ok(outcome) => outcome,
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => std::panic::resume_unwind(
+                    worker
+                        .join()
+                        .expect_err("a worker that sent nothing panicked"),
+                ),
+                // A hung call cannot be joined; failing here ends the test.
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                    panic!("close_stream kept redialing past the 30-s watchdog")
+                }
+            };
+        worker.join().expect("the worker returned after sending");
+        assert_eq!(
+            first,
+            Some((3, true)),
+            "three fruitless redials, then GaveUp"
+        );
+        assert_eq!(after_first, (3, 3), "one open and one close were sent");
+        assert_eq!(repeat, Some((3, true)), "the repeated close gives up too");
+        assert_eq!(after_repeat, (6, 3), "and waits for the same close frame");
     }
 
     #[test]

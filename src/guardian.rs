@@ -28,10 +28,10 @@
 //! to runtime assurance" extension of the methodology, evaluated by
 //! experiment F5.
 
-use adassure_attacks::{ChannelFaultInjector, FaultInjectorState};
-use adassure_control::pipeline::{AdStack, StackState};
+use adassure_attacks::ChannelFaultInjector;
+use adassure_control::pipeline::AdStack;
 use adassure_core::assertion::Severity;
-use adassure_core::{Assertion, CheckerState, HealthConfig, OnlineChecker, Violation};
+use adassure_core::{Assertion, HealthConfig, OnlineChecker, Violation};
 use adassure_obs::{
     Event as ObsEvent, EventFilter, EventSink, Guard as ObsGuard, MetricsSnapshot, ObsConfig,
     TransitionGrid,
@@ -279,86 +279,6 @@ impl Guardian {
         self.primary.update(name, value);
         self.widened.update(name, value);
     }
-
-    /// Captures the guardian's complete mutable state (control stack, both
-    /// in-loop checkers, mode machine, telemetry-fault injector) as plain
-    /// data, for mid-run checkpoints. Must be called between engine cycles.
-    pub fn save_state(&self) -> GuardianState {
-        GuardianState {
-            stack: self.stack.save_state(),
-            primary: self.primary.save_state(),
-            widened: self.widened.save_state(),
-            state: self.state,
-            trigger: self.trigger.clone(),
-            clean_streak: self.clean_streak,
-            degraded_cycles: self.degraded_cycles,
-            fault: self.fault.as_ref().map(ChannelFaultInjector::state),
-            guard_grid: self.guard_grid.counts(),
-            events_emitted: self.events_emitted,
-        }
-    }
-
-    /// Reinstates a state captured with [`Guardian::save_state`]. The
-    /// guardian must have been built with the same catalog, configuration
-    /// and (when present) telemetry-fault spec. Event sinks are untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the state's shape does not match this
-    /// guardian (different catalog, stack kind, or fault configuration).
-    pub fn restore_state(&mut self, s: GuardianState) -> Result<(), String> {
-        self.stack.restore_state(&s.stack)?;
-        self.primary =
-            OnlineChecker::restore(self.primary.plan().clone(), self.config.health, s.primary)
-                .map_err(|e| format!("primary checker: {e}"))?;
-        self.widened =
-            OnlineChecker::restore(self.widened.plan().clone(), self.config.health, s.widened)
-                .map_err(|e| format!("widened checker: {e}"))?;
-        match (&mut self.fault, &s.fault) {
-            (Some(inj), Some(fs)) => inj.restore(fs),
-            (None, None) => {}
-            (have, _) => {
-                return Err(format!(
-                    "fault injector mismatch: guardian has {}, snapshot has {}",
-                    if have.is_some() { "one" } else { "none" },
-                    if s.fault.is_some() { "one" } else { "none" }
-                ));
-            }
-        }
-        self.state = s.state;
-        self.trigger = s.trigger;
-        self.clean_streak = s.clean_streak;
-        self.degraded_cycles = s.degraded_cycles;
-        self.guard_grid = TransitionGrid::from_counts(s.guard_grid);
-        self.events_emitted = s.events_emitted;
-        Ok(())
-    }
-}
-
-/// A plain-data snapshot of a [`Guardian`]'s complete mutable state,
-/// captured with [`Guardian::save_state`].
-#[derive(Debug, Clone)]
-pub struct GuardianState {
-    /// The wrapped control stack's state.
-    pub stack: StackState,
-    /// The nominal-threshold checker's state.
-    pub primary: CheckerState,
-    /// The widened confirmation checker's state.
-    pub widened: CheckerState,
-    /// The mode machine's operating state.
-    pub state: GuardState,
-    /// The widened-checker violation that confirmed the safe stop, if any.
-    pub trigger: Option<Violation>,
-    /// Consecutive clean cycles counted towards recovery.
-    pub clean_streak: u32,
-    /// Cycles spent in [`GuardState::Degraded`] so far.
-    pub degraded_cycles: u64,
-    /// The telemetry-fault injector's state, when one is installed.
-    pub fault: Option<FaultInjectorState>,
-    /// Mode-transition counters.
-    pub guard_grid: [[u64; 3]; 3],
-    /// Guardian-level events emitted so far.
-    pub events_emitted: u64,
 }
 
 /// Projects the payload-carrying [`GuardState`] onto the 3-state
